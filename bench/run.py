@@ -6,8 +6,7 @@ Usage, from the repository root:
     python3 bench/run.py --workload all --seed 1 --seconds 25 --trace 1
 
 ``--workload`` is one of pipeline, long-series, study, or ``all`` (each in
-turn); BENCHMARK.json gates on pipeline and study only (see
-``workloads.py`` for why long-series is not gated).  ``--seed`` picks the input case: case ``seed mod n`` of the
+turn).  ``--seed`` picks the input case: case ``seed mod n`` of the
 workload's cases in ``bench/reference.json``, whose stored outputs every op
 is checked against.  Each workload runs in fresh worker processes with one
 BLAS thread and one caller (closed loop, ``workers=1``).
@@ -16,10 +15,9 @@ BLAS thread and one caller (closed loop, ``workers=1``).
 three fresh processes of the time from process start to ready (import,
 inputs, lazily built constants); ``op_s``, the median time of one op over a
 closed loop of ``--seconds``; and ``peak_rss_mb`` of that process.  Both
-times are wall times scaled by a speed probe run next to them (see
-``worker.py``), so they read in seconds at a fixed reference host speed
-(long-series has no probe and reports wall times); the raw wall-time
-medians are printed too.
+times are wall times scaled by a speed probe timed next to them (see
+``worker.py``), so they read in seconds at a fixed reference host speed;
+the unscaled wall-time medians are printed too.
 ``--trace 1`` makes the separate traced run, which reports the per-layer
 metrics of ``bench/layers.py``.  Failed ops (raised, an ``error`` entry in a
 pipeline bundle, or output off the reference) count in ``failed``, so
@@ -188,7 +186,7 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool, out_dir: P
         "setup_scaled_s": [s for _, s in setups],
         "op_wall_s": res["op_times"],
         "op_scaled_s": res.get("op_scaled", []),
-        "probes_s": res.get("probes", []),
+        "probes_s": res["probes"],
         "traced_op_wall_s": res.get("traced_op_times", []),
         "problems": res["problems"],
     }

@@ -58,7 +58,7 @@ def test_tracer_spans_parents_and_self_time(fake_package):
     assert summary["work.inner"]["calls"] == 4
     outer = summary["work.outer"]
     assert outer["total_s"] - outer["self_s"] == pytest.approx(summary["work.inner"]["total_s"])
-    assert 0.055 <= outer["self_s"] < 0.09  # two 0.03 s sleeps of outer's own
+    assert 0.055 <= outer["self_s"] < 0.5  # two 0.03 s sleeps of outer's own; loose above for busy hosts
     # uninstall restores the original objects everywhere
     assert pkg.outer is mod.outer and not hasattr(mod.outer, "__wrapped__")
 
@@ -127,8 +127,7 @@ def test_catalogue_matches_benchmark_json():
     assert [(m["name"], m["unit"], m["better"]) for m in bench["per_layer"]] == [
         (m.name, m.unit, m.better) for m in CATALOGUE
     ]
-    # long-series runs by name but is not gated (see workloads.py)
-    assert [w["name"] for w in bench["workloads"]] == [w for w in WORKLOADS if w != "long-series"]
+    assert [(w["name"], w["why"]) for w in bench["workloads"]] == [(w.name, w.why) for w in WORKLOADS.values()]
     for metric in CATALOGUE:
         assert set(metric.runs_on) <= set(WORKLOADS)
         assert metric.span == "op" or metric.span in TARGETS

@@ -43,6 +43,16 @@ def sptv2_model():
     )
 
 
+def _warm_kernel_constants(*constants) -> None:
+    """Fill the lru_caches of kernel constants as the package fills them.
+
+    The caches key on the call's argument form, so ``k_l2_norm_sq()`` does not
+    fill the entry that ``k_l2_norm_sq(kernel)`` reads; call them the way
+    ``estimate`` and ``testing`` do, with the kernel passed positionally."""
+    for constant in constants:
+        constant(tvarch.kernels.epanechnikov)
+
+
 def _simulate(T: int, seed: int):
     return tvarch.simulate_path(sptv2_model(), tvarch.SimulationConfig(T=T, seed=seed))
 
@@ -63,8 +73,7 @@ def _pipeline_setup(seed: int, scratch: Path) -> dict:
         path.unlink(missing_ok=True)
     if not np.array_equal(loaded.values, series.values):
         raise RuntimeError("CSV round trip changed the series")
-    tvarch.k_star_l2_norm_sq()
-    tvarch.k_l2_norm_sq()
+    _warm_kernel_constants(tvarch.k_star_l2_norm_sq, tvarch.k_l2_norm_sq)
     return {"series": loaded, "seed": seed}
 
 
@@ -80,16 +89,12 @@ def _pipeline_record(bundle: dict) -> dict:
 
 # ---------------------------------------------------------------------------
 # long-series: order selection, semiparametric CV and two plug-in fits at T=8000.
-# It runs by name (``--workload long-series``) but BENCHMARK.json does not
-# gate on it: on a shared 2-core host its op_s spread 0.10-0.18 over ten
-# runs, close to the largest bound allowed (0.25), and no speed probe tracked
-# that drift (see the probe below).
 
 LONG = {"T": 8000, "q_max": 10, "p": 2}
 
 
 def _long_setup(seed: int, scratch: Path) -> dict:
-    tvarch.k_l2_norm_sq()
+    _warm_kernel_constants(tvarch.k_l2_norm_sq)
     return {"series": _simulate(LONG["T"], seed)}
 
 
@@ -128,7 +133,7 @@ STUDY = {"T": 500, "R": 100, "B": 200}
 
 
 def _study_setup(seed: int, scratch: Path) -> dict:
-    tvarch.k_l2_norm_sq()
+    _warm_kernel_constants(tvarch.k_l2_norm_sq)
     for level in LEVELS:
         tvarch.testing.asymptotic_psi_quantile(2, level)
     return {"seed": seed}
@@ -150,30 +155,6 @@ def _study_record(out) -> dict:
     return {"rmse": rmse, "coverage_mc": mc, "coverage_asymptotic": asymptotic}
 
 
-# Speed probe: fixed work without tvarch that mirrors the dominant kernels of
-# the T <= 2000 ops, so that the host's speed around an op can be factored
-# out of its time; about 0.2 s on a 2-core x86 VM at its usual speed.  Over
-# ten runs it cut the spread of op_s from 0.18 to 0.05 on pipeline and from
-# 0.16 to 0.06 on study.  No probe tried (this one, large convolutions,
-# eigendecompositions of 8000 matrices, memory streaming) tracked the T=8000
-# ops: scaling made long-series spread more (0.18 against 0.12), so
-# long-series reports unscaled wall times (probe None).
-
-
-def _probe_small():
-    """Python-level loop plus small convolutions and 3x3 eigenproblems."""
-    rng = np.random.default_rng(0)
-    x, window = rng.standard_normal(2000), np.hanning(301)
-    a = rng.standard_normal((500, 3, 3))
-    a = a @ a.transpose(0, 2, 1)
-    acc = 0
-    for i in range(700_000):
-        acc += i * i % 7
-    for _ in range(140):
-        np.convolve(x, window)
-        np.linalg.eigvalsh(a)
-
-
 @dataclass(frozen=True)
 class Workload:
     name: str
@@ -181,7 +162,6 @@ class Workload:
     setup: object
     op: object
     record: object
-    probe: object
 
 
 WORKLOADS = {
@@ -193,7 +173,6 @@ WORKLOADS = {
             _pipeline_setup,
             _pipeline_op,
             _pipeline_record,
-            _probe_small,
         ),
         Workload(
             "long-series",
@@ -201,7 +180,6 @@ WORKLOADS = {
             _long_setup,
             _long_op,
             _long_record,
-            None,
         ),
         Workload(
             "study",
@@ -209,7 +187,6 @@ WORKLOADS = {
             _study_setup,
             _study_op,
             _study_record,
-            _probe_small,
         ),
     )
 }
