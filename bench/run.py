@@ -15,9 +15,9 @@ BLAS thread and one caller (closed loop, ``workers=1``).
 three fresh processes of the time from process start to ready (import,
 inputs, lazily built constants); ``op_s``, the median time of one op over a
 closed loop of ``--seconds``; and ``peak_rss_mb`` of that process.  Both
-times are wall times scaled by a speed probe timed next to them (see
-``worker.py``), so they read in seconds at a fixed reference host speed;
-the unscaled wall-time medians are printed too.
+times are wall times scaled by the host speed sampled while they ran (see
+``speed.py``), so they read in seconds at a fixed reference host speed; the
+unscaled wall-time medians are printed too.
 ``--trace 1`` makes the separate traced run, which reports the per-layer
 metrics of ``bench/layers.py``.  Failed ops (raised, an ``error`` entry in a
 pipeline bundle, or output off the reference) count in ``failed``, so
@@ -68,8 +68,9 @@ def _worker_env() -> dict:
 
 
 def spawn(args: list, deadline: float) -> tuple[float, float, dict | None]:
-    """Run one worker; return (seconds from start to ready, the same scaled by
-    the speed probe that followed, the worker's result or None)."""
+    """Run one worker; return (seconds from start to ready, the same at the
+    reference host speed, the worker's result or None).  Both exclude the
+    speed probes' own time."""
     cmd = [sys.executable, str(BENCH / "worker.py"), *args]
     t0 = perf_counter()
     proc = subprocess.Popen(cmd, cwd=ROOT, env=_worker_env(), stdout=subprocess.PIPE, text=True)
@@ -80,9 +81,8 @@ def spawn(args: list, deadline: float) -> tuple[float, float, dict | None]:
         for line in proc.stdout:
             msg = json.loads(line)
             if msg["event"] == "ready":
-                ready_s = perf_counter() - t0
-            elif msg["event"] == "probe":
-                scale = msg["ref_s"] / msg["s"]
+                ready_s = perf_counter() - t0 - msg["probe_s"]
+                scale = msg["scale"]
             elif msg["event"] == "result":
                 result = msg
         code = proc.wait()
@@ -186,7 +186,6 @@ def run_workload(workload: str, seed: int, seconds: int, trace: bool, out_dir: P
         "setup_scaled_s": [s for _, s in setups],
         "op_wall_s": res["op_times"],
         "op_scaled_s": res.get("op_scaled", []),
-        "probes_s": res["probes"],
         "traced_op_wall_s": res.get("traced_op_times", []),
         "problems": res["problems"],
     }

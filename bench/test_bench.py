@@ -21,6 +21,7 @@ import tvarch  # noqa: E402
 import tvarch.testing  # noqa: E402
 
 from layers import CATALOGUE, TARGETS, MissingLayerError, layer_metrics  # noqa: E402
+from speed import SpeedSampler  # noqa: E402
 from tracer import PARENT, StaleBindingError, Tracer, summarize  # noqa: E402
 from workloads import WORKLOADS, compare, digest  # noqa: E402
 
@@ -131,3 +132,16 @@ def test_catalogue_matches_benchmark_json():
     for metric in CATALOGUE:
         assert set(metric.runs_on) <= set(WORKLOADS)
         assert metric.span == "op" or metric.span in TARGETS
+
+
+def test_speed_sampler_samples_inside_the_region_only():
+    sampler = SpeedSampler()
+    sampler.start()
+    t0 = time.perf_counter()
+    while time.perf_counter() - t0 < 0.35:  # busy: Python runs the handler between bytecodes
+        pass
+    probe_s, scale = sampler.stop()
+    assert 0.0 < probe_s < time.perf_counter() - t0
+    assert len(sampler._probe_s) >= 2 and scale > 0.0
+    sampler.start()  # shorter than one interval: no sample inside, one right after
+    assert sampler.stop()[0] == 0.0 and len(sampler._probe_s) == 1

@@ -1,11 +1,9 @@
 """One fresh benchmark process: set a workload up, then optionally run its ops.
 
 Started by ``run.py``; not meant to be run by hand.  Writes one JSON object
-per line to stdout: ``{"event": "ready"}`` as soon as set-up is done (the
-parent times set-up from process start to that line), then
-``{"event": "probe", "s": ...}`` with the speed probe's time right after
-set-up, then, unless the mode is ``setup``, ``{"event": "result", ...}``.
-Modes:
+per line to stdout: ``{"event": "ready", ...}`` as soon as set-up is done
+(the parent times set-up from process start to that line), then, unless the
+mode is ``setup``, ``{"event": "result", ...}``.  Modes:
 
 - ``setup``: set up and exit.
 - ``measure``: run ops untraced in a closed loop for ``--seconds``.
@@ -14,17 +12,10 @@ Modes:
 - ``record``: run one traced op and report its output digest and call
   counts; used by ``make_reference.py``.
 
-The speed probe: on a shared 2-core x86 VM the same op takes up to 2x
-longer for minutes at a time, through other tenants' load on the same cores;
-CPU time grows as much as wall time, so a whole run reads slow.  Over ten
-runs the spread of plain wall-time medians (quartile distance over median)
-was 0.19-0.37 on pipeline and study and 0.09-0.14 on long-series, while no
-bound may exceed 0.25.  So the worker
-times ``probe``, fixed work that does not touch tvarch, right after set-up
-and after every op, and each time is scaled by ``PROBE_REF_S`` over the
-probe time next to it: ``op_s`` and ``setup_s`` read in seconds at the host
-speed at which the probe takes ``PROBE_REF_S``.  Plain wall times are
-reported alongside.
+Set-up (from the import of tvarch on) and every op run under a
+``speed.SpeedSampler``; each reports its wall time less the probes' time and
+the same at the reference host speed (see ``speed.py``).  In the traced run
+the spans open while a probe ran include it, about 1% of their time.
 """
 
 from __future__ import annotations
@@ -36,6 +27,11 @@ import sys
 import traceback
 from pathlib import Path
 from time import perf_counter
+
+from speed import SpeedSampler
+
+SAMPLER = SpeedSampler()
+SAMPLER.start()  # samples the host speed through set-up, up to the "ready" line
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -65,56 +61,33 @@ def check(workload, out, reference) -> list:
     return compare(reference, digest(workload.record(out)))
 
 
-PROBE_REF_S = 0.2
-
-
-def probe() -> float:
-    """Seconds that fixed tvarch-free work takes now: a Python-level loop, small
-    convolutions and batched 3x3 eigenproblems, the kinds of work that
-    dominate the ops.  Its inputs are built before the clock starts."""
-    rng = np.random.default_rng(0)
-    x, window = rng.standard_normal(2000), np.hanning(301)
-    a = rng.standard_normal((500, 3, 3))
-    a = a @ a.transpose(0, 2, 1)
-    t0 = perf_counter()
-    acc = 0
-    for i in range(700_000):
-        acc += i * i % 7
-    for _ in range(140):
-        np.convolve(x, window)
-        np.linalg.eigvalsh(a)
-    return perf_counter() - t0
-
-
-def scaled(times: list, probes: list) -> list:
-    """Op times at the reference speed; probes[i] and probes[i+1] bracket op i."""
-    return [t * PROBE_REF_S * 2.0 / (probes[i] + probes[i + 1]) for i, t in enumerate(times)]
-
-
-def run_ops(workload, state, seconds: float, reference, probes: list, tracer=None):
+def run_ops(workload, state, seconds: float, reference, tracer=None):
     """Closed loop: op after op until ``seconds`` have passed (at least one op).
 
-    Appends the probe time after each op to ``probes``."""
-    times, problems, spans = [], [], []
+    Returns the ops' wall times and their times at the reference speed, both
+    less the speed probes' time, the problems found and the traced spans."""
+    times, scaled, problems, spans = [], [], [], []
     deadline = perf_counter() + seconds
     while True:
+        SAMPLER.start()
         t0 = perf_counter()
         try:
             out = workload.op(state)
         except Exception:  # an op that raises is a failed op; keep measuring
             out = None
             problems.append(traceback.format_exc(limit=3))
+        probe_s, scale = SAMPLER.stop()
         t1 = perf_counter()
-        times.append(t1 - t0)
+        times.append(t1 - t0 - probe_s)
+        scaled.append(times[-1] * scale)
         if tracer is not None:
             spans.append(tracer.take())
         if out is not None and reference is not None:
             mismatches = check(workload, out, reference)
             if mismatches:
                 problems.append(f"{len(mismatches)} mismatches, first: " + "; ".join(mismatches[:3]))
-        probes.append(probe())
         if t1 >= deadline:
-            return times, problems, spans
+            return times, scaled, problems, spans
 
 
 def versions() -> dict:
@@ -149,9 +122,8 @@ def main() -> int:
     if tracer is not None:
         tracer.install()
     state = workload.setup(args.case_seed, Path(args.scratch))
-    emit({"event": "ready"})
-    probes = [probe()]
-    emit({"event": "probe", "s": probes[0], "ref_s": PROBE_REF_S})
+    probe_s, scale = SAMPLER.stop()
+    emit({"event": "ready", "probe_s": probe_s, "scale": scale})
     if args.mode == "setup":
         return 0
 
@@ -166,11 +138,10 @@ def main() -> int:
         return 0
 
     if args.mode == "measure":
-        times, problems, _ = run_ops(workload, state, args.seconds, reference, probes)
+        times, scaled, problems, _ = run_ops(workload, state, args.seconds, reference)
         result.update(
             op_times=times,
-            op_scaled=scaled(times, probes),
-            probes=probes,
+            op_scaled=scaled,
             peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         )
     else:
@@ -178,25 +149,25 @@ def main() -> int:
         # overhead ratio, which compares each traced op with the one before.
         setup_spans = tracer.take()
         tracer.uninstall()
-        times, problems, op_spans = [], [], []
+        times, scaled, problems, op_spans = [], [], [], []
         deadline = perf_counter() + args.seconds
         while not times or perf_counter() < deadline:
-            t, p, _ = run_ops(workload, state, 0.0, reference, probes)
+            t, s, p, _ = run_ops(workload, state, 0.0, reference)
             tracer.install()
             try:
-                traced_t, traced_p, spans = run_ops(workload, state, 0.0, reference, probes, tracer)
+                traced_t, traced_s, traced_p, spans = run_ops(workload, state, 0.0, reference, tracer)
             finally:
                 tracer.uninstall()
             times += t + traced_t
+            scaled += s + traced_s
             problems += p + traced_p
             op_spans += spans
-        s = scaled(times, probes)
-        overhead = float(np.median([b / a for a, b in zip(s[::2], s[1::2])]) - 1.0)
+        overhead = float(np.median([b / a for a, b in zip(scaled[::2], scaled[1::2])]) - 1.0)
         values = layer_metrics(args.workload, setup_spans, op_spans, overhead)
         result.update(
             op_times=times[::2],
             traced_op_times=times[1::2],
-            probes=probes,
+            op_scaled=scaled[::2],
             layers={m.name: {"value": values[m.name], "unit": m.unit} for m in CATALOGUE},
         )
         if args.spans_out:
