@@ -45,7 +45,6 @@ from .kernels import (
     k_l2_norm_sq,
     k_star,
     k_star_l2_norm_sq,
-    normalized_weights,
 )
 from .model import (
     CoefficientFunction,
@@ -53,7 +52,6 @@ from .model import (
     NoiseSpec,
     ReturnSeries,
     TvArchModel,
-    regressors,
     validate_model,
 )
 from .select import (

@@ -88,7 +88,13 @@ def resolve_weights(series: ReturnSeries, p: int, weights) -> tuple[np.ndarray, 
 
 
 def _psd_rcond(stack: np.ndarray) -> np.ndarray:
-    """Reciprocal condition numbers of a stack of symmetric PSD matrices."""
+    """Reciprocal condition numbers of a stack of symmetric PSD matrices.
+
+    A matrix with a non-finite entry gets 0, so it fails every gate.
+    """
+    if not np.isfinite(stack).all():
+        finite = np.isfinite(stack).all(axis=(-2, -1))
+        stack = np.where(finite[..., None, None], stack, 0.0)
     lam = np.linalg.eigvalsh(stack)
     lmin = lam[..., 0]
     lmax = lam[..., -1]
@@ -97,25 +103,96 @@ def _psd_rcond(stack: np.ndarray) -> np.ndarray:
     return np.clip(rc, 0.0, None)
 
 
+def _outer(w: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Per-row weighted outer products w_i A_i B_i', shape (n, a, b)."""
+    return w[:, None, None] * A[:, :, None] * B[:, None, :]
+
+
+def _local_mean(values: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Kernel-weighted local means along axis 0: local sums over the window's mass."""
+    den = kernels.window_counts(values.shape[0], window)
+    return kernels.local_sums(values, window) / den.reshape((-1,) + (1,) * (values.ndim - 1))
+
+
+def _leaveout_sums(full: np.ndarray, per_index: np.ndarray, win: np.ndarray, p: int) -> np.ndarray:
+    """Subtract the k = t..t+p window terms from every center's full sums."""
+    half = (win.shape[0] - 1) // 2
+    out = full.copy()
+    for j in range(0, min(p, half) + 1):
+        # Weight the center t places on excluded index k = t + j.
+        w = win[half - j]
+        if w == 0.0:
+            continue
+        if j == 0:
+            out -= w * per_index
+        else:
+            out[:-j] -= w * per_index[j:]
+    return out
+
+
+def local_wls(
+    X: np.ndarray, Y: np.ndarray, W: np.ndarray, window: np.ndarray, leave_out: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local weighted least-squares moments of Y on X at every center.
+
+    Returns ``(gram, cross, rcond)``: gram[r] smooths W_i X_i X_i' (k, k),
+    cross[r] smooths W_i X_i Y_i' (k, c), and rcond gates gram.  By default
+    the smoother is the kernel-weighted local mean.  With ``leave_out=p`` the
+    indices t..t+p are dropped from center t's sums (the leave-(p+1)-out
+    cross-validation fit) and the sums stay unnormalized, which changes no
+    solution.
+    """
+    k = X.shape[1]
+    g = _outer(W, X, np.concatenate([X, Y], axis=1))
+    if leave_out is None:
+        s = _local_mean(g, window)
+    else:
+        s = _leaveout_sums(kernels.local_sums(g, window), g, window, leave_out)
+    return s[..., :k], s[..., k:], _psd_rcond(s[..., :k])
+
+
+def _solve_gated(gram: np.ndarray, rhs: np.ndarray, rcond: np.ndarray, first_t: int) -> np.ndarray:
+    """Batched gram^-1 rhs; raises SingularMomentError at the first center failing the gate."""
+    bad = rcond < _RCOND_GATE
+    if np.any(bad):
+        r = int(np.argmax(bad))
+        raise SingularMomentError(t=first_t + r, rcond=float(rcond[r]))
+    return np.linalg.solve(gram, rhs)
+
+
+def _local_sandwich(gram: np.ndarray, X: np.ndarray, w_mid: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Per-center sandwich G^-1 S G^-1, S the local mean of w_mid X X'."""
+    inv = np.linalg.inv(gram)
+    return inv @ _local_mean(_outer(w_mid, X, X), window) @ inv
+
+
 @dataclass(frozen=True)
 class SmoothedMoments:
     """Kernel-smoothed local moments per center t = p+1..T.
 
     s1[r] estimates E(W M x^2), s2[r] estimates E(W M N'), s3[r] estimates
-    E(W M M') at u = t/T; rcond flags near-singular s3 matrices.
+    E(W M M') at u = t/T; cross holds [s1 | s2]; rcond flags near-singular
+    s3 matrices.
     """
 
-    s1: np.ndarray  # (n_t, m)
-    s2: np.ndarray  # (n_t, m, n)
     s3: np.ndarray  # (n_t, m, m)
+    cross: np.ndarray  # (n_t, m, 1 + n)
     bandwidth: float
     weights_kind: str
     rcond: np.ndarray  # (n_t,)
     first_t: int
 
     @property
+    def s1(self) -> np.ndarray:  # (n_t, m)
+        return self.cross[..., 0]
+
+    @property
+    def s2(self) -> np.ndarray:  # (n_t, m, n)
+        return self.cross[..., 1:]
+
+    @property
     def n_centers(self) -> int:
-        return self.s1.shape[0]
+        return self.s3.shape[0]
 
 
 def smoothed_moments(
@@ -125,43 +202,20 @@ def smoothed_moments(
     b: float,
     kernel=kernels.epanechnikov,
 ) -> SmoothedMoments:
-    """All-centers smoothed moments in a single convolution pass."""
+    """All-centers smoothed moments of the regression of [x^2, N] on M."""
     p = partition.p
     M, N = regressor_matrices(series, partition)
     W, kind = resolve_weights(series, p, weights)
-    x2t = series.values[p:] ** 2
-    n_t = M.shape[0]
-
+    Y = np.concatenate([series.values[p:, None] ** 2, N], axis=1)
     win = kernels.kernel_window(series.T, b, kernel)
-    den = kernels.window_counts(n_t, win)
-
-    g1 = W[:, None] * M * x2t[:, None]
-    g3 = W[:, None, None] * M[:, :, None] * M[:, None, :]
-    s1 = kernels.local_sums(g1, win) / den[:, None]
-    s3 = kernels.local_sums(g3, win) / den[:, None, None]
-    if partition.n:
-        g2 = W[:, None, None] * M[:, :, None] * N[:, None, :]
-        s2 = kernels.local_sums(g2, win) / den[:, None, None]
-    else:
-        s2 = np.empty((n_t, partition.m, 0))
-
-    return SmoothedMoments(
-        s1=s1, s2=s2, s3=s3, bandwidth=b, weights_kind=kind, rcond=_psd_rcond(s3), first_t=p + 1
-    )
+    s3, cross, rcond = local_wls(M, Y, W, win)
+    return SmoothedMoments(s3=s3, cross=cross, bandwidth=b, weights_kind=kind, rcond=rcond, first_t=p + 1)
 
 
 def projection_ratios(moments: SmoothedMoments) -> tuple[np.ndarray, np.ndarray]:
-    """q1 = s3^-1 s1 and q2 = s3^-1 s2 for every center, via batched solves."""
-    bad = moments.rcond < _RCOND_GATE
-    if np.any(bad):
-        r = int(np.argmax(bad))
-        raise SingularMomentError(t=moments.first_t + r, rcond=float(moments.rcond[r]))
-    q1 = np.linalg.solve(moments.s3, moments.s1[..., None])[..., 0]
-    if moments.s2.shape[2]:
-        q2 = np.linalg.solve(moments.s3, moments.s2)
-    else:
-        q2 = np.empty_like(moments.s2)
-    return q1, q2
+    """q1 = s3^-1 s1 and q2 = s3^-1 s2 for every center, from one batched solve."""
+    q = _solve_gated(moments.s3, moments.cross, moments.rcond, moments.first_t)
+    return q[..., 0], q[..., 1:]
 
 
 @dataclass(frozen=True)
@@ -277,6 +331,7 @@ class AlphaFit:
     u: np.ndarray  # (n_t,): grid t/T
     alpha: np.ndarray  # (n_t, m)
     bandwidth: float
+    gram: np.ndarray  # (n_t, m, m): smoothed W M M' at the bandwidth
 
 
 def estimate_alpha(
@@ -293,7 +348,7 @@ def estimate_alpha(
     beta = np.asarray(beta, dtype=float)
     alpha = q1 - np.einsum("tmn,n->tm", q2, beta) if partition.n else q1
     u = np.arange(partition.p + 1, series.T + 1) / series.T
-    return AlphaFit(u=u, alpha=alpha, bandwidth=b_prime)
+    return AlphaFit(u=u, alpha=alpha, bandwidth=b_prime, gram=moments.s3)
 
 
 def _var_xi_sq(x_sq: np.ndarray, sigma_sq: np.ndarray) -> float:
@@ -306,7 +361,7 @@ def alpha_standard_errors(
     series: ReturnSeries,
     partition: CoefficientPartition,
     weights,
-    b_prime: float,
+    fit: AlphaFit,
     sigma_sq: np.ndarray,
     var_xi_sq: float,
     kernel=kernels.epanechnikov,
@@ -315,27 +370,14 @@ def alpha_standard_errors(
 
     V(u) = Var(xi^2) ||K||_2^2 E^-1(WMM') E(W^2 sigma^4 MM') E^-1(WMM'),
     with kernel-smoothed empirical counterparts; SE = sqrt(diag(V)/(T b')).
+    E(WMM') is the gram ``fit`` was solved with.
     """
-    p = partition.p
     M, _ = regressor_matrices(series, partition)
-    W, _ = resolve_weights(series, p, weights)
-    n_t = M.shape[0]
-    win = kernels.kernel_window(series.T, b_prime, kernel)
-    den = kernels.window_counts(n_t, win)
-
-    g3 = W[:, None, None] * M[:, :, None] * M[:, None, :]
-    s3 = kernels.local_sums(g3, win) / den[:, None, None]
-    mid = (W**2 * sigma_sq**2)[:, None, None] * M[:, :, None] * M[:, None, :]
-    smid = kernels.local_sums(mid, win) / den[:, None, None]
-
-    rc = _psd_rcond(s3)
-    if np.any(rc < _RCOND_GATE):
-        r = int(np.argmax(rc < _RCOND_GATE))
-        raise SingularMomentError(t=p + 1 + r, rcond=float(rc[r]))
-    inv_s3 = np.linalg.inv(s3)
-    v_u = var_xi_sq * kernels.k_l2_norm_sq(kernel) * (inv_s3 @ smid @ inv_s3)
+    W, _ = resolve_weights(series, partition.p, weights)
+    win = kernels.kernel_window(series.T, fit.bandwidth, kernel)
+    v_u = var_xi_sq * kernels.k_l2_norm_sq(kernel) * _local_sandwich(fit.gram, M, W**2 * sigma_sq**2, win)
     diag = np.clip(np.diagonal(v_u, axis1=1, axis2=2), 0.0, None)
-    return np.sqrt(diag / (series.T * b_prime))
+    return np.sqrt(diag / (series.T * fit.bandwidth))
 
 
 def estimate_beta_plugin(
@@ -365,6 +407,11 @@ def estimate_beta_plugin(
     return fit, w_star, floored
 
 
+# Centers per chunk of the plug-in sweep times the window length: bounds the
+# sweep's (centers, m, window) temporaries to a few MB at any T and b'.
+_SWEEP_CELLS = 1 << 16
+
+
 def estimate_alpha_plugin(
     series: ReturnSeries,
     partition: CoefficientPartition,
@@ -379,9 +426,15 @@ def estimate_alpha_plugin(
     """Plug-in time-varying block with per-center weights 1/(sigma_{t,i}^4 + mu).
 
     sigma_{t,i}^2 = M_i'alpha_t + N_i'beta couples the window index i to the
-    center t, so this pass cannot be written as one convolution; centers are
-    processed in a sliding-window sweep.  Standard errors use the optimal
-    asymptotic variance Var(xi^2) ||K||_2^2 E^-1(MM'/sigma^4) / (T b').
+    center t, so this pass cannot be written as one convolution.  Instead a
+    sliding-window sweep gathers each center's window rows, a chunk of
+    centers at a time, and solves the local moments of every center in the
+    chunk at once.  Volatilities with |sigma_{t,i}^2| below floor_rel *
+    mean(x^2) are counted; with mu = 0 their sigma^4 is floored there.
+    Standard errors use the optimal asymptotic variance
+    Var(xi^2) ||K||_2^2 E^-1(MM'/sigma^4) / (T b').
+
+    Returns alpha (n_t, m), its standard errors (n_t, m) and the floored count.
     """
     if mu < 0.0:
         raise InputError("mu must be >= 0")
@@ -389,70 +442,41 @@ def estimate_alpha_plugin(
     M, N = regressor_matrices(series, partition)
     beta = np.asarray(beta, dtype=float)
     x2t = series.values[p:] ** 2
-    n_t = M.shape[0]
-    m = partition.m
-    half = int(np.floor(series.T * b_prime))
+    n_t, m = M.shape
     win = kernels.kernel_window(series.T, b_prime, kernel)
+    half = (win.shape[0] - 1) // 2
 
     n_beta = N @ beta if partition.n else np.zeros(n_t)
-    v_hat = float((series.values**2).mean())
-    floor = floor_rel * v_hat
-    int_k2 = kernels.k_l2_norm_sq(kernel)
+    floor = floor_rel * float((series.values**2).mean())
+    se_scale = var_xi_sq * kernels.k_l2_norm_sq(kernel) / (series.T * b_prime)
+
+    # Window views (m + 3, n_t, 2*half+1) of the rows [M', N'beta, x^2 - N'beta, 1]:
+    # entry [:, r, j] is index r - half + j, zero off range, so the last row
+    # marks the in-range indices.
+    cols = np.vstack([M.T, n_beta, x2t - n_beta, np.ones(n_t)])
+    padded = np.pad(cols, [(0, 0), (half, half)])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, win.shape[0], axis=1)
+    eye = np.broadcast_to(np.eye(m), (n_t, m, m))
 
     alpha_star = np.empty((n_t, m))
     se = np.empty((n_t, m))
     floored = 0
-
-    if m == 1 and partition.varying[0] == 0:
-        # Fast path for the common intercept-varying partition: M = (1).
-        pad = np.full(half, np.nan)
-        nb_pad = np.concatenate([pad, n_beta, pad])
-        x2_pad = np.concatenate([pad, x2t, pad])
-        view = np.lib.stride_tricks.sliding_window_view
-        nb_win = view(nb_pad, 2 * half + 1)  # (n_t, 2*half+1)
-        x2_win = view(x2_pad, 2 * half + 1)
-        valid = ~np.isnan(nb_win)
-        sig2 = alpha_init[:, :1] + np.where(valid, nb_win, 0.0)
-        small = valid & (np.abs(sig2) < floor)
-        floored = int(small.sum())
+    chunk = max(1, _SWEEP_CELLS // win.shape[0])
+    for lo in range(0, n_t, chunk):
+        rows = slice(lo, min(lo + chunk, n_t))
+        Mc, nb, y, inside = windows[:m, rows], windows[m, rows], windows[m + 1, rows], windows[m + 2, rows]
+        sig2 = np.einsum("mcl,cm->cl", Mc, alpha_init[rows]) + nb
+        floored += int(np.count_nonzero((inside > 0.0) & (np.abs(sig2) < floor)))
         sig4 = np.maximum(sig2 * sig2, floor * floor) if mu == 0.0 else sig2 * sig2
-        w = np.where(valid, win[None, :] / (sig4 + mu), 0.0)
-        w_sum = w.sum(axis=1)
-        if np.any(w_sum <= 0.0):
-            raise SingularMomentError(t=p + 1 + int(np.argmax(w_sum <= 0.0)))
-        s1 = (w * np.where(valid, x2_win, 0.0)).sum(axis=1) / w_sum
-        s2b = (w * np.where(valid, nb_win, 0.0)).sum(axis=1) / w_sum
-        k_sum = np.where(valid, win[None, :], 0.0).sum(axis=1)
-        s3 = w_sum / k_sum
-        alpha_star[:, 0] = s1 - s2b
-        se[:, 0] = np.sqrt(var_xi_sq * int_k2 / s3 / (series.T * b_prime))
-        return alpha_star, se, floored
-
-    for r in range(n_t):
-        lo = max(0, r - half)
-        hi = min(n_t - 1, r + half)
-        rows = slice(lo, hi + 1)
-        kw = win[half - (r - lo) : half + (hi - r) + 1]
-        sig2 = M[rows] @ alpha_init[r] + n_beta[rows]
-        floored += int(np.sum(np.abs(sig2) < floor))
-        sig4 = np.maximum(sig2 * sig2, floor * floor) if mu == 0.0 else sig2 * sig2
-        w = kw / (sig4 + mu)
-        w_norm = w / kw.sum()
-        Mr = M[rows]
-        s3 = np.einsum("i,im,in->mn", w_norm, Mr, Mr)
-        s1 = np.einsum("i,im->m", w_norm * x2t[rows], Mr)
-        rhs = s1
-        if partition.n:
-            s2 = np.einsum("i,im,in->mn", w_norm, Mr, N[rows])
-            rhs = s1 - s2 @ beta
-        rc = _psd_rcond(s3[None, ...])[0]
-        if rc < _RCOND_GATE:
-            raise SingularMomentError(t=p + 1 + r, rcond=rc)
-        inv_s3 = np.linalg.inv(s3)
-        alpha_star[r] = inv_s3 @ rhs
-        se[r] = np.sqrt(
-            np.clip(np.diag(inv_s3), 0.0, None) * var_xi_sq * int_k2 / (series.T * b_prime)
-        )
+        kw = win * inside
+        w = kw / (sig4 + mu) / kw.sum(axis=1, keepdims=True)
+        A = Mc.transpose(1, 0, 2) * w[:, None, :]
+        s3 = A @ Mc.transpose(1, 2, 0)
+        rhs = A @ y[..., None]
+        # One gated solve yields alpha and the inverse behind its standard errors.
+        sol = _solve_gated(s3, np.concatenate([rhs, eye[rows]], axis=2), _psd_rcond(s3), p + 1 + lo)
+        alpha_star[rows] = sol[..., 0]
+        se[rows] = np.sqrt(np.clip(np.diagonal(sol[..., 1:], axis1=1, axis2=2), 0.0, None) * se_scale)
     return alpha_star, se, floored
 
 
@@ -552,9 +576,7 @@ def fit_semiparametric(
         sigma_final = np.maximum(sigma_final, floor)
     else:
         alpha = alpha0.alpha
-        alpha_se = alpha_standard_errors(
-            series, partition, weights, b_prime, sigma_final, var_xi, kernel
-        )
+        alpha_se = alpha_standard_errors(series, partition, weights, alpha0, sigma_final, var_xi, kernel)
         floored_mu = 0
 
     sigma_for_cov, floored_cov = fitted_sigma_sq(series, partition, fit)

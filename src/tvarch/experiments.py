@@ -16,7 +16,6 @@ identical critical values.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +32,7 @@ from .model import CoefficientFunction, CoefficientPartition, NoiseSpec, ReturnS
 from .select import BandwidthGrid, cv_bandwidth_semiparametric, cv_bandwidth_tvarch, select_lag_order
 from .simulate import SimulationConfig, derive_seed, simulate_path
 from .testing import (
+    _map_ordered,
     asymptotic_psi_quantile,
     constancy_statistic,
     mc_pivotal_quantiles,
@@ -199,13 +199,6 @@ def _rmse_cell(sq_errors: np.ndarray) -> dict:
     return {"value": rmse, "mc_se": se_rmse}
 
 
-def _map_replications(fn, R: int, workers: int) -> list:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, range(R)))
-    return [fn(r) for r in range(R)]
-
-
 class _QuantileCache:
     """Shared Monte-Carlo critical values per calibration configuration."""
 
@@ -265,7 +258,7 @@ def _rmse_design(spec: ExperimentSpec) -> list:
                 b,
             )
 
-        res = _map_replications(one, spec.replications, spec.workers)
+        res = _map_ordered(one, spec.replications, spec.workers)
         sq = np.array([r[0] for r in res])
         sq_star = np.array([r[1] for r in res])
         a0_sq = np.array([r[2] for r in res])
@@ -321,7 +314,7 @@ def _constancy_design(spec: ExperimentSpec) -> list:
                     out[label] = {lvl: e_t > cal.quantiles[lvl] for lvl in spec.levels}
                 return out
 
-            res = _map_replications(one, spec.replications, spec.workers)
+            res = _map_ordered(one, spec.replications, spec.workers)
             for label in ("a0", "a1"):
                 row = {
                     "setup": setup,
@@ -362,7 +355,7 @@ def _coverage_design(spec: ExperimentSpec) -> list:
                 cal = cache.get("second-order", T, p, None, b)
                 return {lvl: psi <= cal.quantiles[lvl] for lvl in spec.levels}
 
-            res = _map_replications(one, spec.replications, spec.workers)
+            res = _map_ordered(one, spec.replications, spec.workers)
             row = {"setup": setup, "T": T, "noise": _noise_name(spec.noise)}
             for lvl in spec.levels:
                 count = sum(r[lvl] for r in res)
@@ -398,7 +391,7 @@ def _order_design(spec: ExperimentSpec) -> list:
                 )
                 return select_lag_order(s, q_max=spec.q_max).p_hat
 
-            p_hats = np.array(_map_replications(one, spec.replications, spec.workers))
+            p_hats = np.array(_map_ordered(one, spec.replications, spec.workers))
             rows.append(
                 {
                     "setup": setup,

@@ -1,20 +1,20 @@
-"""Kernel functions, normalized local weights, and kernel norm constants.
+"""Kernel functions, the smoothing window, and kernel norm constants.
 
 The smoothing weight placed on observation i by a window centered at t is
 
     k(t, i; b) = K((t - i) / (T * b)) / sum_j K((t - j) / (T * b)),
 
 with the sums running over the estimation range ``p+1 .. T``.  Boundary
-centers are handled purely by this self-normalization.  All smoothers in the
-package reduce to discrete convolutions with the window returned by
-:func:`kernel_window`, so the total cost of smoothing every center is
-O(T^2 b).
+centers are handled purely by this self-normalization.  Every smoother in the
+package is a discrete convolution with the window returned by
+:func:`kernel_window`: :func:`local_sums` gives the numerators for all
+centers at once and :func:`window_counts` the denominators, so the total cost
+of smoothing every center is O(T^2 b).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .errors import EmptyWindowError, InputError
 __all__ = [
     "epanechnikov",
     "box",
-    "KernelWeights",
-    "normalized_weights",
     "k_l2_norm_sq",
     "k_star",
     "k_star_l2_norm_sq",
@@ -118,50 +116,6 @@ def k_star_l2_norm_sq(kernel=epanechnikov, nodes: int = _SIMPSON_NODES) -> float
         y[start : start + chunk] = vals**2
     h = 1.0 / (nodes - 1)
     return float(2.0 * h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
-
-
-# ---------------------------------------------------------------------------
-# Normalized local weights.
-
-
-@dataclass(frozen=True)
-class KernelWeights:
-    """Self-normalized kernel weights around one center.
-
-    ``weights[j]`` is the weight on index ``start + j`` (indices follow the
-    1-based time convention ``p+1 <= i <= T``); entries outside the stored
-    window are zero.
-    """
-
-    center_index: int
-    bandwidth: float
-    start: int
-    weights: np.ndarray
-
-    def weight_at(self, i: int) -> float:
-        j = i - self.start
-        if 0 <= j < self.weights.shape[0]:
-            return float(self.weights[j])
-        return 0.0
-
-
-def normalized_weights(t: int, b: float, T: int, p: int, kernel=epanechnikov) -> KernelWeights:
-    """Weights k(t, i; b) for i = p+1..T, normalized to sum to one."""
-    if not (p + 1 <= t <= T):
-        raise InputError(f"center t={t} outside estimation range [{p + 1}, {T}]")
-    if not (0.0 < b <= 1.0):
-        raise InputError(f"bandwidth must lie in (0, 1], got {b}")
-    halfwidth = int(np.floor(T * b))
-    lo = max(p + 1, t - halfwidth)
-    hi = min(T, t + halfwidth)
-    if hi < lo:
-        raise EmptyWindowError(f"no index within T*b={T * b:.3g} of t={t}")
-    idx = np.arange(lo, hi + 1)
-    raw = np.asarray(kernel((t - idx) / (T * b)), dtype=float)
-    total = raw.sum()
-    if total <= 0.0:
-        raise EmptyWindowError(f"kernel mass vanishes around t={t} for b={b}")
-    return KernelWeights(center_index=t, bandwidth=b, start=lo, weights=raw / total)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ __all__ = [
     "TvArchModel",
     "CoefficientPartition",
     "ReturnSeries",
-    "regressors",
     "regressor_matrices",
     "canonical_matrix",
     "validate_model",
@@ -293,23 +292,6 @@ def regressor_matrices(series: ReturnSeries, partition: CoefficientPartition):
     else:
         N = np.empty((series.T - p, 0))
     return M, N
-
-
-def regressors(series: ReturnSeries, partition: CoefficientPartition, t: int):
-    """(M_t, N_t) for a single time index t in [p+1, T]."""
-    p = partition.p
-    if t <= p:
-        raise IndexError(f"t={t} needs {p} lags; first valid index is {p + 1}")
-    if t > series.T:
-        raise IndexError(f"t={t} beyond series length {series.T}")
-    x_sq = series.values**2
-
-    def entry(j: int) -> float:
-        return 1.0 if j == 0 else float(x_sq[t - j - 1])
-
-    M_t = np.array([entry(j) for j in partition.varying])
-    N_t = np.array([entry(j) for j in partition.constant])
-    return M_t, N_t
 
 
 def canonical_matrix(series: ReturnSeries, p: int) -> np.ndarray:

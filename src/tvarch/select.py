@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import AllSingularError, InputError
-from .estimate import LEVEL, _psd_rcond, resolve_weights
+from .errors import AllSingularError, InputError, SingularMomentError
+from .estimate import _RCOND_GATE, LEVEL, _leaveout_sums, _psd_rcond, _solve_gated, local_wls, resolve_weights
 from .model import CoefficientPartition, ReturnSeries, canonical_matrix, regressor_matrices
 
 __all__ = [
@@ -24,9 +24,6 @@ __all__ = [
     "OrderSelection",
     "select_lag_order",
 ]
-
-_RCOND_GATE = 1e-12
-
 
 @dataclass(frozen=True)
 class BandwidthGrid:
@@ -53,34 +50,13 @@ class CvResult:
     beta: np.ndarray | None = None
 
 
-def _leaveout_sums(full: np.ndarray, per_index: np.ndarray, win: np.ndarray, p: int) -> np.ndarray:
-    """Subtract the k = t..t+p window terms from every center's full sums."""
-    half = (win.shape[0] - 1) // 2
-    out = full.copy()
-    for j in range(0, min(p, half) + 1):
-        # Weight the center t places on excluded index k = t + j.
-        w = win[half - j]
-        if w == 0.0:
-            continue
-        if j == 0:
-            out -= w * per_index
-        else:
-            out[:-j] -= w * per_index[j:]
-    return out
-
-
 def _cv_score_tvarch(series, X, W, x2t, b, p, kernel) -> float:
-    n_t = X.shape[0]
     win = kernels.kernel_window(series.T, b, kernel)
-    g_gram = W[:, None, None] * X[:, :, None] * X[:, None, :]
-    g_num = (W * x2t)[:, None] * X
-    gram = _leaveout_sums(kernels.local_sums(g_gram, win), g_gram, win, p)
-    num = _leaveout_sums(kernels.local_sums(g_num, win), g_num, win, p)
-
-    rc = _psd_rcond(gram)
-    if np.any(rc < _RCOND_GATE):
+    gram, cross, rcond = local_wls(X, x2t[:, None], W, win, leave_out=p)
+    try:
+        a_loo = _solve_gated(gram, cross, rcond, p + 1)[..., 0]
+    except SingularMomentError:
         return np.inf
-    a_loo = np.linalg.solve(gram, num[..., None])[..., 0]
     resid = x2t - np.einsum("tk,tk->t", X, a_loo)
     return float(np.sum(W * resid**2))
 
@@ -185,25 +161,22 @@ def select_lag_order(
     zeta = float(np.log(np.log(T)) / (T * b))
 
     Wq, _ = resolve_weights(series, q_max, LEVEL)
-    x_sq = series.values**2
-    x2t = x_sq[q_max:]
+    x2t = series.values[q_max:] ** 2
     win = kernels.kernel_window(T, b, kernel)
-    n_t = x2t.shape[0]
-    den = kernels.window_counts(n_t, win)
-
+    # Every candidate's design is a leading column block of the q_max design
+    # over the same rows, weights and window: smooth once, slice per order.
+    X = canonical_matrix(series, q_max)
+    gram, cross, rcond = local_wls(X, x2t[:, None], Wq, win)
+    rconds = [_psd_rcond(gram[:, :k, :k]) for k in range(1, q_max + 1)] + [rcond]
     rss = np.empty(q_max + 1)
     for p in range(q_max + 1):
-        cols = [np.ones(n_t)] + [x_sq[q_max - j : T - j] for j in range(1, p + 1)]
-        X = np.column_stack(cols)
-        gram = kernels.local_sums(Wq[:, None, None] * X[:, :, None] * X[:, None, :], win)
-        gram /= den[:, None, None]
-        num = kernels.local_sums((Wq * x2t)[:, None] * X, win) / den[:, None]
-        rc = _psd_rcond(gram)
-        if np.any(rc < _RCOND_GATE):
+        k = p + 1
+        try:
+            a_fit = _solve_gated(gram[:, :k, :k], cross[:, :k], rconds[p], q_max + 1)[..., 0]
+        except SingularMomentError:
             rss[p] = np.inf
             continue
-        a_fit = np.linalg.solve(gram, num[..., None])[..., 0]
-        resid = x2t - np.einsum("tk,tk->t", X, a_fit)
+        resid = x2t - np.einsum("tk,tk->t", X[:, :k], a_fit)
         rss[p] = float(np.sum(Wq * resid**2))
 
     if not np.any(np.isfinite(rss)):

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.optimize
 import scipy.stats
 
 from . import kernels
@@ -23,14 +24,17 @@ from .errors import (
     NumericalError,
     SingularCovarianceError,
     SingularDesignError,
-    SingularMomentError,
 )
 from .estimate import (
+    _RCOND_GATE,
     LEVEL,
+    _local_sandwich,
     _psd_rcond,
+    _solve_gated,
     covariance_beta,
     estimate_beta,
     fitted_sigma_sq,
+    local_wls,
     resolve_weights,
 )
 from .model import CoefficientPartition, ReturnSeries, canonical_matrix
@@ -54,9 +58,6 @@ __all__ = [
     "asymptotic_psi_quantile",
 ]
 
-_RCOND_GATE = 1e-12
-
-
 @dataclass(frozen=True)
 class NonparametricFit:
     """Full kernel estimate of all p+1 coefficients on the grid u_t = t/T."""
@@ -75,21 +76,9 @@ def nonparametric_fit(
     series.require_length(p)
     X = canonical_matrix(series, p)
     W, _ = resolve_weights(series, p, weights)
-    x2t = series.values[p:] ** 2
-    n_t = X.shape[0]
-
     win = kernels.kernel_window(series.T, b, kernel)
-    den = kernels.window_counts(n_t, win)
-    gram = kernels.local_sums(W[:, None, None] * X[:, :, None] * X[:, None, :], win)
-    gram /= den[:, None, None]
-    num = kernels.local_sums((W * x2t)[:, None] * X, win) / den[:, None]
-
-    rcond = _psd_rcond(gram)
-    bad = rcond < _RCOND_GATE
-    if np.any(bad):
-        r = int(np.argmax(bad))
-        raise SingularMomentError(t=p + 1 + r, rcond=float(rcond[r]))
-    a_tilde = np.linalg.solve(gram, num[..., None])[..., 0]
+    gram, cross, rcond = local_wls(X, series.values[p:, None] ** 2, W, win)
+    a_tilde = _solve_gated(gram, cross, rcond, p + 1)[..., 0]
     u = np.arange(p + 1, series.T + 1) / series.T
     return NonparametricFit(u=u, a_tilde=a_tilde, gram=gram, rcond=rcond, bandwidth=b)
 
@@ -145,11 +134,7 @@ def constancy_statistic(
     x2t = series.values[p:] ** 2
     sig_tilde = np.einsum("tk,tk->t", X, npfit.a_tilde)
     win = kernels.kernel_window(T, b, kernel)
-    den = kernels.window_counts(X.shape[0], win)
-    mid = (W**2 * (x2t - sig_tilde) ** 2)[:, None, None] * X[:, :, None] * X[:, None, :]
-    mid = kernels.local_sums(mid, win) / den[:, None, None]
-    inv_gram = np.linalg.inv(npfit.gram)
-    o_hat = inv_gram @ mid @ inv_gram
+    o_hat = _local_sandwich(npfit.gram, X, W**2 * (x2t - sig_tilde) ** 2, win)
     o_cc = o_hat[:, const_idx, :][:, :, const_idx]
 
     if gamma is None:
@@ -270,6 +255,17 @@ def _pivotal_statistic(name, series, p, partition, weights, b, gamma, kernel) ->
     raise InputError(f"unknown pivotal statistic {name!r}")
 
 
+def _map_ordered(fn, n: int, workers: int) -> list:
+    """[fn(0), ..., fn(n-1)], on a pool of ``workers`` threads when workers > 1.
+
+    Results keep index order, so the output does not depend on ``workers``.
+    """
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, range(n)))
+    return [fn(r) for r in range(n)]
+
+
 def mc_quantile(sorted_sample: np.ndarray, alpha: float) -> float:
     """Order-(1-alpha) Monte-Carlo quantile, consistent with the p-value rule."""
     B = sorted_sample.shape[0]
@@ -338,11 +334,7 @@ def mc_pivotal_quantiles(
                 continue
         raise NumericalError(f"MC replicate {r} failed after {max_retries} redraws")
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(B)))
-    else:
-        results = [one(r) for r in range(B)]
+    results = _map_ordered(one, B, workers)
     values = np.array([v for v, _ in results])
     retried = int(sum(a for _, a in results))
     sample = np.sort(values)
@@ -462,26 +454,26 @@ def test_zero_wald(
     )
 
 
-_ASYMPTOTIC_DRAWS = 10_000_000
-_ASYMPTOTIC_SEED = 0x7C3
+def _psi_upper_tail(p: int, c: float) -> float:
+    """P(Psi >= c) for the limit Psi = sum_j max(Z_j, 0)^2 of p Gaussians.
+
+    Psi is the chi-bar-squared mixture sum_k C(p,k) 2^-p chi2_k, with chi2_0
+    the point mass at zero (Kudo 1963; Shapiro 1988).
+    """
+    if c <= 0.0:
+        return 1.0
+    k = np.arange(1, p + 1)
+    return float(np.dot(scipy.stats.binom.pmf(k, p, 0.5), scipy.stats.chi2.sf(c, k)))
 
 
-@functools.lru_cache(maxsize=2)
-def _asymptotic_psi_sample(p: int) -> np.ndarray:
-    """Sorted draws of sum_j max(Z_j, 0)^2 over 10^7 Gaussian vectors."""
-    rng = generator(derive_seed(_ASYMPTOTIC_SEED, p))
-    out = np.empty(_ASYMPTOTIC_DRAWS)
-    chunk = 1_000_000
-    for start in range(0, _ASYMPTOTIC_DRAWS, chunk):
-        z = rng.standard_normal((chunk, p))
-        out[start : start + chunk] = np.sum(np.maximum(z, 0.0) ** 2, axis=1)
-    out.sort()
-    return out
-
-
+@functools.lru_cache(maxsize=64)
 def asymptotic_psi_quantile(p: int, level: float) -> float:
-    """(1-level)-quantile of the limiting law sum_j max(Z_j, 0)^2."""
-    return mc_quantile(_asymptotic_psi_sample(p), level)
+    """(1-level)-quantile of the limiting law sum_j max(Z_j, 0)^2, by root-finding."""
+    if _psi_upper_tail(p, np.nextafter(0.0, 1.0)) <= level:
+        return 0.0
+    # P(Psi >= c) <= P(chi2_p >= c), so the chi2_p quantile bounds the root.
+    hi = float(scipy.stats.chi2.isf(level, p))
+    return float(scipy.optimize.brentq(lambda c: _psi_upper_tail(p, c) - level, 0.0, hi, xtol=1e-14))
 
 
 def test_second_order(
@@ -498,10 +490,9 @@ def test_second_order(
     """Test H0: no second-order dynamic (all lag coefficients zero)."""
     stat = second_order_statistic(series, p, b, kernel)
     if calibration == "asymptotic":
-        sample = _asymptotic_psi_sample(p)
-        quantiles = {float(lvl): mc_quantile(sample, float(lvl)) for lvl in levels}
-        p_value = mc_p_value(sample, stat.psi)
-        B_used = sample.shape[0]
+        quantiles = {float(lvl): asymptotic_psi_quantile(p, float(lvl)) for lvl in levels}
+        p_value = _psi_upper_tail(p, stat.psi)
+        B_used = 0
         retried = 0
     elif calibration == "monte-carlo":
         cal = mc_pivotal_quantiles(

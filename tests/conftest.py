@@ -2,8 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run and have no deadline, so
+# a slow shared host neither changes nor fails them.
+settings.register_profile("tvarch", derandomize=True, database=None, deadline=None, max_examples=25)
+settings.load_profile("tvarch")
 
 from tvarch import CoefficientFunction, NoiseSpec, SimulationConfig, TvArchModel, simulate_path
 

@@ -155,3 +155,59 @@ def dense_cv_semiparametric(x: np.ndarray, p: int, b: float):
     beta = np.linalg.inv(gram) @ rhs
     score = float(sum(W[i] * (y[i] - Z[i] @ beta) ** 2 for i in range(n_t)))
     return beta, score
+
+
+def dense_sandwich(X: np.ndarray, W: np.ndarray, w_mid: np.ndarray, b: float, T: int, p: int) -> np.ndarray:
+    """Per-center S^-1 S_mid S^-1 with S = sum_i k W_i X_i X_i' and S_mid = sum_i k w_mid_i X_i X_i'."""
+    n_t = T - p
+    out = np.empty((n_t, X.shape[1], X.shape[1]))
+    for r, t in enumerate(range(p + 1, T + 1)):
+        k = norm_weights(t, b, T, p)
+        S = sum(k[i] * W[i] * np.outer(X[i], X[i]) for i in range(n_t))
+        S_mid = sum(k[i] * w_mid[i] * np.outer(X[i], X[i]) for i in range(n_t))
+        inv = np.linalg.inv(S)
+        out[r] = inv @ S_mid @ inv
+    return out
+
+
+def dense_alpha_plugin(
+    x: np.ndarray, varying, constant, beta, b: float, alpha_init, var_xi_sq: float, mu: float = 0.0,
+    floor_rel: float = 1e-12,
+):
+    """Plug-in alpha with weights K / (sigma_{t,i}^4 + mu), one center and one index at a time.
+
+    sigma_{t,i}^2 = M_i'alpha_init[t] + N_i'beta over the window rows |t - i| <= T b;
+    entries with |sigma^2| < floor_rel * mean(x^2) are counted and, with mu = 0,
+    their sigma^4 is floored there.  Returns (alpha, se, floored count).
+    """
+    p = len(varying) + len(constant) - 1
+    T = x.shape[0]
+    x2 = x**2
+    M, N = blocks(x, varying, constant, p)
+    m = M.shape[1]
+    n_t = T - p
+    nb = N @ np.asarray(beta, dtype=float) if N.shape[1] else np.zeros(n_t)
+    floor = floor_rel * x2.mean()
+    k2 = 0.6  # squared L2 norm of the Epanechnikov kernel
+    alpha = np.empty((n_t, m))
+    se = np.empty((n_t, m))
+    floored = 0
+    for r, t in enumerate(range(p + 1, T + 1)):
+        S = np.zeros((m, m))
+        R = np.zeros(m)
+        mass = 0.0
+        for i, s in enumerate(range(p + 1, T + 1)):
+            if abs(t - s) > T * b:
+                continue
+            sig2 = M[i] @ alpha_init[r] + nb[i]
+            if abs(sig2) < floor:
+                floored += 1
+            sig4 = max(sig2 * sig2, floor * floor) if mu == 0.0 else sig2 * sig2
+            k = epan((t - s) / (T * b))
+            mass += k
+            S += k / (sig4 + mu) * np.outer(M[i], M[i])
+            R += k / (sig4 + mu) * M[i] * (x2[p + i] - nb[i])
+        inv = np.linalg.inv(S / mass)
+        alpha[r] = inv @ (R / mass)
+        se[r] = np.sqrt(np.diag(inv) * var_xi_sq * k2 / (T * b))
+    return alpha, se, floored

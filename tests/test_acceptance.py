@@ -26,7 +26,6 @@ from tvarch import (
     k_star,
     mc_pivotal_quantiles,
     nonparametric_fit,
-    normalized_weights,
     second_order_statistic,
     select_lag_order,
     simulate_path,
@@ -34,6 +33,7 @@ from tvarch import (
 )
 from tvarch.cli import main as cli_main
 from tvarch.experiments import ExperimentSpec, run_experiment
+from tvarch.kernels import kernel_window, window_counts
 from tvarch.simulate import derive_seed
 from tvarch.testing import asymptotic_psi_quantile
 
@@ -105,8 +105,14 @@ def test_criterion_01_kernel_exactness():
         p = int(rng.integers(0, 4))
         b = float(rng.uniform(0.02, 1.0))
         t = int(rng.integers(p + 1, T + 1))
-        kw = normalized_weights(t, b, T, p)
-        worst = max(worst, abs(kw.weights.sum() - 1.0))
+        # The smoother's weights at center t: window entries over the in-range
+        # indices i = p+1..T, divided by the normalizer every estimator uses.
+        win = kernel_window(T, b)
+        half = (win.shape[0] - 1) // 2
+        d = t - np.arange(p + 1, T + 1)
+        raw = np.where(np.abs(d) <= half, win[np.clip(half + d, 0, 2 * half)], 0.0)
+        weights = raw / window_counts(T - p, win)[t - p - 1]
+        worst = max(worst, abs(weights.sum() - 1.0))
     k2_err = abs(k_l2_norm_sq() - 0.6)
     kstar_err = abs(k_star(0.0) - k_l2_norm_sq())
     elapsed = time.perf_counter() - start
@@ -268,7 +274,7 @@ def test_criterion_09_asymptotic_critical_value():
         9,
         "second-order asymptotic critical value",
         ok,
-        f"q(95%, p=1) = {q:.4f} vs 2.70554 (10^7-draw quantile, tol 0.01)",
+        f"q(95%, p=1) = {q:.4f} vs 2.70554 (exact chi-bar-squared quantile, tol 0.01)",
     )
 
 

@@ -305,7 +305,7 @@ def test_plugin_alpha_scalar_variance_formula():
 
 
 def test_plugin_alpha_general_block_oracle(series_mid):
-    # m = 2 exercises the generic per-center sweep rather than the fast path.
+    # m = 2: the sweep solves a 2x2 local system per center.
     part = CoefficientPartition(p=2, varying=(0, 1), constant=(2,))
     b = 0.2
     fit = estimate_beta(series_mid, part, "level", b)
@@ -330,6 +330,66 @@ def test_plugin_alpha_general_block_oracle(series_mid):
 
         var_diag = np.diag(np.linalg.inv(s3)) * 2.0 * k_l2_norm_sq() / (T * b)
         np.testing.assert_allclose(se[r], np.sqrt(var_diag), rtol=1e-8)
+
+
+def _max_rel(got, want) -> float:
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "varying,constant", [((0,), (1, 2)), ((0, 1), (2,)), ((0, 1, 3), (2,))], ids=["m1", "m2", "m3"]
+)
+def test_plugin_alpha_dense_oracle_every_center(varying, constant, mu):
+    p = len(varying) + len(constant) - 1
+    x = np.random.default_rng(31 + p).normal(size=70)
+    s = ReturnSeries(x)
+    part = CoefficientPartition(p=p, varying=varying, constant=constant)
+    b = 0.3
+    fit = estimate_beta(s, part, "level", b)
+    af = estimate_alpha(s, part, fit.beta, "level", b)
+    alpha, se, floored = estimate_alpha_plugin(
+        s, part, fit.beta, b, alpha_init=af.alpha, var_xi_sq=1.7, mu=mu
+    )
+    ref_alpha, ref_se, ref_floored = reference.dense_alpha_plugin(
+        x, varying, constant, fit.beta, b, af.alpha, 1.7, mu
+    )
+    assert floored == ref_floored
+    assert _max_rel(alpha, ref_alpha) <= 1e-10
+    assert _max_rel(se, ref_se) <= 1e-10
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_plugin_alpha_dense_oracle_floors(mu):
+    # sigma^2 = alpha_init vanishes on the first centers' whole windows.
+    x = np.random.default_rng(37).normal(size=60)
+    s = ReturnSeries(x)
+    part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
+    beta = np.zeros(1)
+    alpha_init = np.ones((59, 1))
+    alpha_init[:12] = 0.0
+    alpha, se, floored = estimate_alpha_plugin(
+        s, part, beta, 0.2, alpha_init=alpha_init, var_xi_sq=2.0, mu=mu
+    )
+    ref_alpha, ref_se, ref_floored = reference.dense_alpha_plugin(
+        x, (0,), (1,), beta, 0.2, alpha_init, 2.0, mu
+    )
+    assert floored == ref_floored > 0
+    assert _max_rel(alpha, ref_alpha) <= 1e-10
+    assert _max_rel(se, ref_se) <= 1e-10
+
+
+def test_alpha_standard_errors_dense_sandwich():
+    x = np.random.default_rng(41).normal(size=60)
+    varying, constant, p, b = (0, 1), (2,), 2, 0.3
+    part = CoefficientPartition(p=p, varying=varying, constant=constant)
+    fit = fit_semiparametric(ReturnSeries(x), part, b)
+    M, _ = reference.blocks(x, varying, constant, p)
+    W = reference.level_weights(x, p)
+    sandwich = reference.dense_sandwich(M, W, W**2 * fit.sigma_sq**2, b, 60, p)
+    V = fit.diagnostics["var_xi_sq"] * 0.6 * sandwich
+    want = np.sqrt(np.clip(np.diagonal(V, axis1=1, axis2=2), 0.0, None) / (60 * b))
+    assert _max_rel(fit.alpha_se, want) <= 1e-10
 
 
 def test_plugin_no_flooring_on_healthy_run(sptv2_model):

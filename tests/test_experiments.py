@@ -2,13 +2,15 @@ import json
 
 import pytest
 
+import tvarch.errors
 from tvarch import (
     CoefficientFunction,
+    ReturnSeries,
     SimulationConfig,
     TvArchModel,
     simulate_path,
 )
-from tvarch.errors import InputError
+from tvarch.errors import InputError, TvArchError
 from tvarch.experiments import ExperimentSpec, run_experiment, run_pipeline
 
 
@@ -76,3 +78,13 @@ def test_pipeline_variance_only_data():
         assert bundle["fit"]["model"] == "tv(0)"
         assert "variance_curve" in bundle["fit"]
     assert "error" not in bundle
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_pipeline_extreme_scale_fails_as_tvarch_error(sptv2_model, scale):
+    # x^2 under- or overflows here, so the local Grams are non-finite or zero.
+    s = simulate_path(sptv2_model, SimulationConfig(T=500, seed=5))
+    bundle = run_pipeline(ReturnSeries(scale * s.values), q_max=3, B=100, seed=1)
+    if "error" in bundle:
+        assert issubclass(getattr(tvarch.errors, bundle["error"]["type"]), TvArchError)

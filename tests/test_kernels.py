@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from tvarch import box, epanechnikov, k_l2_norm_sq, k_star, k_star_l2_norm_sq, normalized_weights
+from tvarch import box, epanechnikov, k_l2_norm_sq, k_star, k_star_l2_norm_sq
 from tvarch.errors import InputError
 from tvarch.kernels import kernel_window, local_sums, window_counts
 
@@ -74,6 +74,18 @@ def test_constants_are_pure():
     assert a == b
 
 
+def smoother_weights(t: int, b: float, T: int, p: int) -> np.ndarray:
+    """Weights the package's smoother puts on i = p+1..T at center t.
+
+    Read off the window and the normalizer that every estimator divides by.
+    """
+    win = kernel_window(T, b)
+    half = (win.shape[0] - 1) // 2
+    d = t - np.arange(p + 1, T + 1)
+    raw = np.where(np.abs(d) <= half, win[np.clip(half + d, 0, 2 * half)], 0.0)
+    return raw / window_counts(T - p, win)[t - p - 1]
+
+
 def test_weights_sum_to_one_random():
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -81,38 +93,36 @@ def test_weights_sum_to_one_random():
         p = int(rng.integers(0, min(4, T - 3)))
         b = float(rng.uniform(0.01, 1.0))
         t = int(rng.integers(p + 1, T + 1))
-        kw = normalized_weights(t, b, T, p)
-        assert abs(kw.weights.sum() - 1.0) < 1e-12
-        assert np.all(kw.weights >= 0.0)
+        w = smoother_weights(t, b, T, p)
+        assert abs(w.sum() - 1.0) < 1e-12
+        assert np.all(w >= 0.0)
 
 
 def test_weights_zero_outside_support():
-    kw = normalized_weights(50, 0.1, 100, 0)
-    # support |t-i| <= T*b = 10
-    assert kw.weight_at(39) == 0.0 or abs(50 - 39) > 10
-    assert kw.weight_at(61) == 0.0
-    assert kw.weight_at(50) > 0.0
+    # support |t-i| <= T*b = 10 around t = 50
+    w = smoother_weights(50, 0.1, 100, 0)
+    assert w[39 - 1] == 0.0
+    assert w[61 - 1] == 0.0
+    assert w[50 - 1] > 0.0
+    assert np.all(w[np.abs(50 - np.arange(1, 101)) >= 10] == 0.0)
 
 
 def test_weights_symmetric_interior():
-    kw = normalized_weights(50, 0.1, 100, 0)
+    w = smoother_weights(50, 0.1, 100, 0)
     for j in range(1, 10):
-        assert kw.weight_at(50 - j) == pytest.approx(kw.weight_at(50 + j), abs=1e-15)
+        assert w[50 - j - 1] == pytest.approx(w[50 + j - 1], abs=1e-15)
+    win = kernel_window(100, 0.1)
+    np.testing.assert_array_equal(win, win[::-1])
 
 
 def test_weights_boundary_still_normalized():
-    kw = normalized_weights(1, 0.2, 50, 0)
-    assert kw.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    kw = normalized_weights(3, 0.2, 50, 2)
-    assert kw.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert smoother_weights(1, 0.2, 50, 0).sum() == pytest.approx(1.0, abs=1e-12)
+    assert smoother_weights(3, 0.2, 50, 2).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_weights_direct_oracle():
-    kw = normalized_weights(5, 0.3, 10, 0)
-    oracle = reference.norm_weights(5, 0.3, 10, 0)
-    full = np.zeros(10)
-    full[kw.start - 1 : kw.start - 1 + kw.weights.shape[0]] = kw.weights
-    np.testing.assert_allclose(full, oracle, atol=1e-15)
+    for t, b, T, p in ((1, 0.3, 10, 0), (5, 0.3, 10, 0), (10, 0.3, 10, 0), (4, 0.25, 30, 2)):
+        np.testing.assert_allclose(smoother_weights(t, b, T, p), reference.norm_weights(t, b, T, p), atol=1e-15)
 
 
 def test_weights_max_bound():
@@ -121,17 +131,14 @@ def test_weights_max_bound():
         T = int(rng.integers(50, 500))
         b = float(rng.uniform(10.0 / T, 1.0))  # ensure T*b >= 10
         t = int(rng.integers(1, T + 1))
-        kw = normalized_weights(t, b, T, 0)
-        assert kw.weights.max() * T * b <= 2.0
+        assert smoother_weights(t, b, T, 0).max() * T * b <= 2.0
 
 
 def test_weights_validation():
     with pytest.raises(InputError):
-        normalized_weights(0, 0.1, 100, 0)
+        kernel_window(100, 1.5)
     with pytest.raises(InputError):
-        normalized_weights(5, 1.5, 100, 0)
-    with pytest.raises(InputError):
-        normalized_weights(101, 0.1, 100, 0)
+        kernel_window(100, 0.0)
 
 
 def test_local_sums_match_direct():

@@ -7,41 +7,40 @@ from tvarch import (
     NoiseSpec,
     ReturnSeries,
     TvArchModel,
-    regressors,
     validate_model,
 )
 from tvarch.errors import ContractionError, InputError, ModelValidationError, NonPositiveInterceptError
 from tvarch.model import canonical_matrix, regressor_matrices
 
+import reference
+
 
 def test_regressors_intercept_varying():
     x = np.arange(1.0, 9.0)
-    s = ReturnSeries(x)
     part = CoefficientPartition(p=2, varying=(0,), constant=(1, 2))
-    M, N = regressors(s, part, 5)
-    np.testing.assert_allclose(M, [1.0])
-    np.testing.assert_allclose(N, [x[3] ** 2, x[2] ** 2])
+    M, N = regressor_matrices(ReturnSeries(x), part)
+    r = 5 - 3  # t = 5; rows start at t = p+1
+    np.testing.assert_allclose(M[r], [1.0])
+    np.testing.assert_allclose(N[r], [x[3] ** 2, x[2] ** 2])
 
 
 def test_regressors_full_varying():
     x = np.arange(1.0, 7.0)
-    s = ReturnSeries(x)
     part = CoefficientPartition(p=1, varying=(0, 1), constant=())
-    M, N = regressors(s, part, 3)
-    np.testing.assert_allclose(M, [1.0, x[1] ** 2])
-    assert N.shape == (0,)
+    M, N = regressor_matrices(ReturnSeries(x), part)
+    np.testing.assert_allclose(M[3 - 2], [1.0, x[1] ** 2])
+    assert N.shape == (5, 0)
 
 
 def test_regressors_permutation_reconstruction():
     rng = np.random.default_rng(3)
     x = rng.normal(size=25)
-    s = ReturnSeries(x)
     part = CoefficientPartition(p=2, varying=(0, 2), constant=(1,))
+    M, N = regressor_matrices(ReturnSeries(x), part)
     x2 = x**2
-    for t in range(3, 26):
-        M, N = regressors(s, part, t)
-        assert M.shape == (2,) and N.shape == (1,)
-        rebuilt = {0: M[0], 2: M[1], 1: N[0]}
+    assert M.shape == (23, 2) and N.shape == (23, 1)
+    for r, t in enumerate(range(3, 26)):
+        rebuilt = {0: M[r, 0], 2: M[r, 1], 1: N[r, 0]}
         np.testing.assert_allclose(
             [rebuilt[0], rebuilt[1], rebuilt[2]], [1.0, x2[t - 2], x2[t - 3]]
         )
@@ -49,22 +48,21 @@ def test_regressors_permutation_reconstruction():
 
 def test_regressors_bulk_matches_single():
     rng = np.random.default_rng(4)
-    s = ReturnSeries(rng.normal(size=30))
+    x = rng.normal(size=30)
     part = CoefficientPartition(p=3, varying=(0, 2), constant=(1, 3))
-    M, N = regressor_matrices(s, part)
-    for r, t in enumerate(range(4, 31)):
-        m_t, n_t = regressors(s, part, t)
-        np.testing.assert_allclose(M[r], m_t)
-        np.testing.assert_allclose(N[r], n_t)
+    M, N = regressor_matrices(ReturnSeries(x), part)
+    M_ref, N_ref = reference.blocks(x, part.varying, part.constant, 3)
+    np.testing.assert_allclose(M, M_ref)
+    np.testing.assert_allclose(N, N_ref)
 
 
 def test_regressors_index_errors():
-    s = ReturnSeries(np.ones(10))
+    # Rows cover exactly t = p+1..T; a series shorter than p+2 is rejected.
     part = CoefficientPartition(p=2, varying=(0,), constant=(1, 2))
-    with pytest.raises(IndexError):
-        regressors(s, part, 2)
-    with pytest.raises(IndexError):
-        regressors(s, part, 11)
+    M, N = regressor_matrices(ReturnSeries(np.ones(10)), part)
+    assert M.shape == (8, 1) and N.shape == (8, 2)
+    with pytest.raises(InputError):
+        regressor_matrices(ReturnSeries(np.ones(2)), part)
 
 
 def test_canonical_matrix():

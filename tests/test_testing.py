@@ -75,6 +75,23 @@ def test_nonparametric_dense_oracle():
     np.testing.assert_allclose(fit.a_tilde, want, atol=1e-10)
 
 
+def test_constancy_variance_functionals_dense_sandwich():
+    # varpi1 and varpi2 are built from the sandwich G^-1 O G^-1 of the full fit.
+    x = np.random.default_rng(43).normal(size=60)
+    p, T, b = 2, 60, 0.35
+    part = CoefficientPartition(p=p, varying=(0, 1), constant=(2,))
+    stat = constancy_statistic(ReturnSeries(x), part, "level", b)
+    X, _ = reference.blocks(x, (0, 1, 2), (), p)
+    W = reference.level_weights(x, p)
+    a_tilde = reference.dense_nonparametric(x, p, W, b)
+    resid = x[p:] ** 2 - np.einsum("tk,tk->t", X, a_tilde)
+    o_cc = reference.dense_sandwich(X, W, W**2 * resid**2, b, T, p)[:, 2:, 2:]
+    varpi1 = np.trace(o_cc, axis1=1, axis2=2).sum() / T
+    varpi2 = (o_cc * o_cc.transpose(0, 2, 1)).sum() / T
+    assert stat.varpi1 == pytest.approx(varpi1, rel=1e-10)
+    assert stat.varpi2 == pytest.approx(varpi2, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # Constancy statistic.
 
