@@ -103,11 +103,6 @@ def _psd_rcond(stack: np.ndarray) -> np.ndarray:
     return np.clip(rc, 0.0, None)
 
 
-def _outer(w: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Per-row weighted outer products w_i A_i B_i', shape (n, a, b)."""
-    return w[:, None, None] * A[:, :, None] * B[:, None, :]
-
-
 def _local_mean(values: np.ndarray, window: np.ndarray) -> np.ndarray:
     """Kernel-weighted local means along axis 0: local sums over the window's mass."""
     den = kernels.window_counts(values.shape[0], window)
@@ -132,38 +127,79 @@ def _leaveout_sums(full: np.ndarray, per_index: np.ndarray, win: np.ndarray, p: 
 
 def local_wls(
     X: np.ndarray, Y: np.ndarray, W: np.ndarray, window: np.ndarray, leave_out: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Local weighted least-squares moments of Y on X at every center.
 
-    Returns ``(gram, cross, rcond)``: gram[r] smooths W_i X_i X_i' (k, k),
-    cross[r] smooths W_i X_i Y_i' (k, c), and rcond gates gram.  By default
-    the smoother is the kernel-weighted local mean.  With ``leave_out=p`` the
+    Returns ``(gram, cross)``: gram[r] smooths W_i X_i X_i' (k, k) and
+    cross[r] smooths W_i X_i Y_i' (k, c); :func:`_solve_gated` solves them.
+    The gram is symmetric, so only its k(k+1)/2 upper-triangle columns
+    (W_i X_ia) X_ib, a <= b, are smoothed and then mirrored.  By default the
+    smoother is the kernel-weighted local mean.  With ``leave_out=p`` the
     indices t..t+p are dropped from center t's sums (the leave-(p+1)-out
     cross-validation fit) and the sums stay unnormalized, which changes no
     solution.
     """
-    k = X.shape[1]
-    g = _outer(W, X, np.concatenate([X, Y], axis=1))
+    n, k = X.shape
+    a, b = np.triu_indices(k)
+    WX = W[:, None] * X
+    g = np.concatenate([WX[:, a] * X[:, b], (WX[:, :, None] * Y[:, None, :]).reshape(n, -1)], axis=1)
     if leave_out is None:
         s = _local_mean(g, window)
     else:
         s = _leaveout_sums(kernels.local_sums(g, window), g, window, leave_out)
-    return s[..., :k], s[..., k:], _psd_rcond(s[..., :k])
+    gram = np.empty((n, k, k))
+    gram[:, a, b] = gram[:, b, a] = s[:, : a.shape[0]]
+    return gram, s[:, a.shape[0] :].reshape(n, k, Y.shape[1])
 
 
-def _solve_gated(gram: np.ndarray, rhs: np.ndarray, rcond: np.ndarray, first_t: int) -> np.ndarray:
-    """Batched gram^-1 rhs; raises SingularMomentError at the first center failing the gate."""
-    bad = rcond < _RCOND_GATE
-    if np.any(bad):
-        r = int(np.argmax(bad))
-        raise SingularMomentError(t=first_t + r, rcond=float(rcond[r]))
+# If gram - _CERTIFY_SHIFT * trace * I is positive definite, then lambda_min >
+# _CERTIFY_SHIFT * trace >= _CERTIFY_SHIFT * lambda_max: rcond is above ten
+# times the gate, a margin that dwarfs the rounding of Cholesky and eigvalsh.
+_CERTIFY_SHIFT = 10.0 * _RCOND_GATE
+# Smaller shifts are left to the eigenvalues: near the subnormals rounding is
+# no longer relative, and the margin argument above fails.
+_CERTIFY_MIN_SHIFT = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _certified(gram: np.ndarray) -> bool:
+    """True if every matrix in the stack provably passes the rcond gate.
+
+    One batched Cholesky of gram - _CERTIFY_SHIFT * trace * I stands in for
+    the eigenvalues.  LAPACK lets NaN through a Cholesky, so non-finite
+    stacks are never certified.
+    """
+    if not np.isfinite(gram).all():
+        return False
+    shift = _CERTIFY_SHIFT * np.trace(gram, axis1=-2, axis2=-1)
+    if not np.all((shift >= _CERTIFY_MIN_SHIFT) & (shift < np.inf)):
+        return False
+    try:
+        np.linalg.cholesky(gram - shift[..., None, None] * np.eye(gram.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _solve_gated(gram: np.ndarray, rhs: np.ndarray, first_t: int) -> np.ndarray:
+    """Batched gram^-1 rhs; raises SingularMomentError at the first center failing the gate.
+
+    The gate is rcond < _RCOND_GATE by eigenvalues (:func:`_psd_rcond`); it
+    runs only when the Cholesky certificate fails, so every decision, center
+    and rcond reported is the eigenvalue gate's.
+    """
+    if not _certified(gram):
+        rcond = _psd_rcond(gram)
+        bad = rcond < _RCOND_GATE
+        if np.any(bad):
+            r = int(np.argmax(bad))
+            raise SingularMomentError(t=first_t + r, rcond=float(rcond[r]))
     return np.linalg.solve(gram, rhs)
 
 
 def _local_sandwich(gram: np.ndarray, X: np.ndarray, w_mid: np.ndarray, window: np.ndarray) -> np.ndarray:
     """Per-center sandwich G^-1 S G^-1, S the local mean of w_mid X X'."""
     inv = np.linalg.inv(gram)
-    return inv @ _local_mean(_outer(w_mid, X, X), window) @ inv
+    return inv @ local_wls(X, X[:, :0], w_mid, window)[0] @ inv
 
 
 @dataclass(frozen=True)
@@ -171,16 +207,19 @@ class SmoothedMoments:
     """Kernel-smoothed local moments per center t = p+1..T.
 
     s1[r] estimates E(W M x^2), s2[r] estimates E(W M N'), s3[r] estimates
-    E(W M M') at u = t/T; cross holds [s1 | s2]; rcond flags near-singular
-    s3 matrices.
+    E(W M M') at u = t/T; cross holds [s1 | s2].  The solves gate s3
+    themselves; ``rcond`` computes its reciprocal condition numbers on demand.
     """
 
     s3: np.ndarray  # (n_t, m, m)
     cross: np.ndarray  # (n_t, m, 1 + n)
     bandwidth: float
     weights_kind: str
-    rcond: np.ndarray  # (n_t,)
     first_t: int
+
+    @property
+    def rcond(self) -> np.ndarray:  # (n_t,)
+        return _psd_rcond(self.s3)
 
     @property
     def s1(self) -> np.ndarray:  # (n_t, m)
@@ -208,13 +247,13 @@ def smoothed_moments(
     W, kind = resolve_weights(series, p, weights)
     Y = np.concatenate([series.values[p:, None] ** 2, N], axis=1)
     win = kernels.kernel_window(series.T, b, kernel)
-    s3, cross, rcond = local_wls(M, Y, W, win)
-    return SmoothedMoments(s3=s3, cross=cross, bandwidth=b, weights_kind=kind, rcond=rcond, first_t=p + 1)
+    s3, cross = local_wls(M, Y, W, win)
+    return SmoothedMoments(s3=s3, cross=cross, bandwidth=b, weights_kind=kind, first_t=p + 1)
 
 
 def projection_ratios(moments: SmoothedMoments) -> tuple[np.ndarray, np.ndarray]:
     """q1 = s3^-1 s1 and q2 = s3^-1 s2 for every center, from one batched solve."""
-    q = _solve_gated(moments.s3, moments.cross, moments.rcond, moments.first_t)
+    q = _solve_gated(moments.s3, moments.cross, moments.first_t)
     return q[..., 0], q[..., 1:]
 
 
@@ -231,10 +270,15 @@ class BetaFit:
     q2: np.ndarray  # (n_t, m, n)
     x_sq: np.ndarray  # (n_t,)
     gram: np.ndarray  # (n, n): sum_t W_t O_t O_t'
+    local_gram: np.ndarray  # (n_t, m, m): the smoothed W M M' behind q1 and q2
     bandwidth: float
     partition: CoefficientPartition
-    rcond_min: float
     nu: float = 0.0
+
+    @property
+    def rcond_min(self) -> float:
+        """Smallest reciprocal condition number of the local grams, computed when read."""
+        return float(_psd_rcond(self.local_gram).min())
 
 
 def estimate_beta(
@@ -273,9 +317,9 @@ def estimate_beta(
         q2=q2,
         x_sq=x2t,
         gram=gram,
+        local_gram=moments.s3,
         bandwidth=b,
         partition=partition,
-        rcond_min=float(moments.rcond.min()),
         nu=0.0,
     )
 
@@ -474,7 +518,7 @@ def estimate_alpha_plugin(
         s3 = A @ Mc.transpose(1, 2, 0)
         rhs = A @ y[..., None]
         # One gated solve yields alpha and the inverse behind its standard errors.
-        sol = _solve_gated(s3, np.concatenate([rhs, eye[rows]], axis=2), _psd_rcond(s3), p + 1 + lo)
+        sol = _solve_gated(s3, np.concatenate([rhs, eye[rows]], axis=2), p + 1 + lo)
         alpha_star[rows] = sol[..., 0]
         se[rows] = np.sqrt(np.clip(np.diagonal(sol[..., 1:], axis1=1, axis2=2), 0.0, None) * se_scale)
     return alpha_star, se, floored

@@ -8,8 +8,9 @@ with the sums running over the estimation range ``p+1 .. T``.  Boundary
 centers are handled purely by this self-normalization.  Every smoother in the
 package is a discrete convolution with the window returned by
 :func:`kernel_window`: :func:`local_sums` gives the numerators for all
-centers at once and :func:`window_counts` the denominators, so the total cost
-of smoothing every center is O(T^2 b).
+centers at once and :func:`window_counts` the denominators, from the window's
+prefix sums; the local sums set the total cost of smoothing every center,
+O(T^2 b).
 """
 
 from __future__ import annotations
@@ -63,7 +64,21 @@ def _simpson(f, lo: float, hi: float, nodes: int = _SIMPSON_NODES) -> float:
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
-@functools.lru_cache(maxsize=8)
+def _kernel_constant(fn):
+    """Cache ``fn(kernel, nodes)`` under the bound arguments, so every call form
+    of the same (kernel, nodes), positional, keyword or default, shares one entry."""
+    cached = functools.lru_cache(maxsize=8)(fn)
+
+    @functools.wraps(fn)
+    def constant(kernel=epanechnikov, nodes: int = _SIMPSON_NODES) -> float:
+        return cached(kernel, nodes)
+
+    constant.cache_info = cached.cache_info
+    constant.cache_clear = cached.cache_clear
+    return constant
+
+
+@_kernel_constant
 def k_l2_norm_sq(kernel=epanechnikov, nodes: int = _SIMPSON_NODES) -> float:
     """Squared L2 norm of the kernel over [-1, 1] (3/5 for Epanechnikov)."""
     return _simpson(lambda x: np.asarray(kernel(x)) ** 2, -1.0, 1.0, nodes)
@@ -88,7 +103,7 @@ def k_star(x, kernel=epanechnikov, nodes: int = _SIMPSON_NODES):
     return float(out[0]) if scalar else out
 
 
-@functools.lru_cache(maxsize=8)
+@_kernel_constant
 def k_star_l2_norm_sq(kernel=epanechnikov, nodes: int = _SIMPSON_NODES) -> float:
     """Squared L2 norm of K* over [-1, 1]."""
     if nodes % 2 == 0:
@@ -159,8 +174,21 @@ def local_sums(values: np.ndarray, window: np.ndarray) -> np.ndarray:
 
 
 def window_counts(n: int, window: np.ndarray) -> np.ndarray:
-    """Normalizing sums sum_i K((t-i)/(Tb)) over the n in-range indices."""
-    den = _conv_centered(np.ones(n), _trim_window(window, n))
+    """Normalizing sums sum_i K((t-i)/(Tb)) over the n in-range indices.
+
+    Center t weights index i by window[half + t - i], so its in-range mass is
+    the window slice [max(0, half+t-n+1), min(L, half+t+1)): a difference of
+    the window's prefix sums, O(n + L) for all centers.
+    """
+    window = _trim_window(window, n)
+    half = (window.shape[0] - 1) // 2
+    t = np.arange(n)
+    lo = np.maximum(half + t - n + 1, 0)
+    hi = np.minimum(half + t + 1, window.shape[0])
+    # Adding 0.0 leaves a prefix sum unchanged, so a slice of zero weights
+    # has mass exactly 0, as in the convolution.
+    head = np.concatenate([[0.0], np.cumsum(window)])
+    den = head[hi] - head[lo]
     if np.any(den <= 0.0):
         raise EmptyWindowError("kernel window has no mass at some center")
     return den

@@ -52,9 +52,9 @@ class CvResult:
 
 def _cv_score_tvarch(series, X, W, x2t, b, p, kernel) -> float:
     win = kernels.kernel_window(series.T, b, kernel)
-    gram, cross, rcond = local_wls(X, x2t[:, None], W, win, leave_out=p)
+    gram, cross = local_wls(X, x2t[:, None], W, win, leave_out=p)
     try:
-        a_loo = _solve_gated(gram, cross, rcond, p + 1)[..., 0]
+        a_loo = _solve_gated(gram, cross, p + 1)[..., 0]
     except SingularMomentError:
         return np.inf
     resid = x2t - np.einsum("tk,tk->t", X, a_loo)
@@ -166,13 +166,12 @@ def select_lag_order(
     # Every candidate's design is a leading column block of the q_max design
     # over the same rows, weights and window: smooth once, slice per order.
     X = canonical_matrix(series, q_max)
-    gram, cross, rcond = local_wls(X, x2t[:, None], Wq, win)
-    rconds = [_psd_rcond(gram[:, :k, :k]) for k in range(1, q_max + 1)] + [rcond]
+    gram, cross = local_wls(X, x2t[:, None], Wq, win)
     rss = np.empty(q_max + 1)
     for p in range(q_max + 1):
         k = p + 1
         try:
-            a_fit = _solve_gated(gram[:, :k, :k], cross[:, :k], rconds[p], q_max + 1)[..., 0]
+            a_fit = _solve_gated(gram[:, :k, :k], cross[:, :k], q_max + 1)[..., 0]
         except SingularMomentError:
             rss[p] = np.inf
             continue

@@ -65,8 +65,11 @@ class NonparametricFit:
     u: np.ndarray  # (n_t,)
     a_tilde: np.ndarray  # (n_t, p+1), canonical coefficient order
     gram: np.ndarray  # (n_t, p+1, p+1): smoothed W X X' (kappa_u estimates)
-    rcond: np.ndarray  # (n_t,)
     bandwidth: float
+
+    @property
+    def rcond(self) -> np.ndarray:  # (n_t,), computed when read
+        return _psd_rcond(self.gram)
 
 
 def nonparametric_fit(
@@ -77,10 +80,10 @@ def nonparametric_fit(
     X = canonical_matrix(series, p)
     W, _ = resolve_weights(series, p, weights)
     win = kernels.kernel_window(series.T, b, kernel)
-    gram, cross, rcond = local_wls(X, series.values[p:, None] ** 2, W, win)
-    a_tilde = _solve_gated(gram, cross, rcond, p + 1)[..., 0]
+    gram, cross = local_wls(X, series.values[p:, None] ** 2, W, win)
+    a_tilde = _solve_gated(gram, cross, p + 1)[..., 0]
     u = np.arange(p + 1, series.T + 1) / series.T
-    return NonparametricFit(u=u, a_tilde=a_tilde, gram=gram, rcond=rcond, bandwidth=b)
+    return NonparametricFit(u=u, a_tilde=a_tilde, gram=gram, bandwidth=b)
 
 
 def _gamma_sqrt(gamma: np.ndarray) -> np.ndarray:

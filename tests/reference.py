@@ -211,3 +211,50 @@ def dense_alpha_plugin(
         alpha[r] = inv @ (R / mass)
         se[r] = np.sqrt(np.diag(inv) * var_xi_sq * k2 / (T * b))
     return alpha, se, floored
+
+
+def dense_window_counts(n: int, window: np.ndarray) -> np.ndarray:
+    """Per center t = 0..n-1, the window mass sum_i window[half + t - i] over in-range i."""
+    half = (len(window) - 1) // 2
+    return np.array(
+        [sum(window[half + t - i] for i in range(n) if 0 <= half + t - i < len(window)) for t in range(n)]
+    )
+
+
+def dense_local_moments(X: np.ndarray, Y: np.ndarray, W: np.ndarray, b: float, T: int, p: int, leave_out=None):
+    """Per-center sums of k W_i X_i X_i' and k W_i X_i Y_i' over rows i of t = p+1..T.
+
+    k is the normalized weight, or with ``leave_out=q`` the raw kernel weight
+    with rows r..r+q of center r dropped (the leave-(q+1)-out sums).
+    """
+    n_t = T - p
+    gram = np.empty((n_t, X.shape[1], X.shape[1]))
+    cross = np.empty((n_t, X.shape[1], Y.shape[1]))
+    for r, t in enumerate(range(p + 1, T + 1)):
+        if leave_out is None:
+            k = norm_weights(t, b, T, p)
+        else:
+            k = np.array([0.0 if r <= i <= r + leave_out else epan((r - i) / (T * b)) for i in range(n_t)])
+        gram[r] = sum(k[i] * W[i] * np.outer(X[i], X[i]) for i in range(n_t))
+        cross[r] = sum(k[i] * W[i] * np.outer(X[i], Y[i]) for i in range(n_t))
+    return gram, cross
+
+
+def eigvalsh_gate_solve(gram: np.ndarray, rhs: np.ndarray, first_t: int):
+    """The rcond gate by eigenvalues alone, then the batched solve.
+
+    Returns ("solve", solution), or ("raise", t, rcond) for the first center
+    whose rcond = lambda_min / lambda_max falls below 1e-12; a matrix with a
+    non-finite entry, or with lambda_max <= 0, has rcond 0.
+    """
+    rconds = []
+    for G in gram:
+        if not np.isfinite(G).all():
+            rconds.append(0.0)
+            continue
+        lam = np.linalg.eigvalsh(G)
+        rconds.append(max(lam[0] / lam[-1], 0.0) if lam[-1] > 0.0 else 0.0)
+    for r, rc in enumerate(rconds):
+        if rc < 1e-12:
+            return ("raise", first_t + r, rc)
+    return ("solve", np.linalg.solve(gram, rhs))

@@ -19,8 +19,8 @@ from tvarch import (
     smoothed_moments,
 )
 from tvarch.errors import DegenerateSeriesError, InputError, SingularMomentError
-from tvarch.estimate import fitted_sigma_sq
-from tvarch.kernels import box
+from tvarch.estimate import _certified, _local_sandwich, _solve_gated, fitted_sigma_sq, local_wls
+from tvarch.kernels import box, kernel_window
 from tvarch.model import regressor_matrices
 from tvarch.simulate import derive_seed
 
@@ -390,6 +390,46 @@ def test_alpha_standard_errors_dense_sandwich():
     V = fit.diagnostics["var_xi_sq"] * 0.6 * sandwich
     want = np.sqrt(np.clip(np.diagonal(V, axis1=1, axis2=2), 0.0, None) / (60 * b))
     assert _max_rel(fit.alpha_se, want) <= 1e-10
+    # The triangle-smoothed sandwich itself, on the k = 3 canonical design.
+    X = reference.blocks(x, (0, 1, 2), (), p)[0]
+    w_mid = np.random.default_rng(42).uniform(0.5, 2.0, size=60 - p)
+    win = kernel_window(60, b)
+    gram = local_wls(X, X[:, :0], W, win)[0]
+    assert _max_rel(_local_sandwich(gram, X, w_mid, win), reference.dense_sandwich(X, W, w_mid, b, 60, p)) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 3, 11])
+@pytest.mark.parametrize("leave_out", [None, "p"])
+def test_local_wls_symmetric_and_matches_dense(k, leave_out):
+    rng = np.random.default_rng(7 + k)
+    T, p, b = 40, 2, 0.3
+    X = rng.uniform(0.5, 2.0, size=(T - p, k))
+    Y = rng.normal(size=(T - p, 2))
+    W = rng.uniform(0.5, 2.0, size=T - p)
+    lo = p if leave_out == "p" else None
+    gram, cross = local_wls(X, Y, W, kernel_window(T, b), leave_out=lo)
+    np.testing.assert_array_equal(gram, gram.transpose(0, 2, 1))
+    want_gram, want_cross = reference.dense_local_moments(X, Y, W, b, T, p, leave_out=lo)
+    assert _max_rel(gram, want_gram) <= 1e-10
+    assert _max_rel(cross, want_cross) <= 1e-10
+
+
+def test_solve_gated_certificate_margin():
+    # rcond 1e-9 is certified by Cholesky; 10^-11.5 lies inside the margin, so
+    # only the eigenvalue gate passes it; 10^-12.5 fails the gate.
+    Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    stack = np.stack([(Q * 10.0 ** np.linspace(0.0, e, 3)) @ Q.T for e in (-9.0, -11.5, -12.5)])
+    stack = 0.5 * (stack + stack.transpose(0, 2, 1))
+    assert _certified(stack[:1]) and not _certified(stack[:2])
+    rhs = np.ones((3, 3, 1))
+    np.testing.assert_array_equal(_solve_gated(stack[:2], rhs[:2], 1), np.linalg.solve(stack[:2], rhs[:2]))
+    # Near the subnormals only the eigenvalues decide.
+    tiny = 1e-300 * stack[:1]
+    assert not _certified(tiny)
+    np.testing.assert_array_equal(_solve_gated(tiny, rhs[:1], 1), np.linalg.solve(tiny, rhs[:1]))
+    with pytest.raises(SingularMomentError) as err:
+        _solve_gated(stack, rhs, 1)
+    assert err.value.t == 3 and err.value.rcond == pytest.approx(10.0**-12.5, rel=1e-3)
 
 
 def test_plugin_no_flooring_on_healthy_run(sptv2_model):

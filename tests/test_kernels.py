@@ -3,7 +3,7 @@ import pytest
 import scipy.integrate
 
 from tvarch import box, epanechnikov, k_l2_norm_sq, k_star, k_star_l2_norm_sq
-from tvarch.errors import InputError
+from tvarch.errors import EmptyWindowError, InputError
 from tvarch.kernels import kernel_window, local_sums, window_counts
 
 import reference
@@ -66,6 +66,14 @@ def test_k_star_shape_properties():
     assert np.all(vals >= 0.0)
     assert np.all(np.diff(vals) <= 1e-12)  # non-increasing in |x|
     np.testing.assert_allclose(k_star(-xs), vals, atol=1e-12)  # even
+
+
+def test_kernel_constants_cached_once_per_kernel():
+    for constant in (k_l2_norm_sq, k_star_l2_norm_sq):
+        constant.cache_clear()
+        values = {constant(), constant(epanechnikov), constant(kernel=epanechnikov), constant(epanechnikov, 4097)}
+        assert len(values) == 1
+        assert constant.cache_info().misses == 1
 
 
 def test_constants_are_pure():
@@ -151,3 +159,25 @@ def test_local_sums_match_direct():
     for r, t in enumerate(range(1, 31)):
         k = reference.norm_weights(t, b, T, p)
         assert sm[r] == pytest.approx(float(k @ vals), abs=1e-12)
+
+
+def test_window_counts_match_convolution():
+    for T, b in ((10, 0.3), (60, 0.05), (60, 0.9), (500, 0.1), (2000, 0.07), (8000, 0.05)):
+        win = kernel_window(T, b)
+        for n in (T, T - 3, min(T, 2 * ((win.shape[0] - 1) // 2)), 5, 1):  # and trimmed windows, n < 2h+1
+            want = np.convolve(np.ones(n), win)[(win.shape[0] - 1) // 2 :][:n]
+            assert np.max(np.abs(window_counts(n, win) - want) / want) <= 1e-14
+
+
+def test_window_counts_empty_exactly_where_mass_is_zero():
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        half = int(rng.integers(0, 4))
+        win = rng.choice([0.0, 0.0, 0.1, 0.3, 0.7], size=2 * half + 1)
+        n = int(rng.integers(1, 9))
+        want = reference.dense_window_counts(n, win)
+        if np.any(want <= 0.0):
+            with pytest.raises(EmptyWindowError):
+                window_counts(n, win)
+        else:
+            np.testing.assert_allclose(window_counts(n, win), want, rtol=1e-14, atol=0.0)

@@ -1,5 +1,6 @@
 """Property tests: the fits routed through the local weighted-least-squares core
-match the dense oracles on small random series."""
+match the dense oracles on small random series, and its certified rcond gate
+decides exactly as the eigenvalue gate."""
 
 import numpy as np
 from hypothesis import assume, given
@@ -13,7 +14,8 @@ from tvarch import (
     estimate_alpha,
     estimate_beta,
 )
-from tvarch.errors import NumericalError
+from tvarch.errors import NumericalError, SingularMomentError
+from tvarch.estimate import _solve_gated
 from tvarch.testing import nonparametric_fit
 
 import reference
@@ -76,3 +78,63 @@ def test_cv_score_matches_dense(seed, T, p, c):
     b = float(cv.bandwidths[0])
     want = reference.dense_cv_tvarch_score(x, p, reference.level_weights(x, p), b)
     assert abs(cv.scores[0] - want) <= 1e-10 * want
+
+
+def _planted_stack(rng, n_t: int, k: int, log_rconds, log_scale: float) -> np.ndarray:
+    """n_t symmetric PD k x k matrices Q diag(lam) Q' with lam_min / lam_max as planted."""
+    stack = np.empty((n_t, k, k))
+    for r in range(n_t):
+        Q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        lam = 10.0 ** np.linspace(0.0, log_rconds[r], k) if k > 1 else np.ones(1)
+        stack[r] = 10.0**log_scale * (Q * lam) @ Q.T
+    return 0.5 * (stack + stack.transpose(0, 2, 1))
+
+
+def _with_defect(gram: np.ndarray, r: int, defect: str) -> np.ndarray:
+    out = gram.copy()
+    if defect == "nan":
+        out[r, -1, 0] = np.nan
+    elif defect == "inf":
+        out[r, 0, 0] = np.inf
+    elif defect == "zero":
+        out[r] = 0.0
+    else:  # indefinite: flip the sign of the largest eigenvalue
+        lam, V = np.linalg.eigh(out[r])
+        lam[-1] = -lam[-1]
+        out[r] = (V * lam) @ V.T
+    return out
+
+
+def _gate_outcome(gram, rhs):
+    try:
+        return ("solve", _solve_gated(gram, rhs, 5))
+    except SingularMomentError as err:
+        return ("raise", err.t, err.rcond)
+
+
+@given(
+    seed=seeds, n_t=st.integers(1, 6), log_rcond=st.floats(-14.0, -9.0), log_scale=st.floats(-3.0, 3.0), data=st.data()
+)
+def test_certified_gate_decides_as_eigvalsh_gate(seed, n_t, log_rcond, log_scale, data):
+    rng = np.random.default_rng(seed)
+    planted = data.draw(st.integers(0, n_t - 1))
+    defective = data.draw(st.integers(0, n_t - 1))
+    for k in (1, 2, 3, 11):
+        # One center planted at log_rcond, the others well conditioned; the
+        # second stack also puts a random center just above the gate, inside
+        # the certificate's margin, so only the eigenvalues can pass it.
+        log_rconds = rng.uniform(-8.0, 0.0, n_t)
+        log_rconds[planted] = log_rcond
+        gram = _planted_stack(rng, n_t, k, log_rconds, log_scale)
+        log_rconds[rng.integers(n_t)] = rng.uniform(-11.9, -10.5)
+        margin = _planted_stack(rng, n_t, k, log_rconds, log_scale)
+        rhs = rng.normal(size=(n_t, k, 2))
+        defects = [_with_defect(gram, defective, d) for d in ("nan", "inf", "zero", "indefinite")]
+        for stack in [gram, margin] + defects:
+            got = _gate_outcome(stack, rhs)
+            want = reference.eigvalsh_gate_solve(stack, rhs, 5)
+            assert got[0] == want[0]
+            if got[0] == "raise":
+                assert got[1:] == want[1:]
+            else:
+                np.testing.assert_array_equal(got[1], want[1])
