@@ -46,11 +46,16 @@ def _emit(args, obj, human) -> None:
     _write_out(args, obj)
 
 
-def _parse_levels(text: str) -> tuple:
+def _parse_list(text: str, convert, flag: str) -> tuple:
+    """Comma-separated values, each read by ``convert``; empty items are skipped."""
     try:
-        levels = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(convert(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise InputError(f"cannot parse --alpha {text!r}") from exc
+        raise InputError(f"cannot parse {flag} {text!r}") from exc
+
+
+def _parse_levels(text: str) -> tuple:
+    levels = _parse_list(text, float, "--alpha")
     if not levels or any(not (0.0 < a < 1.0) for a in levels):
         raise InputError("--alpha levels must lie in (0, 1)")
     return levels
@@ -66,15 +71,14 @@ def _parse_partition(tokens, p: int) -> CoefficientPartition:
         key, _, val = tok.partition("=")
         if key not in blocks:
             raise InputError(f"--partition keys are 'varying' and 'constant', got {key!r}")
-        if val.strip():
-            blocks[key] = tuple(int(v) for v in val.split(","))
+        blocks[key] = _parse_list(val, int, "--partition")
     return CoefficientPartition(p=p, varying=blocks["varying"], constant=blocks["constant"])
 
 
 def _parse_grid(text: str | None) -> BandwidthGrid | None:
     if text is None:
         return None
-    return BandwidthGrid(multipliers=tuple(float(v) for v in text.split(",") if v.strip()))
+    return BandwidthGrid(multipliers=_parse_list(text, float, "--grid"))
 
 
 def _parse_noise(text: str) -> NoiseSpec:
@@ -355,7 +359,7 @@ def _flatten_cells(row: dict) -> dict:
 def _cmd_experiment(args) -> int:
     spec = ExperimentSpec(
         design=args.design,
-        T_list=tuple(int(t) for t in args.T.split(",")) if args.T else (),
+        T_list=_parse_list(args.T, int, "--T") if args.T else (),
         replications=args.R,
         noise=_parse_noise(args.noise),
         seed=args.seed,

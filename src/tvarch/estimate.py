@@ -196,6 +196,14 @@ def _solve_gated(gram: np.ndarray, rhs: np.ndarray, first_t: int) -> np.ndarray:
     return np.linalg.solve(gram, rhs)
 
 
+def _solve_design(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """gram^-1 rhs for one symmetric design; raises SingularDesignError below the rcond gate."""
+    rc = _psd_rcond(gram[None, ...])[0]
+    if rc < _RCOND_GATE:
+        raise SingularDesignError(f"{what} is singular (rcond={rc:.3e})")
+    return np.linalg.solve(gram, rhs)
+
+
 def _local_sandwich(gram: np.ndarray, X: np.ndarray, w_mid: np.ndarray, window: np.ndarray) -> np.ndarray:
     """Per-center sandwich G^-1 S G^-1, S the local mean of w_mid X X'."""
     inv = np.linalg.inv(gram)
@@ -302,10 +310,7 @@ def estimate_beta(
     gram = np.einsum("t,tm,tn->mn", W, o_resid, o_resid)
     rhs = np.einsum("t,tm,t->m", W, o_resid, v_resid)
 
-    rc = _psd_rcond(gram[None, ...])[0]
-    if rc < _RCOND_GATE:
-        raise SingularDesignError(f"residual design is singular (rcond={rc:.3e})")
-    beta = np.linalg.solve(gram, rhs)
+    beta = _solve_design(gram, rhs, "residual design")
 
     return BetaFit(
         beta=beta,
@@ -324,6 +329,23 @@ def estimate_beta(
     )
 
 
+def _plug_back(q1: np.ndarray, q2: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Time-varying block alpha_t = q1 - q2 beta given the constant block."""
+    return q1 - np.einsum("tmn,n->tm", q2, beta)
+
+
+def _floored_sigma_sq(
+    series: ReturnSeries, M: np.ndarray, N: np.ndarray, alpha: np.ndarray, beta: np.ndarray, floor_rel: float
+) -> tuple[np.ndarray, int]:
+    """sigma_t^2 = M_t'alpha_t + N_t'beta clipped at floor_rel * mean(x^2), and the clipped count."""
+    v_hat = float((series.values**2).mean())
+    if v_hat <= 0.0:
+        raise DegenerateSeriesError("series is identically zero")
+    floor = floor_rel * v_hat
+    sig = np.einsum("tm,tm->t", M, alpha) + N @ beta
+    return np.maximum(sig, floor), int(np.sum(sig < floor))
+
+
 def fitted_sigma_sq(
     series: ReturnSeries,
     partition: CoefficientPartition,
@@ -336,18 +358,7 @@ def fitted_sigma_sq(
     floored entries is returned for diagnostics.
     """
     M, N = regressor_matrices(series, partition)
-    alpha_like = fit.q1 - np.einsum("tmn,n->tm", fit.q2, fit.beta)
-    sig = np.einsum("tm,tm->t", M, alpha_like)
-    if partition.n:
-        sig = sig + N @ fit.beta
-    v_hat = float((series.values**2).mean())
-    if v_hat <= 0.0:
-        raise DegenerateSeriesError("series is identically zero")
-    floor = floor_rel * v_hat
-    floored = int(np.sum(sig < floor))
-    if floored:
-        sig = np.maximum(sig, floor)
-    return sig, floored
+    return _floored_sigma_sq(series, M, N, _plug_back(fit.q1, fit.q2, fit.beta), fit.beta, floor_rel)
 
 
 @dataclass(frozen=True)
@@ -390,7 +401,7 @@ def estimate_alpha(
     moments = smoothed_moments(series, partition, weights, b_prime, kernel)
     q1, q2 = projection_ratios(moments)
     beta = np.asarray(beta, dtype=float)
-    alpha = q1 - np.einsum("tmn,n->tm", q2, beta) if partition.n else q1
+    alpha = _plug_back(q1, q2, beta) if partition.n else q1
     u = np.arange(partition.p + 1, series.T + 1) / series.T
     return AlphaFit(u=u, alpha=alpha, bandwidth=b_prime, gram=moments.s3)
 
@@ -594,13 +605,7 @@ def fit_semiparametric(
         fit = base
 
     alpha0 = estimate_alpha(series, partition, fit.beta, weights, b_prime, kernel)
-    sigma_final = np.einsum("tm,tm->t", M, alpha0.alpha)
-    if partition.n:
-        sigma_final = sigma_final + N @ fit.beta
-    v_hat = float((series.values**2).mean())
-    floor = _FLOOR_REL * v_hat
-    floored_alpha = int(np.sum(sigma_final < floor))
-    sigma_final = np.maximum(sigma_final, floor)
+    sigma_final, floored_alpha = _floored_sigma_sq(series, M, N, alpha0.alpha, fit.beta, _FLOOR_REL)
     var_xi = _var_xi_sq(fit.x_sq, sigma_final)
 
     if plugin:
@@ -614,10 +619,7 @@ def fit_semiparametric(
             var_xi_sq=var_xi,
             kernel=kernel,
         )
-        sigma_final = np.einsum("tm,tm->t", M, alpha)
-        if partition.n:
-            sigma_final = sigma_final + N @ fit.beta
-        sigma_final = np.maximum(sigma_final, floor)
+        sigma_final, _ = _floored_sigma_sq(series, M, N, alpha, fit.beta, _FLOOR_REL)
     else:
         alpha = alpha0.alpha
         alpha_se = alpha_standard_errors(series, partition, weights, alpha0, sigma_final, var_xi, kernel)

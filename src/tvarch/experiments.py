@@ -23,6 +23,7 @@ import numpy as np
 from .errors import InputError, TvArchError
 from .estimate import (
     LEVEL,
+    _plug_back,
     estimate_alpha_plugin,
     estimate_beta,
     estimate_beta_plugin,
@@ -243,10 +244,9 @@ def _rmse_design(spec: ExperimentSpec) -> list:
             base = estimate_beta(s, partition, LEVEL, b)
             plug, _, _ = estimate_beta_plugin(s, partition, b, base=base)
             # Both alpha variants share the projection ratios at bandwidth b.
-            alpha0 = (base.q1 - np.einsum("tmn,n->tm", base.q2, base.beta))[:, 0]
-            alpha_init = (base.q1 - np.einsum("tmn,n->tm", base.q2, plug.beta))[:, 0]
+            alpha0 = _plug_back(base.q1, base.q2, base.beta)[:, 0]
             alpha_star, _, _ = estimate_alpha_plugin(
-                s, partition, plug.beta, b, alpha_init=alpha_init[:, None], var_xi_sq=1.0
+                s, partition, plug.beta, b, alpha_init=_plug_back(base.q1, base.q2, plug.beta), var_xi_sq=1.0
             )
             u = np.arange(3, T + 1) / T
             a0_true = model.coeffs[0](u)

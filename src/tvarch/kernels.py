@@ -51,17 +51,18 @@ def box(x):
 # Quadrature: composite Simpson, validated in the test suite by node doubling.
 
 _SIMPSON_NODES = 4097
+# Outer points of K* per chunk: bounds its (points, nodes) temporaries.
+_K_STAR_CHUNK = 256
 
 
-def _simpson(f, lo: float, hi: float, nodes: int = _SIMPSON_NODES) -> float:
-    if hi <= lo:
-        return 0.0
-    if nodes % 2 == 0:
-        nodes += 1
-    x = np.linspace(lo, hi, nodes)
-    y = np.asarray(f(x), dtype=float)
-    h = (hi - lo) / (nodes - 1)
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
+def _simpson(y: np.ndarray, h) -> np.ndarray:
+    """Composite Simpson rule along the last axis of samples y at an odd node count, spacing h."""
+    odd, even = y[..., 1:-1:2].sum(axis=-1), y[..., 2:-1:2].sum(axis=-1)
+    return h / 3.0 * (y[..., 0] + y[..., -1] + 4.0 * odd + 2.0 * even)
+
+
+def _odd(nodes: int) -> int:
+    return nodes + 1 - nodes % 2
 
 
 def _kernel_constant(fn):
@@ -81,56 +82,37 @@ def _kernel_constant(fn):
 @_kernel_constant
 def k_l2_norm_sq(kernel=epanechnikov, nodes: int = _SIMPSON_NODES) -> float:
     """Squared L2 norm of the kernel over [-1, 1] (3/5 for Epanechnikov)."""
-    return _simpson(lambda x: np.asarray(kernel(x)) ** 2, -1.0, 1.0, nodes)
+    nodes = _odd(nodes)
+    y = np.asarray(kernel(np.linspace(-1.0, 1.0, nodes)), dtype=float) ** 2
+    return float(_simpson(y, 2.0 / (nodes - 1)))
 
 
 def k_star(x, kernel=epanechnikov, nodes: int = _SIMPSON_NODES):
     """Overlap function K*(x) = int_{-1}^{1-2|x|} K(v) K(v + 2|x|) dv."""
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if nodes % 2 == 0:
-        nodes += 1
-    out = np.zeros_like(xs)
-    for idx, xi in enumerate(xs):
-        a = 2.0 * abs(xi)
+    nodes = _odd(nodes)
+    out = np.empty_like(xs)
+    for lo in range(0, xs.shape[0], _K_STAR_CHUNK):
+        a = 2.0 * np.abs(xs[lo : lo + _K_STAR_CHUNK])
         hi = 1.0 - a
-        if hi <= -1.0:
-            continue
-        v = np.linspace(-1.0, hi, nodes)
-        y = np.asarray(kernel(v)) * np.asarray(kernel(v + a))
         h = (hi + 1.0) / (nodes - 1)
-        out[idx] = h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+        # np.linspace(-1, hi, nodes) for each row: the last node is exactly hi,
+        # so v + a ends exactly at the kernel's edge.
+        v = np.arange(nodes) * h[:, None] - 1.0
+        v[:, -1] = hi
+        y = np.asarray(kernel(v)) * np.asarray(kernel(v + a[:, None]))
+        out[lo : lo + _K_STAR_CHUNK] = np.where(hi > -1.0, _simpson(y, h), 0.0)
     return float(out[0]) if scalar else out
 
 
 @_kernel_constant
 def k_star_l2_norm_sq(kernel=epanechnikov, nodes: int = _SIMPSON_NODES) -> float:
     """Squared L2 norm of K* over [-1, 1]."""
-    if nodes % 2 == 0:
-        nodes += 1
+    nodes = _odd(nodes)
     # K* is even; integrate on [0, 1] and double.
-    x = np.linspace(0.0, 1.0, nodes)
-    y = np.empty_like(x)
-    chunk = 256
-    for start in range(0, nodes, chunk):
-        xs = x[start : start + chunk]
-        a = 2.0 * xs[:, None]
-        # Inner Simpson grid per outer node, ranges [-1, 1-2x].
-        hi = 1.0 - a
-        s = np.linspace(0.0, 1.0, nodes)[None, :]
-        v = -1.0 + (hi + 1.0) * s
-        integrand = np.asarray(kernel(v)) * np.asarray(kernel(v + a))
-        h = (hi[:, 0] + 1.0) / (nodes - 1)
-        simp = (
-            integrand[:, 0]
-            + integrand[:, -1]
-            + 4.0 * integrand[:, 1:-1:2].sum(axis=1)
-            + 2.0 * integrand[:, 2:-1:2].sum(axis=1)
-        )
-        vals = np.where(hi[:, 0] > -1.0, h / 3.0 * simp, 0.0)
-        y[start : start + chunk] = vals**2
-    h = 1.0 / (nodes - 1)
-    return float(2.0 * h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
+    y = k_star(np.linspace(0.0, 1.0, nodes), kernel, nodes) ** 2
+    return float(2.0 * _simpson(y, 1.0 / (nodes - 1)))
 
 
 # ---------------------------------------------------------------------------

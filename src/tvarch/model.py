@@ -8,6 +8,7 @@ nonparametrically) and a constant block (estimated at the parametric rate).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,17 @@ __all__ = [
 ]
 
 _CHECK_GRID = np.linspace(0.0, 1.0, 1024)
+
+
+@contextlib.contextmanager
+def _config_fields(what: str):
+    """Report a missing or malformed field of a JSON-style config as an InputError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise InputError(f"{what} lacks the field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} has a malformed field: {exc}") from exc
 
 
 class CoefficientFunction:
@@ -97,14 +109,15 @@ class CoefficientFunction:
         if not isinstance(cfg, dict) or "kind" not in cfg:
             raise InputError(f"coefficient config must be a dict with a 'kind': {cfg!r}")
         kind = cfg["kind"]
-        if kind == "constant":
-            return cls.constant(cfg["value"])
-        if kind == "sine":
-            return cls.sine(cfg.get("offset", 0.0), cfg.get("amplitude", 1.0), cfg.get("frequency", 1.0))
-        if kind == "cosine":
-            return cls.cosine(cfg.get("offset", 0.0), cfg.get("amplitude", 1.0), cfg.get("frequency", 1.0))
-        if kind == "piecewise_linear":
-            return cls.piecewise_linear(cfg["knots"])
+        with _config_fields(f"{kind!r} coefficient config"):
+            if kind == "constant":
+                return cls.constant(cfg["value"])
+            if kind == "sine":
+                return cls.sine(cfg.get("offset", 0.0), cfg.get("amplitude", 1.0), cfg.get("frequency", 1.0))
+            if kind == "cosine":
+                return cls.cosine(cfg.get("offset", 0.0), cfg.get("amplitude", 1.0), cfg.get("frequency", 1.0))
+            if kind == "piecewise_linear":
+                return cls.piecewise_linear(cfg["knots"])
         raise InputError(f"unknown coefficient kind {kind!r}")
 
 
@@ -137,11 +150,14 @@ class NoiseSpec:
     def from_config(cls, cfg) -> "NoiseSpec":
         if isinstance(cfg, str):
             cfg = {"law": cfg}
+        if not isinstance(cfg, dict):
+            raise InputError(f"noise config must be a law name or a dict: {cfg!r}")
         law = cfg.get("law", "gaussian")
         if law in ("gaussian", "normal"):
             return cls.gaussian()
         if law in ("student_t", "student", "t"):
-            return cls.student_t(int(cfg["df"]))
+            with _config_fields("student_t noise config"):
+                return cls.student_t(int(cfg["df"]))
         raise InputError(f"unknown noise law {law!r}")
 
 
@@ -176,9 +192,10 @@ class TvArchModel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "TvArchModel":
-        coeffs = tuple(CoefficientFunction.from_config(c) for c in cfg["coeffs"])
-        p = int(cfg.get("p", len(coeffs) - 1))
-        noise = NoiseSpec.from_config(cfg.get("noise", "gaussian"))
+        with _config_fields("model config"):
+            coeffs = tuple(CoefficientFunction.from_config(c) for c in cfg["coeffs"])
+            p = int(cfg.get("p", len(coeffs) - 1))
+            noise = NoiseSpec.from_config(cfg.get("noise", "gaussian"))
         return cls(p=p, coeffs=coeffs, noise=noise)
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import AllSingularError, InputError, SingularMomentError
-from .estimate import _RCOND_GATE, LEVEL, _leaveout_sums, _psd_rcond, _solve_gated, local_wls, resolve_weights
+from .errors import AllSingularError, InputError, SingularDesignError, SingularMomentError
+from .estimate import LEVEL, _leaveout_sums, _solve_design, _solve_gated, local_wls, resolve_weights
 from .model import CoefficientPartition, ReturnSeries, canonical_matrix, regressor_matrices
 
 __all__ = [
@@ -117,9 +117,10 @@ def cv_bandwidth_semiparametric(
         y = x2t - s1 / s3
         Z = N - s2 / s3[:, None]
         gram = np.einsum("t,tm,tn->mn", W, Z, Z)
-        if _psd_rcond(gram[None, ...])[0] < _RCOND_GATE:
+        try:
+            beta = _solve_design(gram, np.einsum("t,tm,t->m", W, Z, y), "residual design")
+        except SingularDesignError:
             continue
-        beta = np.linalg.solve(gram, np.einsum("t,tm,t->m", W, Z, y))
         resid = y - Z @ beta
         scores[i] = float(np.sum(W * resid**2))
         betas[i] = beta

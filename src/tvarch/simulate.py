@@ -12,6 +12,7 @@ Monte-Carlo run uses :func:`derive_seed` so parallel streams never overlap.
 
 from __future__ import annotations
 
+import math
 import warnings
 import zlib
 from dataclasses import dataclass
@@ -95,34 +96,29 @@ def simulate_path(model: TvArchModel, config: SimulationConfig) -> ReturnSeries:
             stacklevel=2,
         )
 
-    rng = generator(config.seed)
     n_pre = config.burn_in + p
-    xi = _draws(model.noise, rng, n_pre + T)
+    xi = _draws(model.noise, generator(config.seed), n_pre + T)
 
     frozen = np.array([c(0.0) for c in model.coeffs])
-    c0 = frozen[1:].sum() if p > 0 else 0.0
-    mean_sq0 = frozen[0] / (1.0 - c0) if c0 < 1.0 else frozen[0]
+    # validate() guarantees sum_j a_j(0) < 1.
+    mean_sq0 = float(frozen[0] / (1.0 - frozen[1:].sum()))
 
-    x = np.empty(n_pre + T)
-    lag_sq = np.full(p, mean_sq0) if p > 0 else np.empty(0)
-
-    # Stationary prefix at frozen rescaled time 0.
-    for s in range(n_pre):
-        sig_sq = frozen[0] + float(frozen[1:] @ lag_sq)
-        x[s] = xi[s] * np.sqrt(sig_sq)
-        if p > 0:
-            lag_sq = np.concatenate(([x[s] ** 2], lag_sq[:-1]))
-
+    # One coefficient row per step: the stationary prefix at frozen rescaled
+    # time 0, then a_j(t/T) for t = 1..T.
     u = np.arange(1, T + 1) / T
-    coef = model.coefficient_values(u)  # (p+1, T)
+    table = np.concatenate([np.broadcast_to(frozen, (n_pre, p + 1)), model.coefficient_values(u).T]).tolist()
 
-    for t in range(1, T + 1):
-        idx = n_pre + t - 1
-        sig_sq = coef[0, t - 1]
-        for j in range(1, p + 1):
-            sig_sq += coef[j, t - 1] * x[idx - j] ** 2
+    lags = range(1, p + 1)
+    x = []
+    x_sq = [mean_sq0] * p  # x_sq[-j] is the j-th lag of x^2
+    for xi_s, row in zip(xi.tolist(), table):
+        sig_sq = row[0]
+        for j in lags:
+            sig_sq += row[j] * x_sq[-j]
         if sig_sq <= 0.0:
-            raise NonPositiveVolatilityError(f"sigma_t^2 = {sig_sq:.3g} at t={t}")
-        x[idx] = xi[idx] * np.sqrt(sig_sq)
+            raise NonPositiveVolatilityError(f"sigma_t^2 = {sig_sq:.3g} at t={len(x) - n_pre + 1}")
+        x_s = xi_s * math.sqrt(sig_sq)
+        x.append(x_s)
+        x_sq.append(x_s**2)
 
-    return ReturnSeries(x[n_pre:].copy())
+    return ReturnSeries(np.array(x[n_pre:]))

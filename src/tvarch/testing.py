@@ -30,6 +30,7 @@ from .estimate import (
     LEVEL,
     _local_sandwich,
     _psd_rcond,
+    _solve_design,
     _solve_gated,
     covariance_beta,
     estimate_beta,
@@ -230,11 +231,7 @@ def second_order_statistic(
     h_resid = x_sq - d_hat
     y = h_resid[p:]
     X = np.column_stack([h_resid[p - j : T - j] for j in range(1, p + 1)])
-    gram = X.T @ X
-    rc = _psd_rcond(gram[None, ...])[0]
-    if rc < _RCOND_GATE:
-        raise SingularDesignError(f"lag design singular (rcond={rc:.3e})")
-    a_hat = np.linalg.solve(gram, X.T @ y)
+    a_hat = _solve_design(X.T @ X, X.T @ y, "lag design")
 
     denom = float((d_hat**2).sum())
     if denom <= 0.0:

@@ -5,6 +5,8 @@ Python loops, explicit matrix inverses, and its own kernel evaluation, so
 agreement with the package is evidence and not tautology.
 """
 
+import math
+
 import numpy as np
 
 
@@ -258,3 +260,36 @@ def eigvalsh_gate_solve(gram: np.ndarray, rhs: np.ndarray, first_t: int):
         if rc < 1e-12:
             return ("raise", first_t + r, rc)
     return ("solve", np.linalg.solve(gram, rhs))
+
+
+def simulate_recursion(coeffs, T: int, seed: int, burn_in: int = 500, df=None) -> np.ndarray:
+    """x_1..x_T of sigma_t^2 = a_0(t/T) + sum_j a_j(t/T) x_{t-j}^2, x_t = xi_t sigma_t, by plain loops.
+
+    ``coeffs`` are the p+1 coefficient curves, evaluated on the grid t/T.  The
+    burn_in + p steps before t = 1 run at the frozen a_j(0), started from the
+    stationary mean a_0(0) / (1 - sum_j a_j(0)) of x^2.  xi is drawn from
+    Philox(key=seed): standard normal, or Student-t(df) scaled to unit variance.
+    """
+    p = len(coeffs) - 1
+    n_pre = burn_in + p
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    if df is None:
+        xi = rng.standard_normal(n_pre + T)
+    else:
+        xi = rng.standard_t(df, size=n_pre + T) * np.sqrt((df - 2.0) / df)
+    frozen = [float(c(0.0)) for c in coeffs]
+    grid = np.arange(1, T + 1) / T
+    curves = [np.broadcast_to(c(grid), (T,)) for c in coeffs]
+    lag_total = 0.0
+    for a in frozen[1:]:
+        lag_total += a
+    x_sq = [frozen[0] / (1.0 - lag_total)] * p
+    x = []
+    for s in range(n_pre + T):
+        a = frozen if s < n_pre else [float(curve[s - n_pre]) for curve in curves]
+        sigma_sq = a[0]
+        for j in range(1, p + 1):
+            sigma_sq += a[j] * x_sq[-j]
+        x.append(float(xi[s]) * math.sqrt(sigma_sq))
+        x_sq.append(x[-1] ** 2)
+    return np.array(x[n_pre:])

@@ -195,6 +195,36 @@ def test_invalid_partition(sim_csv, capsys):
     capsys.readouterr()
 
 
+_MODEL_ARGS = ["simulate", "--model", "{model}", "--T", "50", "--out-csv", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "argv, model",
+    [
+        (["fit", "--input", "{csv}", "--p", "1", "--bandwidth", "0.2", "--partition", "varying=a"], None),
+        (["select-order", "--input", "{csv}", "--q", "1", "--grid", "abc"], None),
+        (["experiment", "--design", "rmse", "--T", "5x0"], None),
+        (_MODEL_ARGS, {"p": 1}),
+        (_MODEL_ARGS, {"coeffs": [{"kind": "constant"}, {"kind": "constant", "value": 0.4}]}),
+        (_MODEL_ARGS, {"coeffs": [{"kind": "constant", "value": 1.0}], "noise": {"law": "t"}}),
+        (_MODEL_ARGS, {"coeffs": [{"kind": "constant", "value": "high"}]}),
+        (_MODEL_ARGS, {"coeffs": [{"kind": "piecewise_linear"}]}),
+        (_MODEL_ARGS, [1.0, 0.4]),
+        (_MODEL_ARGS, {"coeffs": [{"kind": "constant", "value": 1.0}], "noise": 5}),
+    ],
+    ids=[
+        "partition-index", "grid", "experiment-T", "no-coeffs", "constant-no-value", "t-no-df",
+        "constant-not-number", "knots-missing", "model-not-dict", "noise-not-dict",
+    ],
+)
+def test_malformed_input_exits_2(sim_csv, tmp_path, capsys, argv, model):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model))
+    argv = [a.format(csv=sim_csv, model=model_path, out=tmp_path / "x.csv") for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_prices_mode_cli(tmp_path, capsys):
     prices = tmp_path / "prices.csv"
     rng = np.random.default_rng(2)

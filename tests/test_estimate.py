@@ -18,7 +18,7 @@ from tvarch import (
     simulate_path,
     smoothed_moments,
 )
-from tvarch.errors import DegenerateSeriesError, InputError, SingularMomentError
+from tvarch.errors import DegenerateSeriesError, InputError, SingularDesignError, SingularMomentError
 from tvarch.estimate import _certified, _local_sandwich, _solve_gated, fitted_sigma_sq, local_wls
 from tvarch.kernels import box, kernel_window
 from tvarch.model import regressor_matrices
@@ -142,6 +142,14 @@ def test_estimate_beta_requires_constant_block(series_small):
         estimate_beta(series_small, CoefficientPartition.fully_varying(1), "level", 0.2)
 
 
+def test_estimate_beta_singular_residual_design():
+    # x^2 = 1 everywhere: the lag regressor equals the local intercept, so its
+    # residual on the M block, and with it the residual design, is exactly 0.
+    s = ReturnSeries(np.where(np.arange(80) % 2, 1.0, -1.0))
+    with pytest.raises(SingularDesignError, match="residual design"):
+        estimate_beta(s, CoefficientPartition.semiparametric(2), "level", 0.3)
+
+
 def test_estimate_beta_scale_invariance(series_mid):
     part = CoefficientPartition.semiparametric(2)
     b = 0.15
@@ -235,6 +243,20 @@ def test_covariance_psd(series_mid):
     cov = covariance_beta(series_mid, fit, sigma_sq)
     assert np.linalg.eigvalsh(cov.sigma1).min() >= -1e-12
     assert np.linalg.eigvalsh(cov.sigma2).min() >= -1e-12
+
+
+def test_fitted_sigma_sq_floor(series_mid):
+    # sigma^2 = M'(q1 - q2 beta) + N'beta from the fit's own ratios; with the
+    # floor raised to mean(x^2), part of it is clipped there and counted.
+    part = CoefficientPartition(p=2, varying=(0, 1), constant=(2,))
+    fit = estimate_beta(series_mid, part, "level", 0.2)
+    x = series_mid.values
+    M, N = reference.blocks(x, part.varying, part.constant, 2)
+    raw = np.einsum("tm,tm->t", M, fit.q1 - fit.q2 @ fit.beta) + N @ fit.beta
+    floor = float(np.mean(x**2))
+    sig, floored = fitted_sigma_sq(series_mid, part, fit, floor_rel=1.0)
+    assert 0 < floored == int(np.sum(raw < floor)) < raw.size
+    np.testing.assert_allclose(sig, np.maximum(raw, floor), rtol=1e-13)
 
 
 def test_plugin_weight_injection_equivalence(series_mid):

@@ -60,6 +60,17 @@ def test_k_star_l2_norm():
     assert k_star_l2_norm_sq(nodes=8193) == pytest.approx(k_star_l2_norm_sq(nodes=4097), abs=1e-6)
 
 
+def test_box_k_star_exact():
+    # K*(x) = (1 - |x|) / 2 for the box kernel.  Its integrand is constant on
+    # every inner grid that ends exactly at 1 - 2|x|, where the kernel's edge
+    # is, so Simpson is exact at any node count.
+    xs = np.linspace(-1.2, 1.2, 97)
+    for nodes in (101, 1001, 4097):
+        want = np.clip(1.0 - np.abs(xs), 0.0, None) / 2
+        np.testing.assert_allclose(k_star(xs, box, nodes), want, rtol=0, atol=1e-14)
+        assert k_star_l2_norm_sq(box, nodes) == pytest.approx(1.0 / 6.0, rel=1e-13)
+
+
 def test_k_star_shape_properties():
     xs = np.linspace(0.0, 1.0, 101)
     vals = k_star(xs)

@@ -1,6 +1,7 @@
 """Property tests: the fits routed through the local weighted-least-squares core
-match the dense oracles on small random series, and its certified rcond gate
-decides exactly as the eigenvalue gate."""
+and the semiparametric cross-validation match the dense oracles on small
+random series, and the certified rcond gate decides exactly as the eigenvalue
+gate."""
 
 import numpy as np
 from hypothesis import assume, given
@@ -10,6 +11,7 @@ from tvarch import (
     BandwidthGrid,
     CoefficientPartition,
     ReturnSeries,
+    cv_bandwidth_semiparametric,
     cv_bandwidth_tvarch,
     estimate_alpha,
     estimate_beta,
@@ -78,6 +80,18 @@ def test_cv_score_matches_dense(seed, T, p, c):
     b = float(cv.bandwidths[0])
     want = reference.dense_cv_tvarch_score(x, p, reference.level_weights(x, p), b)
     assert abs(cv.scores[0] - want) <= 1e-10 * want
+
+
+@given(seed=seeds, T=lengths, p=orders, c=st.floats(1.0, 2.0))
+def test_cv_semiparametric_matches_dense(seed, T, p, c):
+    x = _series(seed, T)
+    try:
+        cv = cv_bandwidth_semiparametric(ReturnSeries(x), p, grid=BandwidthGrid(multipliers=(c,)))
+    except NumericalError:
+        assume(False)
+    beta, score = reference.dense_cv_semiparametric(x, p, float(cv.bandwidths[0]))
+    assert abs(cv.scores[0] - score) <= 1e-10 * score
+    assert _max_rel(cv.beta, beta) <= 1e-10
 
 
 def _planted_stack(rng, n_t: int, k: int, log_rconds, log_scale: float) -> np.ndarray:

@@ -14,7 +14,8 @@ from tvarch import (
     select_lag_order,
     simulate_path,
 )
-from tvarch.errors import InputError
+from tvarch import select
+from tvarch.errors import AllSingularError, InputError, SingularDesignError
 from tvarch.simulate import derive_seed
 
 import reference
@@ -61,6 +62,26 @@ def test_cv_semiparametric_leaveout_dense_oracle():
     beta_ref, score_ref = reference.dense_cv_semiparametric(x, 2, float(cv.bandwidths[0]))
     assert cv.scores[0] == pytest.approx(score_ref, rel=1e-10)
     np.testing.assert_allclose(cv.beta, beta_ref, atol=1e-10)
+
+
+def test_cv_semiparametric_skips_singular_residual_design(monkeypatch):
+    # x^2 = 1 everywhere: each lag equals its leave-out local mean, so at every
+    # bandwidth the residual design is exactly 0 and fails the design gate.
+    raised = []
+
+    def spy(*args):
+        try:
+            return solve_design(*args)
+        except SingularDesignError as exc:
+            raised.append(exc)
+            raise
+
+    solve_design = select._solve_design
+    monkeypatch.setattr(select, "_solve_design", spy)
+    s = ReturnSeries(np.where(np.arange(80) % 2, 1.0, -1.0))
+    with pytest.raises(AllSingularError):
+        cv_bandwidth_semiparametric(s, 2, grid=BandwidthGrid(multipliers=(1.0, 1.5)))
+    assert len(raised) == 2
 
 
 def test_cv_semiparametric_inner_beta_close_to_estimator(sptv2_model):

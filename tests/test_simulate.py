@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tvarch import (
     CoefficientFunction,
@@ -9,7 +13,10 @@ from tvarch import (
     draw_noise,
     simulate_path,
 )
+from tvarch.errors import NonPositiveVolatilityError
 from tvarch.simulate import derive_seed, generator
+
+import reference
 
 
 def test_draw_noise_gaussian_variance():
@@ -103,6 +110,60 @@ def test_local_stationarity_window_mean():
     assert abs(means.mean() - target) < 3.0 * se + 0.05 * target
 
 
+def test_nonpositive_volatility_between_check_points():
+    # The intercept is negative only at u = 1/7, which validation's grid misses.
+    spike = CoefficientFunction(lambda u: np.where(np.abs(u - 1 / 7) < 1e-12, -1.0, 1.0))
+    model = TvArchModel(p=0, coeffs=(spike,))
+    with pytest.raises(NonPositiveVolatilityError, match="t=1$"):
+        simulate_path(model, SimulationConfig(T=7, seed=1))
+
+
 def test_generator_is_philox():
     g = generator(7)
     assert type(g.bit_generator).__name__ == "Philox"
+
+
+_lag_weights = st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)
+
+
+@given(
+    p=st.integers(0, 3),
+    df=st.sampled_from([None, 5, 9]),
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 300),
+    burn_in=st.integers(0, 60),
+    offset=st.floats(0.5, 3.0),
+    amplitude=st.floats(0.0, 0.45),
+    lags=_lag_weights,
+    varying_lag=st.booleans(),
+)
+def test_simulate_path_matches_recursion(p, df, seed, T, burn_in, offset, amplitude, lags, varying_lag):
+    # Lag coefficients sum to at most 0.9, so the recursion contracts; with a
+    # varying first lag its amplitude stays below its level.
+    scale = 0.9 / max(1.0, sum(lags[:p]))
+    lag_values = [scale * v for v in lags[:p]]
+    coeffs = [CoefficientFunction.sine(offset, amplitude * offset)]
+    coeffs += [CoefficientFunction.constant(v) for v in lag_values]
+    if varying_lag and p:
+        coeffs[1] = CoefficientFunction.cosine(lag_values[0] / 2, lag_values[0] / 2)
+    noise = NoiseSpec.gaussian() if df is None else NoiseSpec.student_t(df)
+    model = TvArchModel(p=p, coeffs=tuple(coeffs), noise=noise)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the short-burn-in warning
+        got = simulate_path(model, SimulationConfig(T=T, seed=seed, burn_in=burn_in)).values
+    want = reference.simulate_recursion(coeffs, T, seed, burn_in=burn_in, df=df)
+    if p <= 1:
+        np.testing.assert_array_equal(got, want)
+    else:
+        # Only the association of the lag sum may differ.
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_simulate_path_long_paths_match_recursion():
+    # About a quarter of these paths would change if x^2 were rounded as x * x
+    # instead of x ** 2, so the loop also pins how the square rounds.
+    coeffs = [CoefficientFunction.sine(2.0, 0.8), CoefficientFunction.constant(0.5)]
+    model = TvArchModel(p=1, coeffs=tuple(coeffs))
+    for seed in range(12):
+        got = simulate_path(model, SimulationConfig(T=3000, seed=seed)).values
+        np.testing.assert_array_equal(got, reference.simulate_recursion(coeffs, 3000, seed))

@@ -17,7 +17,7 @@ from tvarch import (
 from tvarch import test_constancy as run_constancy_test
 from tvarch import test_second_order as run_second_order_test
 from tvarch import test_zero_wald as run_zero_wald_test
-from tvarch.errors import InputError, NumericalError
+from tvarch.errors import InputError, NumericalError, SingularDesignError
 from tvarch.estimate import estimate_beta
 from tvarch.kernels import box, k_l2_norm_sq, k_star_l2_norm_sq
 from tvarch.simulate import derive_seed
@@ -317,6 +317,13 @@ def test_second_order_dense_oracle():
 def test_second_order_needs_lags(series_small):
     with pytest.raises(InputError):
         second_order_statistic(series_small, 0, 0.2)
+
+
+def test_second_order_singular_lag_design():
+    # x^2 = 1 everywhere equals its smoothed level, so every centered lag is 0.
+    s = ReturnSeries(np.where(np.arange(80) % 2, 1.0, -1.0))
+    with pytest.raises(SingularDesignError, match="lag design"):
+        second_order_statistic(s, 2, 0.3)
 
 
 def test_second_order_correction_above_one_with_drift():
