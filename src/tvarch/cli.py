@@ -446,18 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model-kind", choices=("tv", "sptv"), default="tv")
     sp.add_argument("--grid", default=None)
     sp.add_argument("--curve-out", default=None, help="CSV path for the CV curve")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out", default=None)
+    _add_common_flags(sp, bandwidth=False)
     sp.set_defaults(func=_cmd_select_bandwidth)
 
     sp = sub.add_parser("select-order", help="information-criterion lag order selection")
     _add_input_flags(sp)
     sp.add_argument("--q", type=int, default=10, help="maximal candidate order")
     sp.add_argument("--grid", default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out", default=None)
+    _add_common_flags(sp, bandwidth=False)
     sp.set_defaults(func=_cmd_select_order)
 
     sp = sub.add_parser("pipeline", help="order selection, tests, fit, and dynamics check")
@@ -465,9 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, default=10)
     sp.add_argument("--grid", default=None)
     _add_test_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out", default=None)
+    _add_common_flags(sp, bandwidth=False)
     sp.set_defaults(func=_cmd_pipeline)
 
     sp = sub.add_parser("experiment", help="reproduce a simulation design at desk scale")

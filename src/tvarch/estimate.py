@@ -247,14 +247,13 @@ def smoothed_moments(
     partition: CoefficientPartition,
     weights,
     b: float,
-    kernel=kernels.epanechnikov,
 ) -> SmoothedMoments:
     """All-centers smoothed moments of the regression of [x^2, N] on M."""
     p = partition.p
     M, N = regressor_matrices(series, partition)
     W, kind = resolve_weights(series, p, weights)
     Y = np.concatenate([series.values[p:, None] ** 2, N], axis=1)
-    win = kernels.kernel_window(series.T, b, kernel)
+    win = kernels.kernel_window(series.T, b)
     s3, cross = local_wls(M, Y, W, win)
     return SmoothedMoments(s3=s3, cross=cross, bandwidth=b, weights_kind=kind, first_t=p + 1)
 
@@ -294,13 +293,12 @@ def estimate_beta(
     partition: CoefficientPartition,
     weights,
     b: float,
-    kernel=kernels.epanechnikov,
 ) -> BetaFit:
     """Weighted least squares on the residualized regression, eq. of the two-step fit."""
     if partition.n == 0:
         raise InputError("estimate_beta needs a nonempty constant block")
     M, N = regressor_matrices(series, partition)
-    moments = smoothed_moments(series, partition, weights, b, kernel)
+    moments = smoothed_moments(series, partition, weights, b)
     q1, q2 = projection_ratios(moments)
     W, kind = resolve_weights(series, partition.p, weights)
     x2t = series.values[partition.p :] ** 2
@@ -395,10 +393,9 @@ def estimate_alpha(
     beta: np.ndarray,
     weights,
     b_prime: float,
-    kernel=kernels.epanechnikov,
 ) -> AlphaFit:
     """Time-varying block on the grid u_t = t/T: alpha_t = q1 - q2 beta."""
-    moments = smoothed_moments(series, partition, weights, b_prime, kernel)
+    moments = smoothed_moments(series, partition, weights, b_prime)
     q1, q2 = projection_ratios(moments)
     beta = np.asarray(beta, dtype=float)
     alpha = _plug_back(q1, q2, beta) if partition.n else q1
@@ -419,7 +416,6 @@ def alpha_standard_errors(
     fit: AlphaFit,
     sigma_sq: np.ndarray,
     var_xi_sq: float,
-    kernel=kernels.epanechnikov,
 ) -> np.ndarray:
     """Pointwise standard errors of alpha_hat from its asymptotic variance.
 
@@ -429,8 +425,8 @@ def alpha_standard_errors(
     """
     M, _ = regressor_matrices(series, partition)
     W, _ = resolve_weights(series, partition.p, weights)
-    win = kernels.kernel_window(series.T, fit.bandwidth, kernel)
-    v_u = var_xi_sq * kernels.k_l2_norm_sq(kernel) * _local_sandwich(fit.gram, M, W**2 * sigma_sq**2, win)
+    win = kernels.kernel_window(series.T, fit.bandwidth)
+    v_u = var_xi_sq * kernels.k_l2_norm_sq() * _local_sandwich(fit.gram, M, W**2 * sigma_sq**2, win)
     diag = np.clip(np.diagonal(v_u, axis1=1, axis2=2), 0.0, None)
     return np.sqrt(diag / (series.T * fit.bandwidth))
 
@@ -442,7 +438,6 @@ def estimate_beta_plugin(
     nu: float = 0.0,
     weights=LEVEL,
     base: BetaFit | None = None,
-    kernel=kernels.epanechnikov,
 ) -> tuple[BetaFit, np.ndarray, int]:
     """Efficiency-improving second pass with weights 1/(sigma_hat^4 + nu).
 
@@ -452,13 +447,13 @@ def estimate_beta_plugin(
     if nu < 0.0:
         raise InputError("nu must be >= 0")
     if base is None:
-        base = estimate_beta(series, partition, weights, b, kernel)
+        base = estimate_beta(series, partition, weights, b)
     sigma_sq, floored = fitted_sigma_sq(series, partition, base)
     sig4 = sigma_sq**2
     if nu == 0.0 and np.any(sig4 == 0.0):
         raise NonPositiveVolatilityError("fitted volatility vanished with nu=0")
     w_star = 1.0 / (sig4 + nu)
-    fit = replace(estimate_beta(series, partition, w_star, b, kernel), nu=float(nu))
+    fit = replace(estimate_beta(series, partition, w_star, b), nu=float(nu))
     return fit, w_star, floored
 
 
@@ -475,7 +470,6 @@ def estimate_alpha_plugin(
     alpha_init: np.ndarray,
     var_xi_sq: float,
     mu: float = 0.0,
-    kernel=kernels.epanechnikov,
     floor_rel: float = _FLOOR_REL,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Plug-in time-varying block with per-center weights 1/(sigma_{t,i}^4 + mu).
@@ -498,12 +492,12 @@ def estimate_alpha_plugin(
     beta = np.asarray(beta, dtype=float)
     x2t = series.values[p:] ** 2
     n_t, m = M.shape
-    win = kernels.kernel_window(series.T, b_prime, kernel)
+    win = kernels.kernel_window(series.T, b_prime)
     half = (win.shape[0] - 1) // 2
 
     n_beta = N @ beta if partition.n else np.zeros(n_t)
     floor = floor_rel * float((series.values**2).mean())
-    se_scale = var_xi_sq * kernels.k_l2_norm_sq(kernel) / (series.T * b_prime)
+    se_scale = var_xi_sq * kernels.k_l2_norm_sq() / (series.T * b_prime)
 
     # Window views (m + 3, n_t, 2*half+1) of the rows [M', N'beta, x^2 - N'beta, 1]:
     # entry [:, r, j] is index r - half + j, zero off range, so the last row
@@ -588,23 +582,22 @@ def fit_semiparametric(
     plugin: bool = False,
     nu: float = 0.0,
     mu: float = 0.0,
-    kernel=kernels.epanechnikov,
 ) -> SemiparametricFit:
     """One-stop semiparametric fit (optionally the plug-in efficient variant)."""
     if b_prime is None:
         b_prime = b
     M, N = regressor_matrices(series, partition)
-    base = estimate_beta(series, partition, weights, b, kernel)
+    base = estimate_beta(series, partition, weights, b)
     floored_beta = 0
 
     if plugin:
         fit, w_star, floored_beta = estimate_beta_plugin(
-            series, partition, b, nu=nu, weights=weights, base=base, kernel=kernel
+            series, partition, b, nu=nu, weights=weights, base=base
         )
     else:
         fit = base
 
-    alpha0 = estimate_alpha(series, partition, fit.beta, weights, b_prime, kernel)
+    alpha0 = estimate_alpha(series, partition, fit.beta, weights, b_prime)
     sigma_final, floored_alpha = _floored_sigma_sq(series, M, N, alpha0.alpha, fit.beta, _FLOOR_REL)
     var_xi = _var_xi_sq(fit.x_sq, sigma_final)
 
@@ -617,12 +610,11 @@ def fit_semiparametric(
             alpha_init=alpha0.alpha,
             mu=mu,
             var_xi_sq=var_xi,
-            kernel=kernel,
         )
         sigma_final, _ = _floored_sigma_sq(series, M, N, alpha, fit.beta, _FLOOR_REL)
     else:
         alpha = alpha0.alpha
-        alpha_se = alpha_standard_errors(series, partition, weights, alpha0, sigma_final, var_xi, kernel)
+        alpha_se = alpha_standard_errors(series, partition, weights, alpha0, sigma_final, var_xi)
         floored_mu = 0
 
     sigma_for_cov, floored_cov = fitted_sigma_sq(series, partition, fit)

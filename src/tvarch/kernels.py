@@ -1,5 +1,12 @@
 """Kernel functions, the smoothing window, and kernel norm constants.
 
+The package smooths with one kernel, the Epanechnikov kernel 3/4 (1 - x^2) on
+[-1, 1]: the estimators, tests and tuning routines take no kernel argument and
+call :func:`kernel_window`, :func:`k_l2_norm_sq` and :func:`k_star_l2_norm_sq`
+with their defaults.  Those three keep a ``kernel`` argument so the test suite
+can check the window and the quadrature on the :func:`box` kernel, whose
+constants are known in closed form.
+
 The smoothing weight placed on observation i by a window centered at t is
 
     k(t, i; b) = K((t - i) / (T * b)) / sum_j K((t - j) / (T * b)),
@@ -41,7 +48,7 @@ def epanechnikov(x):
 
 
 def box(x):
-    """Box kernel 0.5 on [-1, 1]; used in tests as an alternative kernel."""
+    """Box kernel 0.5 on [-1, 1]; the test suite's closed-form check of the quadrature."""
     x = np.asarray(x, dtype=float)
     out = np.where(np.abs(x) <= 1.0, 0.5, 0.0)
     return out if out.ndim else float(out)

@@ -181,14 +181,8 @@ class TvArchModel:
         u = np.asarray(u, dtype=float)
         return np.stack([np.atleast_1d(c(u)) for c in self.coeffs])
 
-    def contraction_constant(self) -> float:
-        if self.p == 0:
-            return 0.0
-        vals = self.coefficient_values(_CHECK_GRID)[1:]
-        return float(vals.sum(axis=0).max())
-
-    def validate(self) -> None:
-        validate_model(self)
+    def validate(self) -> float:
+        return validate_model(self)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "TvArchModel":
@@ -199,8 +193,11 @@ class TvArchModel:
         return cls(p=p, coeffs=coeffs, noise=noise)
 
 
-def validate_model(model: TvArchModel) -> None:
-    """Grid-check positivity of a_0, non-negativity of lags, and contraction."""
+def validate_model(model: TvArchModel) -> float:
+    """Grid-check positivity of a_0, non-negativity of lags, and contraction.
+
+    Returns the contraction constant max_u sum_j a_j(u) on the grid (0.0 when p = 0).
+    """
     vals = model.coefficient_values(_CHECK_GRID)
     if vals[0].min() <= 0.0:
         u_bad = float(_CHECK_GRID[int(np.argmin(vals[0]))])
@@ -218,6 +215,8 @@ def validate_model(model: TvArchModel) -> None:
         k = int(np.argmax(totals))
         if totals[k] >= 1.0:
             raise ContractionError(float(_CHECK_GRID[k]), float(totals[k]))
+        return float(totals[k])
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -229,6 +228,8 @@ class CoefficientPartition:
     constant: tuple = ()
 
     def __post_init__(self):
+        if self.p < 0:
+            raise InputError("lag order p must be >= 0")
         varying = tuple(sorted(int(i) for i in self.varying))
         constant = tuple(sorted(int(i) for i in self.constant))
         object.__setattr__(self, "varying", varying)
@@ -282,6 +283,8 @@ class ReturnSeries:
         return self.values.shape[0]
 
     def require_length(self, p: int) -> None:
+        if p < 0:
+            raise InputError("lag order p must be >= 0")
         if self.T < p + 2:
             raise InputError(f"need T >= p+2 = {p + 2} observations, got {self.T}")
 

@@ -50,8 +50,8 @@ class CvResult:
     beta: np.ndarray | None = None
 
 
-def _cv_score_tvarch(series, X, W, x2t, b, p, kernel) -> float:
-    win = kernels.kernel_window(series.T, b, kernel)
+def _cv_score_tvarch(series, X, W, x2t, b, p) -> float:
+    win = kernels.kernel_window(series.T, b)
     gram, cross = local_wls(X, x2t[:, None], W, win, leave_out=p)
     try:
         a_loo = _solve_gated(gram, cross, p + 1)[..., 0]
@@ -66,7 +66,6 @@ def cv_bandwidth_tvarch(
     p: int,
     grid: BandwidthGrid | None = None,
     weights=LEVEL,
-    kernel=kernels.epanechnikov,
 ) -> CvResult:
     """Leave-(p+1)-out cross-validation for the fully nonparametric fit."""
     series.require_length(p)
@@ -75,7 +74,7 @@ def cv_bandwidth_tvarch(
     W, _ = resolve_weights(series, p, weights)
     x2t = series.values[p:] ** 2
     bs = grid.bandwidths(series.T)
-    scores = np.array([_cv_score_tvarch(series, X, W, x2t, b, p, kernel) for b in bs])
+    scores = np.array([_cv_score_tvarch(series, X, W, x2t, b, p) for b in bs])
     if not np.any(np.isfinite(scores)):
         raise AllSingularError("every grid bandwidth failed cross-validation")
     best = int(np.nanargmin(scores))
@@ -86,7 +85,6 @@ def cv_bandwidth_semiparametric(
     series: ReturnSeries,
     p: int,
     grid: BandwidthGrid | None = None,
-    kernel=kernels.epanechnikov,
 ) -> CvResult:
     """Joint (beta, b) cross-validation for the constant-lags model.
 
@@ -107,7 +105,7 @@ def cv_bandwidth_semiparametric(
     scores = np.full(bs.shape[0], np.inf)
     betas = [None] * bs.shape[0]
     for i, b in enumerate(bs):
-        win = kernels.kernel_window(series.T, b, kernel)
+        win = kernels.kernel_window(series.T, b)
         s3 = _leaveout_sums(kernels.local_sums(W, win), W, win, p)
         s1 = _leaveout_sums(kernels.local_sums(W * x2t, win), W * x2t, win, p)
         g2 = W[:, None] * N
@@ -144,7 +142,6 @@ def select_lag_order(
     series: ReturnSeries,
     q_max: int = 10,
     grid: BandwidthGrid | None = None,
-    kernel=kernels.epanechnikov,
 ) -> OrderSelection:
     """Information criterion C(p) = log(weighted RSS) + zeta_T (p+1).
 
@@ -157,13 +154,13 @@ def select_lag_order(
         raise InputError("q_max must be >= 0")
     series.require_length(q_max)
     T = series.T
-    cv = cv_bandwidth_tvarch(series, q_max, grid=grid, kernel=kernel)
+    cv = cv_bandwidth_tvarch(series, q_max, grid=grid)
     b = cv.bandwidth
     zeta = float(np.log(np.log(T)) / (T * b))
 
     Wq, _ = resolve_weights(series, q_max, LEVEL)
     x2t = series.values[q_max:] ** 2
-    win = kernels.kernel_window(T, b, kernel)
+    win = kernels.kernel_window(T, b)
     # Every candidate's design is a leading column block of the q_max design
     # over the same rows, weights and window: smooth once, slice per order.
     X = canonical_matrix(series, q_max)

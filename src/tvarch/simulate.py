@@ -85,10 +85,9 @@ def draw_noise(spec: NoiseSpec, n: int, seed: int) -> np.ndarray:
 
 def simulate_path(model: TvArchModel, config: SimulationConfig) -> ReturnSeries:
     """Simulate x_1..x_T from the model under the given config."""
-    model.validate()
+    contraction = model.validate()
     p = model.p
     T = config.T
-    contraction = model.contraction_constant()
     if contraction > 0.9 and config.burn_in < 50:
         warnings.warn(
             f"burn_in={config.burn_in} is short for contraction constant {contraction:.3f};"

@@ -73,14 +73,12 @@ class NonparametricFit:
         return _psd_rcond(self.gram)
 
 
-def nonparametric_fit(
-    series: ReturnSeries, p: int, weights, b: float, kernel=kernels.epanechnikov
-) -> NonparametricFit:
+def nonparametric_fit(series: ReturnSeries, p: int, weights, b: float) -> NonparametricFit:
     """Local weighted least squares fit of the full coefficient vector."""
     series.require_length(p)
     X = canonical_matrix(series, p)
     W, _ = resolve_weights(series, p, weights)
-    win = kernels.kernel_window(series.T, b, kernel)
+    win = kernels.kernel_window(series.T, b)
     gram, cross = local_wls(X, series.values[p:, None] ** 2, W, win)
     a_tilde = _solve_gated(gram, cross, p + 1)[..., 0]
     u = np.arange(p + 1, series.T + 1) / series.T
@@ -111,7 +109,6 @@ def constancy_statistic(
     weights,
     b: float,
     gamma=None,
-    kernel=kernels.epanechnikov,
 ) -> ConstancyStatistic:
     """L2 distance statistic between the full kernel fit and the constant fit.
 
@@ -126,8 +123,8 @@ def constancy_statistic(
     T = series.T
     const_idx = np.asarray(partition.constant, dtype=int)
 
-    npfit = nonparametric_fit(series, p, weights, b, kernel)
-    bfit = estimate_beta(series, partition, weights, b, kernel)
+    npfit = nonparametric_fit(series, p, weights, b)
+    bfit = estimate_beta(series, partition, weights, b)
 
     beta_tilde = npfit.a_tilde[:, const_idx]
     diff = beta_tilde - bfit.beta[None, :]
@@ -137,7 +134,7 @@ def constancy_statistic(
     W, _ = resolve_weights(series, p, weights)
     x2t = series.values[p:] ** 2
     sig_tilde = np.einsum("tk,tk->t", X, npfit.a_tilde)
-    win = kernels.kernel_window(T, b, kernel)
+    win = kernels.kernel_window(T, b)
     o_hat = _local_sandwich(npfit.gram, X, W**2 * (x2t - sig_tilde) ** 2, win)
     o_cc = o_hat[:, const_idx, :][:, :, const_idx]
 
@@ -164,8 +161,8 @@ def constancy_statistic(
     if varpi2 <= 0.0:
         raise DegenerateSeriesError("variance functional of the constancy statistic vanished")
 
-    k2 = kernels.k_l2_norm_sq(kernel)
-    kstar = np.sqrt(kernels.k_star_l2_norm_sq(kernel))
+    k2 = kernels.k_l2_norm_sq()
+    kstar = np.sqrt(kernels.k_star_l2_norm_sq())
     e_t = T * np.sqrt(b) * (s_t - k2 * varpi1 / (T * b)) / (2.0 * kstar * np.sqrt(varpi2))
     return ConstancyStatistic(
         s_t=s_t,
@@ -184,8 +181,8 @@ def _batch_sqrt(stack: np.ndarray) -> np.ndarray:
     return U @ (np.sqrt(lam)[..., None] * U.transpose(0, 2, 1))
 
 
-def _wald_statistic(series, partition, weights, b, kernel):
-    fit = estimate_beta(series, partition, weights, b, kernel)
+def _wald_statistic(series, partition, weights, b):
+    fit = estimate_beta(series, partition, weights, b)
     sigma_sq, _ = fitted_sigma_sq(series, partition, fit)
     cov = covariance_beta(series, fit, sigma_sq)
     lam, U = np.linalg.eigh(cov.v_hat)
@@ -204,9 +201,7 @@ class SecondOrderStatistic:
     d_hat: np.ndarray  # (T,): smoothed squares
 
 
-def second_order_statistic(
-    series: ReturnSeries, p: int, b: float, kernel=kernels.epanechnikov
-) -> SecondOrderStatistic:
+def second_order_statistic(series: ReturnSeries, p: int, b: float) -> SecondOrderStatistic:
     """Truncated least squares statistic for the second-order dynamic.
 
     Centers the squared process at the kernel-smoothed level d_hat, regresses
@@ -220,7 +215,7 @@ def second_order_statistic(
     x_sq = series.values**2
 
     # d_hat over all centers 1..T, averaging the in-range indices i >= p+1.
-    win = kernels.kernel_window(T, b, kernel)
+    win = kernels.kernel_window(T, b)
     mask = np.ones(T)
     mask[:p] = 0.0
     den = kernels.local_sums(mask, win)
@@ -244,14 +239,17 @@ def second_order_statistic(
 # ---------------------------------------------------------------------------
 # Monte-Carlo calibration.
 
+# Draws per replicate before a numerical degeneracy fails the calibration.
+_MAX_RETRIES = 5
 
-def _pivotal_statistic(name, series, p, partition, weights, b, gamma, kernel) -> float:
+
+def _pivotal_statistic(name, series, p, partition, weights, b, gamma) -> float:
     if name == "constancy":
-        return constancy_statistic(series, partition, weights, b, gamma, kernel).e_t
+        return constancy_statistic(series, partition, weights, b, gamma).e_t
     if name == "wald-zero":
-        return _wald_statistic(series, partition, weights, b, kernel)[0]
+        return _wald_statistic(series, partition, weights, b)[0]
     if name == "second-order":
-        return second_order_statistic(series, p, b, kernel).psi
+        return second_order_statistic(series, p, b).psi
     raise InputError(f"unknown pivotal statistic {name!r}")
 
 
@@ -307,32 +305,29 @@ def mc_pivotal_quantiles(
     seed: int,
     statistic: str,
     gamma=None,
-    kernel=kernels.epanechnikov,
     workers: int = 1,
-    max_retries: int = 5,
 ) -> McCalibration:
     """Simulate the null distribution of a pivotal statistic.
 
     Each replicate draws T i.i.d. standard Gaussians and runs the full
     statistic pipeline at the pre-selected bandwidth.  Replicates hitting a
-    numerical degeneracy are redrawn (up to ``max_retries``) so the quantile
-    sample size stays exactly B.
+    numerical degeneracy are redrawn (up to ``_MAX_RETRIES`` draws in all) so
+    the quantile sample size stays exactly B.
     """
     if B < 100:
         raise InputError("Monte-Carlo calibration needs B >= 100")
     if not isinstance(weights_kind, str):
         raise InputError("replicates need a weight scheme name, not a realized array")
-    retried = 0
 
     def one(r: int) -> tuple[float, int]:
-        for attempt in range(max_retries):
+        for attempt in range(_MAX_RETRIES):
             s = derive_seed(seed, r, attempt)
             series = ReturnSeries(generator(s).standard_normal(T))
             try:
-                return _pivotal_statistic(statistic, series, p, partition, weights_kind, b, gamma, kernel), attempt
+                return _pivotal_statistic(statistic, series, p, partition, weights_kind, b, gamma), attempt
             except NumericalError:
                 continue
-        raise NumericalError(f"MC replicate {r} failed after {max_retries} redraws")
+        raise NumericalError(f"MC replicate {r} failed after {_MAX_RETRIES} redraws")
 
     results = _map_ordered(one, B, workers)
     values = np.array([v for v, _ in results])
@@ -389,13 +384,12 @@ def test_constancy(
     seed: int = 0,
     weights: str = LEVEL,
     gamma=None,
-    kernel=kernels.epanechnikov,
     workers: int = 1,
 ) -> TestReport:
     """Test that the constant-block coefficients are non time-varying."""
-    stat = constancy_statistic(series, partition, weights, b, gamma, kernel)
+    stat = constancy_statistic(series, partition, weights, b, gamma)
     cal = mc_pivotal_quantiles(
-        series.T, partition.p, partition, weights, b, B, levels, seed, "constancy", gamma, kernel, workers
+        series.T, partition.p, partition, weights, b, B, levels, seed, "constancy", gamma, workers
     )
     return TestReport(
         name=f"constancy(constant={list(partition.constant)})",
@@ -425,13 +419,12 @@ def test_zero_wald(
     levels=(0.05, 0.10),
     seed: int = 0,
     weights: str = LEVEL,
-    kernel=kernels.epanechnikov,
     workers: int = 1,
 ) -> TestReport:
     """Wald test of H0: constant block equals zero, Monte-Carlo calibrated."""
-    stat, cov, fit = _wald_statistic(series, partition, weights, b, kernel)
+    stat, cov, fit = _wald_statistic(series, partition, weights, b)
     cal = mc_pivotal_quantiles(
-        series.T, partition.p, partition, weights, b, B, levels, seed, "wald-zero", None, kernel, workers
+        series.T, partition.p, partition, weights, b, B, levels, seed, "wald-zero", None, workers
     )
     n = partition.n
     return TestReport(
@@ -484,11 +477,10 @@ def test_second_order(
     levels=(0.05, 0.10),
     seed: int = 0,
     calibration: str = "monte-carlo",
-    kernel=kernels.epanechnikov,
     workers: int = 1,
 ) -> TestReport:
     """Test H0: no second-order dynamic (all lag coefficients zero)."""
-    stat = second_order_statistic(series, p, b, kernel)
+    stat = second_order_statistic(series, p, b)
     if calibration == "asymptotic":
         quantiles = {float(lvl): asymptotic_psi_quantile(p, float(lvl)) for lvl in levels}
         p_value = _psi_upper_tail(p, stat.psi)
@@ -496,7 +488,7 @@ def test_second_order(
         retried = 0
     elif calibration == "monte-carlo":
         cal = mc_pivotal_quantiles(
-            series.T, p, None, LEVEL, b, B, levels, seed, "second-order", None, kernel, workers
+            series.T, p, None, LEVEL, b, B, levels, seed, "second-order", None, workers
         )
         quantiles = cal.quantiles
         p_value = cal.p_value(stat.psi)

@@ -144,6 +144,23 @@ def test_select_bandwidth_cli(sim_csv, tmp_path, capsys):
     assert curve.read_text().splitlines()[0] == "b,score"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["select-bandwidth", "--input", "{csv}", "--p", "1", "--model-kind", "sptv"],
+        ["select-order", "--input", "{csv}", "--q", "2"],
+    ],
+    ids=["select-bandwidth", "select-order"],
+)
+def test_out_writes_the_json_report(sim_csv, tmp_path, capsys, argv):
+    argv = [a.format(csv=sim_csv) for a in argv]
+    out = tmp_path / "report.json"
+    rc1, printed = _run(capsys, argv + ["--json"])
+    rc2, _ = _run(capsys, argv + ["--out", str(out)])
+    assert rc1 == rc2 == 0
+    assert out.read_text() == printed
+
+
 def test_pipeline_cli(sim_csv, capsys):
     argv = ["pipeline", "--input", str(sim_csv), "--q", "3", "--B", "100",
             "--seed", "8", "--json"]
@@ -193,6 +210,21 @@ def test_invalid_partition(sim_csv, capsys):
     )
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--bandwidth", "0.2"],
+        ["test-constancy", "--bandwidth", "0.2"],
+        ["select-bandwidth", "--model-kind", "tv"],
+    ],
+    ids=["fit", "test-constancy", "select-bandwidth"],
+)
+def test_negative_lag_order_reported(sim_csv, capsys, argv):
+    rc = main(argv + ["--input", str(sim_csv), "--p", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err == "input error: lag order p must be >= 0\n"
 
 
 _MODEL_ARGS = ["simulate", "--model", "{model}", "--T", "50", "--out-csv", "{out}"]

@@ -83,8 +83,11 @@ def test_smoothed_moments_box_global_window():
     rng = np.random.default_rng(4)
     s = ReturnSeries(rng.normal(size=30))
     part = CoefficientPartition(p=1, varying=(0, 1), constant=())
-    mom = smoothed_moments(s, part, "level", 1.0, kernel=box)
-    np.testing.assert_allclose(mom.s3, np.broadcast_to(mom.s3[0], mom.s3.shape), rtol=1e-12)
+    # The moments of smoothed_moments, smoothed with a box window over all of [0, 1].
+    M, N = regressor_matrices(s, part)
+    Y = np.concatenate([s.values[1:, None] ** 2, N], axis=1)
+    s3, _ = local_wls(M, Y, level_weights(s, 1), kernel_window(s.T, 1.0, box))
+    np.testing.assert_allclose(s3, np.broadcast_to(s3[0], s3.shape), rtol=1e-12)
 
 
 def test_projection_ratios_scalar_division():

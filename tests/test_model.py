@@ -79,6 +79,8 @@ def test_partition_validation():
         CoefficientPartition(p=2, varying=(0,), constant=(1,))  # missing 2
     with pytest.raises(InputError):
         CoefficientPartition(p=1, varying=(), constant=(0, 1))  # empty varying block
+    with pytest.raises(InputError, match="lag order p must be >= 0"):
+        CoefficientPartition.semiparametric(-1)
     part = CoefficientPartition(p=2, varying=(2, 0), constant=(1,))
     assert part.varying == (0, 2) and part.m == 2 and part.n == 1
 
@@ -94,7 +96,9 @@ def test_validate_model_ok():
     m = TvArchModel(
         p=1, coeffs=(CoefficientFunction.constant(1.0), CoefficientFunction.constant(0.5))
     )
-    validate_model(m)
+    # The contraction constant: the largest lag sum on the grid, 0 without lags.
+    assert validate_model(m) == 0.5
+    assert validate_model(TvArchModel(p=0, coeffs=(CoefficientFunction.constant(1.0),))) == 0.0
 
 
 def test_validate_model_contraction():

@@ -91,6 +91,29 @@ def test_burn_in_warning_for_strong_contraction():
         simulate_path(m, SimulationConfig(T=50, seed=1, burn_in=10))
 
 
+def test_one_check_grid_evaluation_per_path(monkeypatch):
+    # Validation's grid serves both the model checks and the burn-in warning;
+    # only the path's own grid t/T is evaluated besides.
+    m = TvArchModel(
+        p=2,
+        coeffs=(
+            CoefficientFunction.sine(2.0, 1.0),
+            CoefficientFunction.constant(0.3),
+            CoefficientFunction.constant(0.2),
+        ),
+    )
+    shapes = []
+    evaluate = TvArchModel.coefficient_values
+
+    def counted(self, u):
+        shapes.append(np.shape(u))
+        return evaluate(self, u)
+
+    monkeypatch.setattr(TvArchModel, "coefficient_values", counted)
+    simulate_path(m, SimulationConfig(T=500, seed=3))
+    assert shapes == [(1024,), (500,)]
+
+
 def test_local_stationarity_window_mean():
     # Windowed mean of x^2 around t = uT matches the frozen-coefficient
     # stationary mean a0(u) / (1 - a1(u)) within 3 standard errors.

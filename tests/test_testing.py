@@ -18,11 +18,11 @@ from tvarch import test_constancy as run_constancy_test
 from tvarch import test_second_order as run_second_order_test
 from tvarch import test_zero_wald as run_zero_wald_test
 from tvarch.errors import InputError, NumericalError, SingularDesignError
-from tvarch.estimate import estimate_beta
-from tvarch.kernels import box, k_l2_norm_sq, k_star_l2_norm_sq
+from tvarch.estimate import _solve_gated, estimate_beta, local_wls
+from tvarch.kernels import box, k_l2_norm_sq, k_star_l2_norm_sq, kernel_window
+from tvarch.model import canonical_matrix
 from tvarch.simulate import derive_seed
 from tvarch.testing import _wald_statistic, asymptotic_psi_quantile, mc_p_value, mc_quantile
-from tvarch.kernels import epanechnikov
 
 import reference
 
@@ -48,21 +48,19 @@ def test_nonparametric_box_global_equals_stationary_fit():
     rng = np.random.default_rng(1)
     x = rng.normal(size=50) * 1.3
     s = ReturnSeries(x)
-    fit = nonparametric_fit(s, 1, "level", 1.0, kernel=box)
-    # constant in u
-    np.testing.assert_allclose(
-        fit.a_tilde, np.broadcast_to(fit.a_tilde[0], fit.a_tilde.shape), rtol=1e-10
-    )
-    # equals the global weighted least squares fit
-    from tvarch.model import canonical_matrix
-
+    # The local fit of nonparametric_fit, smoothed with a box window over all of [0, 1].
     X = canonical_matrix(s, 1)
     W = reference.level_weights(x, 1)
     x2t = x[1:] ** 2
+    local_gram, cross = local_wls(X, x2t[:, None], W, kernel_window(s.T, 1.0, box))
+    a_tilde = _solve_gated(local_gram, cross, 2)[..., 0]
+    # constant in u
+    np.testing.assert_allclose(a_tilde, np.broadcast_to(a_tilde[0], a_tilde.shape), rtol=1e-10)
+    # equals the global weighted least squares fit
     gram = (W[:, None, None] * X[:, :, None] * X[:, None, :]).sum(0)
     rhs = (W * x2t)[:, None] * X
     want = np.linalg.solve(gram, rhs.sum(0))
-    np.testing.assert_allclose(fit.a_tilde[0], want, rtol=1e-10)
+    np.testing.assert_allclose(a_tilde[0], want, rtol=1e-10)
 
 
 def test_nonparametric_dense_oracle():
@@ -257,7 +255,7 @@ def test_constancy_report_deterministic(tv1_model):
 def test_wald_scalar_statistic(tv1_model):
     s = simulate_path(tv1_model, SimulationConfig(T=300, seed=9))
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
-    stat, cov, fit = _wald_statistic(s, part, "level", 0.2, epanechnikov)
+    stat, cov, fit = _wald_statistic(s, part, "level", 0.2)
     assert stat == pytest.approx(s.T * fit.beta[0] ** 2 / cov.v_hat[0, 0], rel=1e-10)
 
 
@@ -294,7 +292,7 @@ def test_wald_size_on_null_data():
     R = 300
     for r in range(R):
         s = simulate_path(flat, SimulationConfig(T=400, seed=derive_seed(88, r)))
-        stat, _, _ = _wald_statistic(s, part, "level", b, epanechnikov)
+        stat, _, _ = _wald_statistic(s, part, "level", b)
         rej += stat > cal.quantiles[0.10]
     assert 0.06 <= rej / R <= 0.14
 
