@@ -180,19 +180,29 @@ def _certified(gram: np.ndarray) -> bool:
     return True
 
 
-def _solve_gated(gram: np.ndarray, rhs: np.ndarray, first_t: int) -> np.ndarray:
-    """Batched gram^-1 rhs; raises SingularMomentError at the first center failing the gate.
+def _gate(gram: np.ndarray, first_t: int) -> bool:
+    """The rcond gate; raises SingularMomentError at the first center failing it.
 
     The gate is rcond < _RCOND_GATE by eigenvalues (:func:`_psd_rcond`); it
     runs only when the Cholesky certificate fails, so every decision, center
-    and rcond reported is the eigenvalue gate's.
+    and rcond reported is the eigenvalue gate's.  Returns whether the
+    certificate passed; it then vouches for every principal sub-block G_vv
+    too, since lambda_min(G_vv) >= lambda_min(G) (Cauchy interlacing) and
+    tr G_vv <= tr G.
     """
-    if not _certified(gram):
-        rcond = _psd_rcond(gram)
-        bad = rcond < _RCOND_GATE
-        if np.any(bad):
-            r = int(np.argmax(bad))
-            raise SingularMomentError(t=first_t + r, rcond=float(rcond[r]))
+    if _certified(gram):
+        return True
+    rcond = _psd_rcond(gram)
+    bad = rcond < _RCOND_GATE
+    if np.any(bad):
+        r = int(np.argmax(bad))
+        raise SingularMomentError(t=first_t + r, rcond=float(rcond[r]))
+    return False
+
+
+def _solve_gated(gram: np.ndarray, rhs: np.ndarray, first_t: int) -> np.ndarray:
+    """Batched gram^-1 rhs behind the rcond gate of :func:`_gate`."""
+    _gate(gram, first_t)
     return np.linalg.solve(gram, rhs)
 
 
@@ -204,10 +214,9 @@ def _solve_design(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(gram, rhs)
 
 
-def _local_sandwich(gram: np.ndarray, X: np.ndarray, w_mid: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Per-center sandwich G^-1 S G^-1, S the local mean of w_mid X X'."""
-    inv = np.linalg.inv(gram)
-    return inv @ local_wls(X, X[:, :0], w_mid, window)[0] @ inv
+def _local_sandwich(Z: np.ndarray, X: np.ndarray, w_mid: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Per-center Z' S Z, S the local mean of w_mid X X': with Z = G^-1[:, c], block cc of G^-1 S G^-1."""
+    return Z.transpose(0, 2, 1) @ local_wls(X, X[:, :0], w_mid, window)[0] @ Z
 
 
 @dataclass(frozen=True)
@@ -216,18 +225,12 @@ class SmoothedMoments:
 
     s1[r] estimates E(W M x^2), s2[r] estimates E(W M N'), s3[r] estimates
     E(W M M') at u = t/T; cross holds [s1 | s2].  The solves gate s3
-    themselves; ``rcond`` computes its reciprocal condition numbers on demand.
+    themselves.
     """
 
     s3: np.ndarray  # (n_t, m, m)
     cross: np.ndarray  # (n_t, m, 1 + n)
-    bandwidth: float
-    weights_kind: str
     first_t: int
-
-    @property
-    def rcond(self) -> np.ndarray:  # (n_t,)
-        return _psd_rcond(self.s3)
 
     @property
     def s1(self) -> np.ndarray:  # (n_t, m)
@@ -236,10 +239,6 @@ class SmoothedMoments:
     @property
     def s2(self) -> np.ndarray:  # (n_t, m, n)
         return self.cross[..., 1:]
-
-    @property
-    def n_centers(self) -> int:
-        return self.s3.shape[0]
 
 
 def smoothed_moments(
@@ -251,11 +250,11 @@ def smoothed_moments(
     """All-centers smoothed moments of the regression of [x^2, N] on M."""
     p = partition.p
     M, N = regressor_matrices(series, partition)
-    W, kind = resolve_weights(series, p, weights)
+    W, _ = resolve_weights(series, p, weights)
     Y = np.concatenate([series.values[p:, None] ** 2, N], axis=1)
     win = kernels.kernel_window(series.T, b)
     s3, cross = local_wls(M, Y, W, win)
-    return SmoothedMoments(s3=s3, cross=cross, bandwidth=b, weights_kind=kind, first_t=p + 1)
+    return SmoothedMoments(s3=s3, cross=cross, first_t=p + 1)
 
 
 def projection_ratios(moments: SmoothedMoments) -> tuple[np.ndarray, np.ndarray]:
@@ -288,6 +287,15 @@ class BetaFit:
         return float(_psd_rcond(self.local_gram).min())
 
 
+def _residual_wls(M, N, x2t, W, q1, q2) -> tuple:
+    """The beta step given the projection ratios: (beta, x^2 - M'q1, N - q2'M, residual gram)."""
+    v_resid = x2t - np.einsum("tm,tm->t", M, q1)
+    o_resid = N - np.einsum("tmn,tm->tn", q2, M)
+    gram = np.einsum("t,tm,tn->mn", W, o_resid, o_resid)
+    rhs = np.einsum("t,tm,t->m", W, o_resid, v_resid)
+    return _solve_design(gram, rhs, "residual design"), v_resid, o_resid, gram
+
+
 def estimate_beta(
     series: ReturnSeries,
     partition: CoefficientPartition,
@@ -302,14 +310,7 @@ def estimate_beta(
     q1, q2 = projection_ratios(moments)
     W, kind = resolve_weights(series, partition.p, weights)
     x2t = series.values[partition.p :] ** 2
-
-    v_resid = x2t - np.einsum("tm,tm->t", M, q1)
-    o_resid = N - np.einsum("tmn,tm->tn", q2, M)
-    gram = np.einsum("t,tm,tn->mn", W, o_resid, o_resid)
-    rhs = np.einsum("t,tm,t->m", W, o_resid, v_resid)
-
-    beta = _solve_design(gram, rhs, "residual design")
-
+    beta, v_resid, o_resid, gram = _residual_wls(M, N, x2t, W, q1, q2)
     return BetaFit(
         beta=beta,
         o_resid=o_resid,
@@ -426,7 +427,8 @@ def alpha_standard_errors(
     M, _ = regressor_matrices(series, partition)
     W, _ = resolve_weights(series, partition.p, weights)
     win = kernels.kernel_window(series.T, fit.bandwidth)
-    v_u = var_xi_sq * kernels.k_l2_norm_sq() * _local_sandwich(fit.gram, M, W**2 * sigma_sq**2, win)
+    sandwich = _local_sandwich(np.linalg.inv(fit.gram), M, W**2 * sigma_sq**2, win)
+    v_u = var_xi_sq * kernels.k_l2_norm_sq() * sandwich
     diag = np.clip(np.diagonal(v_u, axis1=1, axis2=2), 0.0, None)
     return np.sqrt(diag / (series.T * fit.bandwidth))
 

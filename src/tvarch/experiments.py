@@ -16,6 +16,7 @@ identical critical values.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,11 +202,16 @@ def _rmse_cell(sq_errors: np.ndarray) -> dict:
 
 
 class _QuantileCache:
-    """Shared Monte-Carlo critical values per calibration configuration."""
+    """Shared Monte-Carlo critical values per calibration configuration, each key calibrated once.
+
+    Under ``workers > 1`` a thread asking for a key another thread is calibrating waits on its lock.
+    """
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
         self._store: dict = {}
+        self._locks: dict = {}
+        self._guard = threading.Lock()
 
     def get(self, statistic: str, T: int, p: int, partition, b: float):
         key = (
@@ -215,12 +221,15 @@ class _QuantileCache:
             None if partition is None else (partition.varying, partition.constant),
             round(float(b), 12),
         )
-        if key not in self._store:
-            seed = derive_seed(self.spec.seed, "calibration", statistic, T, p, int(round(b * 1e9)))
-            self._store[key] = mc_pivotal_quantiles(
-                T, p, partition, LEVEL, b, self.spec.B, self.spec.levels, seed, statistic,
-                workers=self.spec.workers,
-            )
+        with self._guard:
+            lock = self._locks.setdefault(key, threading.Lock())
+        with lock:
+            if key not in self._store:
+                seed = derive_seed(self.spec.seed, "calibration", statistic, T, p, int(round(b * 1e9)))
+                self._store[key] = mc_pivotal_quantiles(
+                    T, p, partition, LEVEL, b, self.spec.B, self.spec.levels, seed, statistic,
+                    workers=self.spec.workers,
+                )
         return self._store[key]
 
 

@@ -28,10 +28,10 @@ from .errors import (
 from .estimate import (
     _RCOND_GATE,
     LEVEL,
+    _gate,
     _local_sandwich,
-    _psd_rcond,
+    _residual_wls,
     _solve_design,
-    _solve_gated,
     covariance_beta,
     estimate_beta,
     fitted_sigma_sq,
@@ -66,30 +66,26 @@ class NonparametricFit:
     u: np.ndarray  # (n_t,)
     a_tilde: np.ndarray  # (n_t, p+1), canonical coefficient order
     gram: np.ndarray  # (n_t, p+1, p+1): smoothed W X X' (kappa_u estimates)
+    cross: np.ndarray  # (n_t, p+1, 1): smoothed W X x^2
+    gram_inv: np.ndarray  # (n_t, p+1, p+1): G^-1, from the same solve as a_tilde
+    weights: np.ndarray  # (n_t,)
+    certified: bool  # the Cholesky certificate passed every gram
     bandwidth: float
-
-    @property
-    def rcond(self) -> np.ndarray:  # (n_t,), computed when read
-        return _psd_rcond(self.gram)
 
 
 def nonparametric_fit(series: ReturnSeries, p: int, weights, b: float) -> NonparametricFit:
-    """Local weighted least squares fit of the full coefficient vector."""
+    """Local weighted least squares fit of the full coefficient vector, and G^-1 from the same solve."""
     series.require_length(p)
     X = canonical_matrix(series, p)
     W, _ = resolve_weights(series, p, weights)
     win = kernels.kernel_window(series.T, b)
     gram, cross = local_wls(X, series.values[p:, None] ** 2, W, win)
-    a_tilde = _solve_gated(gram, cross, p + 1)[..., 0]
+    certified = _gate(gram, p + 1)
+    eye = np.broadcast_to(np.eye(p + 1), gram.shape)
+    sol = np.linalg.solve(gram, np.concatenate([cross, eye], axis=2))
     u = np.arange(p + 1, series.T + 1) / series.T
-    return NonparametricFit(u=u, a_tilde=a_tilde, gram=gram, bandwidth=b)
-
-
-def _gamma_sqrt(gamma: np.ndarray) -> np.ndarray:
-    lam, U = np.linalg.eigh(gamma)
-    if lam.min() <= 0.0:
-        raise InputError("gamma must be positive definite")
-    return U @ np.diag(np.sqrt(lam)) @ U.T
+    return NonparametricFit(u=u, a_tilde=sol[..., 0], gram=gram, cross=cross, gram_inv=sol[..., 1:],
+                            weights=W, certified=certified, bandwidth=b)
 
 
 @dataclass(frozen=True)
@@ -112,48 +108,54 @@ def constancy_statistic(
 ) -> ConstancyStatistic:
     """L2 distance statistic between the full kernel fit and the constant fit.
 
-    Computes S_T, the empirical bias/variance functionals, and the pivotal
-    standardization E_T.  ``gamma`` can be None (identity), a constant
-    positive definite n x n matrix, or the experimental string
-    "fit-variance" (per-center inverse of the estimated fit variance).
+    S_T, the bias/variance functionals and the pivotal E_T come in two steps.
+    The partition-free local fit (:func:`nonparametric_fit`) smooths the full
+    design once and yields a_tilde and G^-1.  The per-partition beta step
+    reads its local moments off that fit, s3 = G[v, v], s2 = G[v, c] and
+    s1 = cross[v]; a certified G vouches for G[v, v], else it is gated alone.
+    One more smoothing gives the fit covariance block O_cc = Z' S Z, Z =
+    G^-1[:, c].  ``gamma`` is None (identity) or a positive definite n x n matrix.
     """
     if partition.n == 0:
         raise InputError("constancy test needs a nonempty constant block")
     p = partition.p
     T = series.T
-    const_idx = np.asarray(partition.constant, dtype=int)
+    v = np.asarray(partition.varying, dtype=int)
+    c = np.asarray(partition.constant, dtype=int)
 
     npfit = nonparametric_fit(series, p, weights, b)
-    bfit = estimate_beta(series, partition, weights, b)
-
-    beta_tilde = npfit.a_tilde[:, const_idx]
-    diff = beta_tilde - bfit.beta[None, :]
-
-    # Empirical counterpart of the fit covariance kernel O(u).
     X = canonical_matrix(series, p)
-    W, _ = resolve_weights(series, p, weights)
+    W = npfit.weights
     x2t = series.values[p:] ** 2
+
+    s3 = npfit.gram[:, v[:, None], v]
+    if not npfit.certified:
+        _gate(s3, p + 1)
+    q = np.linalg.solve(s3, np.concatenate([npfit.cross[:, v], npfit.gram[:, v[:, None], c]], axis=2))
+    beta_hat = _residual_wls(X[:, v], X[:, c], x2t, W, q[..., 0], q[..., 1:])[0]
+
+    beta_tilde = npfit.a_tilde[:, c]
+    diff = beta_tilde - beta_hat[None, :]
+
+    # Empirical counterpart of the fit covariance kernel O(u), constant block.
     sig_tilde = np.einsum("tk,tk->t", X, npfit.a_tilde)
     win = kernels.kernel_window(T, b)
-    o_hat = _local_sandwich(npfit.gram, X, W**2 * (x2t - sig_tilde) ** 2, win)
-    o_cc = o_hat[:, const_idx, :][:, :, const_idx]
+    o_cc = _local_sandwich(npfit.gram_inv[:, :, c], X, W**2 * (x2t - sig_tilde) ** 2, win)
 
     if gamma is None:
         g_mat = o_cc
         quad = np.einsum("tn,tn->t", diff, diff)
-    elif isinstance(gamma, str) and gamma == "fit-variance":
-        # Experimental: per-center inverse of the estimated variance kernel.
-        gam = np.linalg.pinv(o_cc)
-        quad = np.einsum("tn,tnk,tk->t", diff, gam, diff)
-        half = _batch_sqrt(gam)
-        g_mat = half @ o_cc @ half
     else:
-        gam = np.asarray(gamma, dtype=float)
-        if gam.shape != (partition.n, partition.n):
-            raise InputError(f"gamma must be {partition.n}x{partition.n}")
-        half = _gamma_sqrt(gam)
+        try:
+            gam = np.asarray(gamma, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError("gamma must be None or a positive definite matrix") from None
+        if gam.shape != (partition.n, partition.n) or not np.linalg.eigvalsh(gam)[0] > 0.0:
+            raise InputError(f"gamma must be a positive definite {partition.n}x{partition.n} matrix")
         quad = np.einsum("tn,nk,tk->t", diff, gam, diff)
-        g_mat = half[None, :, :] @ o_cc @ half[None, :, :]
+        # Gamma O_cc has the traces of its first two powers in common with
+        # Gamma^1/2 O_cc Gamma^1/2, and they are all varpi1 and varpi2 read.
+        g_mat = gam @ o_cc
 
     s_t = float(quad.sum() / T)
     varpi1 = float(np.trace(g_mat, axis1=1, axis2=2).sum() / T)
@@ -169,16 +171,10 @@ def constancy_statistic(
         varpi1=varpi1,
         varpi2=varpi2,
         e_t=float(e_t),
-        beta_hat=bfit.beta,
+        beta_hat=beta_hat,
         beta_tilde=beta_tilde,
         u=npfit.u,
     )
-
-
-def _batch_sqrt(stack: np.ndarray) -> np.ndarray:
-    lam, U = np.linalg.eigh(stack)
-    lam = np.clip(lam, 0.0, None)
-    return U @ (np.sqrt(lam)[..., None] * U.transpose(0, 2, 1))
 
 
 def _wald_statistic(series, partition, weights, b):
@@ -228,11 +224,15 @@ def second_order_statistic(series: ReturnSeries, p: int, b: float) -> SecondOrde
     X = np.column_stack([h_resid[p - j : T - j] for j in range(1, p + 1)])
     a_hat = _solve_design(X.T @ X, X.T @ y, "lag design")
 
-    denom = float((d_hat**2).sum())
-    if denom <= 0.0:
+    d_max = float(d_hat.max())
+    if d_max <= 0.0:
         raise DegenerateSeriesError("smoothed squares are identically zero")
-    sigma_sq_hat = float(T * (d_hat**4).sum() / denom**2)
+    # sigma^2 is scale-free in d_hat: d_hat / max(d_hat) keeps its powers finite.
+    d_rel = d_hat / d_max
+    sigma_sq_hat = float(T * (d_rel**4).sum() / (d_rel**2).sum() ** 2)
     psi = float(T * np.sum(np.maximum(a_hat, 0.0) ** 2) / sigma_sq_hat)
+    if not (np.isfinite(psi) and np.isfinite(sigma_sq_hat)):
+        raise NumericalError(f"second-order statistic is not finite (psi={psi}, sigma^2={sigma_sq_hat})")
     return SecondOrderStatistic(a_hat=a_hat, psi=psi, sigma_sq_hat=sigma_sq_hat, d_hat=d_hat)
 
 
@@ -347,14 +347,17 @@ def mc_pivotal_quantiles(
 class TestReport:
     name: str
     statistic: float
-    pivotal: bool
     mc_quantiles: dict
     p_value: float
     B: int
     seed: int
     bandwidth: float
-    decision: dict
     extra: dict = field(default_factory=dict)
+    pivotal: bool = True
+
+    @property
+    def decision(self) -> dict:
+        return {lvl: ("reject" if self.statistic > q else "accept") for lvl, q in self.mc_quantiles.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -369,10 +372,6 @@ class TestReport:
             "decision": {f"{lvl:g}": d for lvl, d in self.decision.items()},
             "extra": self.extra,
         }
-
-
-def _decisions(stat: float, quantiles: dict) -> dict:
-    return {lvl: ("reject" if stat > q else "accept") for lvl, q in quantiles.items()}
 
 
 def test_constancy(
@@ -394,13 +393,11 @@ def test_constancy(
     return TestReport(
         name=f"constancy(constant={list(partition.constant)})",
         statistic=stat.e_t,
-        pivotal=True,
         mc_quantiles=cal.quantiles,
         p_value=cal.p_value(stat.e_t),
         B=B,
         seed=seed,
         bandwidth=b,
-        decision=_decisions(stat.e_t, cal.quantiles),
         extra={
             "s_t": stat.s_t,
             "varpi1": stat.varpi1,
@@ -430,13 +427,11 @@ def test_zero_wald(
     return TestReport(
         name=f"zero-wald(constant={list(partition.constant)})",
         statistic=stat,
-        pivotal=True,
         mc_quantiles=cal.quantiles,
         p_value=cal.p_value(stat),
         B=B,
         seed=seed,
         bandwidth=b,
-        decision=_decisions(stat, cal.quantiles),
         extra={
             "beta_hat": [float(v) for v in fit.beta],
             "beta_se": [float(v) for v in cov.se],
@@ -499,13 +494,11 @@ def test_second_order(
     return TestReport(
         name=f"second-order(p={p})",
         statistic=stat.psi,
-        pivotal=True,
         mc_quantiles=quantiles,
         p_value=p_value,
         B=B_used,
         seed=seed,
         bandwidth=b,
-        decision=_decisions(stat.psi, quantiles),
         extra={
             "a_hat": [float(v) for v in stat.a_hat],
             "sigma_sq_hat": stat.sigma_sq_hat,

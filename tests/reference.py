@@ -172,6 +172,35 @@ def dense_sandwich(X: np.ndarray, W: np.ndarray, w_mid: np.ndarray, b: float, T:
     return out
 
 
+# Squared L2 norms of the Epanechnikov kernel K and of its overlap function
+# K*(x) = (K conv K)(2x); the autoconvolution is (3/160)(2-u)^3(u^2+6u+4) on
+# [0, 2], and int_{-1}^{1} K*(x)^2 dx = int_0^2 (K conv K)(u)^2 du = 167/770.
+K_L2_SQ = 0.6
+K_STAR_L2_SQ = 167.0 / 770.0
+
+
+def dense_constancy(x: np.ndarray, varying, constant, W: np.ndarray, b: float) -> dict:
+    """The constancy statistic with Gamma = I, from the dense full fit, beta and sandwich.
+
+    S_T = sum_t |a_tilde_c(t) - beta|^2 / T, and varpi1, varpi2 are the traces
+    of O_cc and O_cc^2 averaged over t, O = S^-1 S_mid S^-1 with S_mid the
+    smoothed W^2 (x^2 - X'a_tilde)^2 X X'.
+    """
+    p = len(varying) + len(constant) - 1
+    T = x.shape[0]
+    c = list(constant)
+    X = blocks(x, range(p + 1), (), p)[0]
+    a_tilde = dense_nonparametric(x, p, W, b)
+    beta = dense_semiparametric(x, varying, constant, W, b)["beta"]
+    resid = np.array([x[p + i] ** 2 - X[i] @ a_tilde[i] for i in range(T - p)])
+    o_cc = dense_sandwich(X, W, W**2 * resid**2, b, T, p)[:, c][:, :, c]
+    s_t = sum(float((a_tilde[i, c] - beta) @ (a_tilde[i, c] - beta)) for i in range(T - p)) / T
+    varpi1 = sum(np.trace(o) for o in o_cc) / T
+    varpi2 = sum(np.trace(o @ o) for o in o_cc) / T
+    e_t = T * math.sqrt(b) * (s_t - K_L2_SQ * varpi1 / (T * b)) / (2.0 * math.sqrt(K_STAR_L2_SQ * varpi2))
+    return {"s_t": s_t, "varpi1": varpi1, "varpi2": varpi2, "e_t": e_t, "beta": beta}
+
+
 def dense_alpha_plugin(
     x: np.ndarray, varying, constant, beta, b: float, alpha_init, var_xi_sq: float, mu: float = 0.0,
     floor_rel: float = 1e-12,

@@ -269,3 +269,16 @@ def test_prices_mode_cli(tmp_path, capsys):
     )
     assert rc == 0
     assert json.loads(out)["p_hat"] in (0, 1, 2)
+
+
+def test_dynamic_test_at_extreme_scale_exits_cleanly(sim_csv, capsys):
+    # The fourth powers of the smoothed squares overflow at scale 1e40; psi is
+    # scale-free, so the report must match the unscaled one.
+    argv = ["test-dynamic", "--input", str(sim_csv), "--p", "1", "--bandwidth", "0.2",
+            "--calibration", "asymptotic", "--json"]
+    rc, out = _run(capsys, argv)
+    rc_big, out_big = _run(capsys, argv + ["--scale", "1e40"])
+    assert rc == rc_big == 0
+    report, big = json.loads(out), json.loads(out_big)
+    assert big["statistic"] == pytest.approx(report["statistic"], rel=1e-9)
+    assert big["decision"] == report["decision"]

@@ -419,8 +419,11 @@ def test_alpha_standard_errors_dense_sandwich():
     X = reference.blocks(x, (0, 1, 2), (), p)[0]
     w_mid = np.random.default_rng(42).uniform(0.5, 2.0, size=60 - p)
     win = kernel_window(60, b)
-    gram = local_wls(X, X[:, :0], W, win)[0]
-    assert _max_rel(_local_sandwich(gram, X, w_mid, win), reference.dense_sandwich(X, W, w_mid, b, 60, p)) <= 1e-10
+    inv = np.linalg.inv(local_wls(X, X[:, :0], W, win)[0])
+    want = reference.dense_sandwich(X, W, w_mid, b, 60, p)
+    assert _max_rel(_local_sandwich(inv, X, w_mid, win), want) <= 1e-10
+    # Some columns Z = G^-1[:, c] give the (c, c) block.
+    assert _max_rel(_local_sandwich(inv[:, :, 1:], X, w_mid, win), want[:, 1:, 1:]) <= 1e-10
 
 
 @pytest.mark.parametrize("k", [1, 3, 11])

@@ -1,8 +1,12 @@
+import collections
 import json
+import threading
+import time
 
 import pytest
 
 import tvarch.errors
+import tvarch.experiments
 from tvarch import (
     CoefficientFunction,
     ReturnSeries,
@@ -53,6 +57,26 @@ def test_experiment_deterministic():
     a = run_experiment(spec)
     b = run_experiment(spec)
     assert a == b
+
+
+def test_quantile_cache_calibrates_each_key_once_under_threads(monkeypatch):
+    spec = dict(design="constancy-power", T_list=(200,), replications=30, seed=4, B=100)
+    serial = run_experiment(ExperimentSpec(**spec))
+    original = tvarch.experiments.mc_pivotal_quantiles
+    calls = collections.Counter()
+    lock = threading.Lock()
+
+    def counted(T, p, partition, weights, b, *args, **kwargs):
+        with lock:
+            calls[(T, p, partition, b)] += 1
+        time.sleep(0.05)  # widens the window in which two threads could ask for one key
+        return original(T, p, partition, weights, b, *args, **kwargs)
+
+    monkeypatch.setattr(tvarch.experiments, "mc_pivotal_quantiles", counted)
+    threaded = run_experiment(ExperimentSpec(**spec, workers=2))
+    assert calls and set(calls.values()) == {1}
+    assert sum(calls.values()) < 2 * 2 * spec["replications"]  # keys repeat, so the cache is exercised
+    assert json.dumps(threaded, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
 
 def test_pipeline_bundle_on_sptv_data():

@@ -1,9 +1,12 @@
-"""Property tests: the fits routed through the local weighted-least-squares core
-and the semiparametric cross-validation match the dense oracles on small
-random series, and the certified rcond gate decides exactly as the eigenvalue
-gate."""
+"""Property tests: the fits routed through the local weighted-least-squares core,
+the constancy statistic and the semiparametric cross-validation match the
+dense oracles on small random series, and the certified rcond gate decides
+exactly as the eigenvalue gate."""
+
+import itertools
 
 import numpy as np
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -17,8 +20,8 @@ from tvarch import (
     estimate_beta,
 )
 from tvarch.errors import NumericalError, SingularMomentError
-from tvarch.estimate import _solve_gated
-from tvarch.testing import nonparametric_fit
+from tvarch.estimate import _certified, _psd_rcond, _solve_gated
+from tvarch.testing import constancy_statistic, nonparametric_fit
 
 import reference
 
@@ -47,7 +50,7 @@ def test_nonparametric_fit_matches_dense(seed, T, p, b):
         fit = nonparametric_fit(ReturnSeries(x), p, "level", b)
     except NumericalError:
         assume(False)
-    assume(fit.rcond.min() > _RCOND_MIN)
+    assume(_psd_rcond(fit.gram).min() > _RCOND_MIN)
     want = reference.dense_nonparametric(x, p, reference.level_weights(x, p), b)
     assert _max_rel(fit.a_tilde, want) <= 1e-10
 
@@ -68,6 +71,31 @@ def test_semiparametric_fit_matches_dense(seed, T, p, b, data):
     want = reference.dense_semiparametric(x, varying, constant, reference.level_weights(x, p), b)
     assert _max_rel(fit.beta, want["beta"]) <= 1e-10
     assert _max_rel(af.alpha, want["alpha"]) <= 1e-10
+
+
+def _constancy_partitions(p: int) -> list:
+    """Each coefficient constant on its own, then all lags jointly (p >= 2)."""
+    consts = [(j,) for j in range(p + 1)] + ([tuple(range(1, p + 1))] if p >= 2 else [])
+    return [CoefficientPartition(p=p, varying=tuple(k for k in range(p + 1) if k not in c), constant=c) for c in consts]
+
+
+@pytest.mark.parametrize("weights", ["level", "unit"])
+@given(seed=seeds, T=lengths, p=orders, b=bandwidths)
+def test_constancy_statistic_matches_dense(weights, seed, T, p, b):
+    x = _series(seed, T)
+    s = ReturnSeries(x)
+    try:
+        fit = nonparametric_fit(s, p, weights, b)
+        stats = [constancy_statistic(s, part, weights, b) for part in _constancy_partitions(p)]
+    except NumericalError:
+        assume(False)
+    assume(_psd_rcond(fit.gram).min() > _RCOND_MIN)
+    W = reference.level_weights(x, p) if weights == "level" else np.ones(T - p)
+    for part, got in zip(_constancy_partitions(p), stats):
+        want = reference.dense_constancy(x, part.varying, part.constant, W, b)
+        for name in ("s_t", "varpi1", "varpi2", "e_t"):
+            assert abs(getattr(got, name) - want[name]) <= 1e-10 * abs(want[name]), (part, name)
+        assert _max_rel(got.beta_hat, want["beta"]) <= 1e-10
 
 
 @given(seed=seeds, T=lengths, p=orders, c=st.floats(1.0, 2.0))
@@ -152,3 +180,18 @@ def test_certified_gate_decides_as_eigvalsh_gate(seed, n_t, log_rcond, log_scale
                 assert got[1:] == want[1:]
             else:
                 np.testing.assert_array_equal(got[1], want[1])
+
+
+@given(seed=seeds, n_t=st.integers(1, 6), k=st.integers(2, 5), log_rcond=st.floats(-11.5, -9.0), data=st.data())
+def test_certified_gram_certifies_every_principal_sub_block(seed, n_t, k, log_rcond, data):
+    # Cauchy interlacing: if the certificate passes G, every G[v, v] passes the
+    # eigenvalue gate, which is why the constancy statistic's beta step skips it.
+    rng = np.random.default_rng(seed)
+    log_rconds = rng.uniform(log_rcond, 0.0, n_t)
+    log_rconds[data.draw(st.integers(0, n_t - 1))] = log_rcond
+    gram = _planted_stack(rng, n_t, k, log_rconds, data.draw(st.floats(-3.0, 3.0)))
+    assume(_certified(gram))
+    for size in range(1, k):
+        for v in itertools.combinations(range(k), size):
+            sub = gram[:, list(v)][:, :, list(v)]
+            assert reference.eigvalsh_gate_solve(sub, np.ones((n_t, size, 1)), 5)[0] == "solve"

@@ -17,8 +17,8 @@ from tvarch import (
 from tvarch import test_constancy as run_constancy_test
 from tvarch import test_second_order as run_second_order_test
 from tvarch import test_zero_wald as run_zero_wald_test
-from tvarch.errors import InputError, NumericalError, SingularDesignError
-from tvarch.estimate import _solve_gated, estimate_beta, local_wls
+from tvarch.errors import InputError, NumericalError, SingularDesignError, SingularMomentError
+from tvarch.estimate import _solve_gated, estimate_beta, local_wls, resolve_weights
 from tvarch.kernels import box, k_l2_norm_sq, k_star_l2_norm_sq, kernel_window
 from tvarch.model import canonical_matrix
 from tvarch.simulate import derive_seed
@@ -156,6 +156,47 @@ def test_constancy_statistic_scalar_oracle(tv1_model):
     assert st.varpi2 == pytest.approx(np.sum(varpi2_terms) / T, rel=1e-8)
 
 
+def _quiet_stretch(scale: float, constant: tuple):
+    """A T=200 series whose returns 80..139 are scaled by ``scale``, and a p=2 partition."""
+    x = np.random.default_rng(44).normal(size=200)
+    x[80:140] *= scale
+    part = CoefficientPartition(p=2, varying=tuple(k for k in range(3) if k not in constant), constant=constant)
+    return ReturnSeries(x), part
+
+
+@pytest.mark.parametrize("constant", [(0,), (1,), (2,), (1, 2)])
+def test_constancy_singular_gram_reports_the_eigenvalue_gate(constant):
+    # A quiet stretch of tiny returns makes the full fit's local Gram G nearly
+    # singular there.  Every partition reports the eigenvalue gate's first
+    # failing center of G and its rcond.
+    s, part = _quiet_stretch(1e-5, constant)
+    with pytest.raises(SingularMomentError) as err:
+        constancy_statistic(s, part, "level", 0.1)
+    W, _ = resolve_weights(s, 2, "level")
+    gram, cross = local_wls(canonical_matrix(s, 2), s.values[2:, None] ** 2, W, kernel_window(200, 0.1))
+    want = reference.eigvalsh_gate_solve(gram, cross, 3)
+    assert want[0] == "raise" and 0.0 < want[2] < 1e-12
+    assert (err.value.t, err.value.rcond) == want[1:]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3])
+@pytest.mark.parametrize("constant", [(2,), (1, 2)])
+def test_constancy_beta_step_reads_the_moments_estimate_beta_smooths(scale, constant):
+    # With every varying index before every constant one, G[v, v], G[v, c] and
+    # cross[v] are bit for bit the moments estimate_beta smooths, so beta_hat
+    # agrees exactly.  At scale 1e-3 G is near the gate (rcond ~1e-12): the
+    # certificate fails and G[v, v] passes the eigenvalue gate on its own.
+    s, part = _quiet_stretch(scale, constant)
+    assert nonparametric_fit(s, 2, "level", 0.1).certified == (scale == 1.0)
+    stat = constancy_statistic(s, part, "level", 0.1)
+    np.testing.assert_array_equal(stat.beta_hat, estimate_beta(s, part, "level", 0.1).beta)
+
+
+def test_constancy_rejects_a_gamma_that_is_not_a_matrix(series_mid):
+    with pytest.raises(InputError, match="gamma"):
+        constancy_statistic(series_mid, CoefficientPartition.semiparametric(2), "level", 0.2, gamma="fit-variance")
+
+
 def test_constancy_needs_constant_block(series_small):
     with pytest.raises(InputError):
         constancy_statistic(series_small, CoefficientPartition.fully_varying(2), "level", 0.3)
@@ -170,12 +211,6 @@ def test_constancy_gamma_matrix(series_mid):
     assert st_scaled.s_t == pytest.approx(4.0 * st_id.s_t, rel=1e-10)
     # E_T is invariant to rescaling Gamma (scale cancels between moments).
     assert st_scaled.e_t == pytest.approx(st_id.e_t, rel=1e-8)
-
-
-def test_constancy_gamma_fit_variance_runs(series_mid):
-    part = CoefficientPartition.semiparametric(2)
-    st = constancy_statistic(series_mid, part, "level", 0.2, gamma="fit-variance")
-    assert np.isfinite(st.e_t)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +345,18 @@ def test_second_order_dense_oracle():
     np.testing.assert_allclose(st.a_hat, a_ref, atol=1e-10)
     assert st.sigma_sq_hat == pytest.approx(sig_ref, rel=1e-10)
     assert st.psi == pytest.approx(psi_ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("c", [1e-60, 1e-50, 1e40, 1e60])
+def test_second_order_statistic_is_scale_free(c):
+    # At these scales the fourth powers of the smoothed squares under- or
+    # overflow; psi and the correction factor must not move.
+    x = np.random.default_rng(1).normal(size=1000)
+    base = second_order_statistic(ReturnSeries(x), 2, 0.2)
+    assert base.psi > 0.0
+    st = second_order_statistic(ReturnSeries(c * x), 2, 0.2)
+    assert st.psi == pytest.approx(base.psi, rel=1e-9)
+    assert st.sigma_sq_hat == pytest.approx(base.sigma_sq_hat, rel=1e-9)
 
 
 def test_second_order_needs_lags(series_small):
