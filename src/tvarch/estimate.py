@@ -180,29 +180,23 @@ def _certified(gram: np.ndarray) -> bool:
     return True
 
 
-def _gate(gram: np.ndarray, first_t: int) -> bool:
-    """The rcond gate; raises SingularMomentError at the first center failing it.
+def _solve_gated(gram: np.ndarray, rhs: np.ndarray, first_t: int, certified: bool | None = None) -> np.ndarray:
+    """Batched gram^-1 rhs; raises SingularMomentError at the first center failing the gate.
 
     The gate is rcond < _RCOND_GATE by eigenvalues (:func:`_psd_rcond`); it
     runs only when the Cholesky certificate fails, so every decision, center
-    and rcond reported is the eigenvalue gate's.  Returns whether the
-    certificate passed; it then vouches for every principal sub-block G_vv
-    too, since lambda_min(G_vv) >= lambda_min(G) (Cauchy interlacing) and
-    tr G_vv <= tr G.
+    and rcond reported is the eigenvalue gate's.  A caller that knows the
+    certificate's outcome passes it as ``certified``: True skips the gate,
+    False goes straight to the eigenvalues.  A certified G vouches for every
+    principal block G_vv too: lambda_min(G_vv) >= lambda_min(G) (Cauchy
+    interlacing) and tr G_vv <= tr G.
     """
-    if _certified(gram):
-        return True
-    rcond = _psd_rcond(gram)
-    bad = rcond < _RCOND_GATE
-    if np.any(bad):
-        r = int(np.argmax(bad))
-        raise SingularMomentError(t=first_t + r, rcond=float(rcond[r]))
-    return False
-
-
-def _solve_gated(gram: np.ndarray, rhs: np.ndarray, first_t: int) -> np.ndarray:
-    """Batched gram^-1 rhs behind the rcond gate of :func:`_gate`."""
-    _gate(gram, first_t)
+    if not (_certified(gram) if certified is None else certified):
+        rcond = _psd_rcond(gram)
+        bad = rcond < _RCOND_GATE
+        if np.any(bad):
+            r = int(np.argmax(bad))
+            raise SingularMomentError(t=first_t + r, rcond=float(rcond[r]))
     return np.linalg.solve(gram, rhs)
 
 
@@ -225,12 +219,21 @@ class SmoothedMoments:
 
     s1[r] estimates E(W M x^2), s2[r] estimates E(W M N'), s3[r] estimates
     E(W M M') at u = t/T; cross holds [s1 | s2].  The solves gate s3
-    themselves.
+    themselves; ``certified`` is the certificate outcome handed to
+    :func:`_solve_gated`, when s3 is read off a Gram already gated.
+    ``rcond`` computes its reciprocal condition numbers on demand.
     """
 
     s3: np.ndarray  # (n_t, m, m)
     cross: np.ndarray  # (n_t, m, 1 + n)
+    bandwidth: float
+    weights_kind: str
     first_t: int
+    certified: bool | None = None
+
+    @property
+    def rcond(self) -> np.ndarray:  # (n_t,)
+        return _psd_rcond(self.s3)
 
     @property
     def s1(self) -> np.ndarray:  # (n_t, m)
@@ -239,6 +242,10 @@ class SmoothedMoments:
     @property
     def s2(self) -> np.ndarray:  # (n_t, m, n)
         return self.cross[..., 1:]
+
+    @property
+    def n_centers(self) -> int:
+        return self.s3.shape[0]
 
 
 def smoothed_moments(
@@ -250,16 +257,16 @@ def smoothed_moments(
     """All-centers smoothed moments of the regression of [x^2, N] on M."""
     p = partition.p
     M, N = regressor_matrices(series, partition)
-    W, _ = resolve_weights(series, p, weights)
+    W, kind = resolve_weights(series, p, weights)
     Y = np.concatenate([series.values[p:, None] ** 2, N], axis=1)
     win = kernels.kernel_window(series.T, b)
     s3, cross = local_wls(M, Y, W, win)
-    return SmoothedMoments(s3=s3, cross=cross, first_t=p + 1)
+    return SmoothedMoments(s3=s3, cross=cross, bandwidth=b, weights_kind=kind, first_t=p + 1)
 
 
 def projection_ratios(moments: SmoothedMoments) -> tuple[np.ndarray, np.ndarray]:
     """q1 = s3^-1 s1 and q2 = s3^-1 s2 for every center, from one batched solve."""
-    q = _solve_gated(moments.s3, moments.cross, moments.first_t)
+    q = _solve_gated(moments.s3, moments.cross, moments.first_t, moments.certified)
     return q[..., 0], q[..., 1:]
 
 
@@ -287,30 +294,35 @@ class BetaFit:
         return float(_psd_rcond(self.local_gram).min())
 
 
-def _residual_wls(M, N, x2t, W, q1, q2) -> tuple:
-    """The beta step given the projection ratios: (beta, x^2 - M'q1, N - q2'M, residual gram)."""
-    v_resid = x2t - np.einsum("tm,tm->t", M, q1)
-    o_resid = N - np.einsum("tmn,tm->tn", q2, M)
-    gram = np.einsum("t,tm,tn->mn", W, o_resid, o_resid)
-    rhs = np.einsum("t,tm,t->m", W, o_resid, v_resid)
-    return _solve_design(gram, rhs, "residual design"), v_resid, o_resid, gram
-
-
 def estimate_beta(
     series: ReturnSeries,
     partition: CoefficientPartition,
     weights,
     b: float,
+    moments: SmoothedMoments | None = None,
 ) -> BetaFit:
-    """Weighted least squares on the residualized regression, eq. of the two-step fit."""
+    """Weighted least squares on the residualized regression, eq. of the two-step fit.
+
+    ``moments`` are the partition's smoothed moments when the caller has them
+    already (the constancy statistic reads them off the full fit's Gram);
+    by default they are smoothed here.
+    """
     if partition.n == 0:
         raise InputError("estimate_beta needs a nonempty constant block")
     M, N = regressor_matrices(series, partition)
-    moments = smoothed_moments(series, partition, weights, b)
+    if moments is None:
+        moments = smoothed_moments(series, partition, weights, b)
     q1, q2 = projection_ratios(moments)
     W, kind = resolve_weights(series, partition.p, weights)
     x2t = series.values[partition.p :] ** 2
-    beta, v_resid, o_resid, gram = _residual_wls(M, N, x2t, W, q1, q2)
+
+    v_resid = x2t - np.einsum("tm,tm->t", M, q1)
+    o_resid = N - np.einsum("tmn,tm->tn", q2, M)
+    gram = np.einsum("t,tm,tn->mn", W, o_resid, o_resid)
+    rhs = np.einsum("t,tm,t->m", W, o_resid, v_resid)
+
+    beta = _solve_design(gram, rhs, "residual design")
+
     return BetaFit(
         beta=beta,
         o_resid=o_resid,

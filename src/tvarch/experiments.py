@@ -204,14 +204,14 @@ def _rmse_cell(sq_errors: np.ndarray) -> dict:
 class _QuantileCache:
     """Shared Monte-Carlo critical values per calibration configuration, each key calibrated once.
 
-    Under ``workers > 1`` a thread asking for a key another thread is calibrating waits on its lock.
+    Under ``workers > 1`` a thread asking for a key another thread is calibrating waits on the
+    key's lock; ``dict.setdefault`` hands every thread the same lock.
     """
 
     def __init__(self, spec: ExperimentSpec):
         self.spec = spec
         self._store: dict = {}
         self._locks: dict = {}
-        self._guard = threading.Lock()
 
     def get(self, statistic: str, T: int, p: int, partition, b: float):
         key = (
@@ -221,9 +221,7 @@ class _QuantileCache:
             None if partition is None else (partition.varying, partition.constant),
             round(float(b), 12),
         )
-        with self._guard:
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
+        with self._locks.setdefault(key, threading.Lock()):
             if key not in self._store:
                 seed = derive_seed(self.spec.seed, "calibration", statistic, T, p, int(round(b * 1e9)))
                 self._store[key] = mc_pivotal_quantiles(

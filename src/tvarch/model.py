@@ -53,9 +53,10 @@ class CoefficientFunction:
     and are also what the JSON model configs map onto.
     """
 
-    def __init__(self, fn, name: str = "custom"):
+    def __init__(self, fn, name: str = "custom", lipschitz_hint: float | None = None):
         self._fn = fn
         self.name = name
+        self.lipschitz_hint = lipschitz_hint
 
     def __call__(self, u):
         u_arr = np.asarray(u, dtype=float)
@@ -70,7 +71,7 @@ class CoefficientFunction:
     @classmethod
     def constant(cls, value: float) -> "CoefficientFunction":
         value = float(value)
-        return cls(lambda u: np.full_like(u, value), name=f"constant({value})")
+        return cls(lambda u: np.full_like(u, value), name=f"constant({value})", lipschitz_hint=0.0)
 
     @classmethod
     def sine(cls, offset: float, amplitude: float, frequency: float = 1.0) -> "CoefficientFunction":
@@ -78,6 +79,7 @@ class CoefficientFunction:
         return cls(
             lambda u: offset + amplitude * np.sin(2.0 * np.pi * frequency * u),
             name=f"sine({offset}, {amplitude}, {frequency})",
+            lipschitz_hint=2.0 * np.pi * abs(amplitude) * frequency,
         )
 
     @classmethod
@@ -86,6 +88,7 @@ class CoefficientFunction:
         return cls(
             lambda u: offset + amplitude * np.cos(2.0 * np.pi * frequency * u),
             name=f"cosine({offset}, {amplitude}, {frequency})",
+            lipschitz_hint=2.0 * np.pi * abs(amplitude) * frequency,
         )
 
     @classmethod
@@ -97,7 +100,8 @@ class CoefficientFunction:
         ys = np.array([p[1] for p in pts])
         if xs[0] > 0.0 or xs[-1] < 1.0:
             raise InputError("piecewise_linear knots must span [0, 1]")
-        return cls(lambda u: np.interp(u, xs, ys), name="piecewise_linear")
+        slope = float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
+        return cls(lambda u: np.interp(u, xs, ys), name="piecewise_linear", lipschitz_hint=slope)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "CoefficientFunction":

@@ -28,10 +28,12 @@ from .errors import (
 from .estimate import (
     _RCOND_GATE,
     LEVEL,
-    _gate,
+    SmoothedMoments,
+    _certified,
     _local_sandwich,
-    _residual_wls,
+    _psd_rcond,
     _solve_design,
+    _solve_gated,
     covariance_beta,
     estimate_beta,
     fitted_sigma_sq,
@@ -68,24 +70,28 @@ class NonparametricFit:
     gram: np.ndarray  # (n_t, p+1, p+1): smoothed W X X' (kappa_u estimates)
     cross: np.ndarray  # (n_t, p+1, 1): smoothed W X x^2
     gram_inv: np.ndarray  # (n_t, p+1, p+1): G^-1, from the same solve as a_tilde
-    weights: np.ndarray  # (n_t,)
+    weights_kind: str
     certified: bool  # the Cholesky certificate passed every gram
     bandwidth: float
+
+    @property
+    def rcond(self) -> np.ndarray:  # (n_t,), computed when read
+        return _psd_rcond(self.gram)
 
 
 def nonparametric_fit(series: ReturnSeries, p: int, weights, b: float) -> NonparametricFit:
     """Local weighted least squares fit of the full coefficient vector, and G^-1 from the same solve."""
     series.require_length(p)
     X = canonical_matrix(series, p)
-    W, _ = resolve_weights(series, p, weights)
+    W, kind = resolve_weights(series, p, weights)
     win = kernels.kernel_window(series.T, b)
     gram, cross = local_wls(X, series.values[p:, None] ** 2, W, win)
-    certified = _gate(gram, p + 1)
+    certified = _certified(gram)
     eye = np.broadcast_to(np.eye(p + 1), gram.shape)
-    sol = np.linalg.solve(gram, np.concatenate([cross, eye], axis=2))
+    sol = _solve_gated(gram, np.concatenate([cross, eye], axis=2), p + 1, certified)
     u = np.arange(p + 1, series.T + 1) / series.T
     return NonparametricFit(u=u, a_tilde=sol[..., 0], gram=gram, cross=cross, gram_inv=sol[..., 1:],
-                            weights=W, certified=certified, bandwidth=b)
+                            weights_kind=kind, certified=certified, bandwidth=b)
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,9 @@ def constancy_statistic(
     S_T, the bias/variance functionals and the pivotal E_T come in two steps.
     The partition-free local fit (:func:`nonparametric_fit`) smooths the full
     design once and yields a_tilde and G^-1.  The per-partition beta step
-    reads its local moments off that fit, s3 = G[v, v], s2 = G[v, c] and
-    s1 = cross[v]; a certified G vouches for G[v, v], else it is gated alone.
+    (:func:`estimate_beta`) reads its local moments off that fit, s3 = G[v, v],
+    s2 = G[v, c] and s1 = cross[v]; a certified G vouches for G[v, v], else it
+    is gated alone.
     One more smoothing gives the fit covariance block O_cc = Z' S Z, Z =
     G^-1[:, c].  ``gamma`` is None (identity) or a positive definite n x n matrix.
     """
@@ -124,18 +131,16 @@ def constancy_statistic(
     c = np.asarray(partition.constant, dtype=int)
 
     npfit = nonparametric_fit(series, p, weights, b)
+    cross = np.concatenate([npfit.cross[:, v], npfit.gram[:, v[:, None], c]], axis=2)  # [s1 | s2]
+    moments = SmoothedMoments(s3=npfit.gram[:, v[:, None], v], cross=cross, bandwidth=b,
+                              weights_kind=npfit.weights_kind, first_t=p + 1, certified=npfit.certified)
+    bfit = estimate_beta(series, partition, weights, b, moments=moments)
     X = canonical_matrix(series, p)
-    W = npfit.weights
-    x2t = series.values[p:] ** 2
-
-    s3 = npfit.gram[:, v[:, None], v]
-    if not npfit.certified:
-        _gate(s3, p + 1)
-    q = np.linalg.solve(s3, np.concatenate([npfit.cross[:, v], npfit.gram[:, v[:, None], c]], axis=2))
-    beta_hat = _residual_wls(X[:, v], X[:, c], x2t, W, q[..., 0], q[..., 1:])[0]
+    W = bfit.weights
+    x2t = bfit.x_sq
 
     beta_tilde = npfit.a_tilde[:, c]
-    diff = beta_tilde - beta_hat[None, :]
+    diff = beta_tilde - bfit.beta[None, :]
 
     # Empirical counterpart of the fit covariance kernel O(u), constant block.
     sig_tilde = np.einsum("tk,tk->t", X, npfit.a_tilde)
@@ -171,7 +176,7 @@ def constancy_statistic(
         varpi1=varpi1,
         varpi2=varpi2,
         e_t=float(e_t),
-        beta_hat=beta_hat,
+        beta_hat=bfit.beta,
         beta_tilde=beta_tilde,
         u=npfit.u,
     )
@@ -347,17 +352,14 @@ def mc_pivotal_quantiles(
 class TestReport:
     name: str
     statistic: float
+    pivotal: bool
     mc_quantiles: dict
     p_value: float
     B: int
     seed: int
     bandwidth: float
+    decision: dict
     extra: dict = field(default_factory=dict)
-    pivotal: bool = True
-
-    @property
-    def decision(self) -> dict:
-        return {lvl: ("reject" if self.statistic > q else "accept") for lvl, q in self.mc_quantiles.items()}
 
     def to_dict(self) -> dict:
         return {
@@ -372,6 +374,10 @@ class TestReport:
             "decision": {f"{lvl:g}": d for lvl, d in self.decision.items()},
             "extra": self.extra,
         }
+
+
+def _decisions(stat: float, quantiles: dict) -> dict:
+    return {lvl: ("reject" if stat > q else "accept") for lvl, q in quantiles.items()}
 
 
 def test_constancy(
@@ -393,11 +399,13 @@ def test_constancy(
     return TestReport(
         name=f"constancy(constant={list(partition.constant)})",
         statistic=stat.e_t,
+        pivotal=True,
         mc_quantiles=cal.quantiles,
         p_value=cal.p_value(stat.e_t),
         B=B,
         seed=seed,
         bandwidth=b,
+        decision=_decisions(stat.e_t, cal.quantiles),
         extra={
             "s_t": stat.s_t,
             "varpi1": stat.varpi1,
@@ -427,11 +435,13 @@ def test_zero_wald(
     return TestReport(
         name=f"zero-wald(constant={list(partition.constant)})",
         statistic=stat,
+        pivotal=True,
         mc_quantiles=cal.quantiles,
         p_value=cal.p_value(stat),
         B=B,
         seed=seed,
         bandwidth=b,
+        decision=_decisions(stat, cal.quantiles),
         extra={
             "beta_hat": [float(v) for v in fit.beta],
             "beta_se": [float(v) for v in cov.se],
@@ -494,11 +504,13 @@ def test_second_order(
     return TestReport(
         name=f"second-order(p={p})",
         statistic=stat.psi,
+        pivotal=True,
         mc_quantiles=quantiles,
         p_value=p_value,
         B=B_used,
         seed=seed,
         bandwidth=b,
+        decision=_decisions(stat.psi, quantiles),
         extra={
             "a_hat": [float(v) for v in stat.a_hat],
             "sigma_sq_hat": stat.sigma_sq_hat,

@@ -50,7 +50,7 @@ def test_nonparametric_fit_matches_dense(seed, T, p, b):
         fit = nonparametric_fit(ReturnSeries(x), p, "level", b)
     except NumericalError:
         assume(False)
-    assume(_psd_rcond(fit.gram).min() > _RCOND_MIN)
+    assume(fit.rcond.min() > _RCOND_MIN)
     want = reference.dense_nonparametric(x, p, reference.level_weights(x, p), b)
     assert _max_rel(fit.a_tilde, want) <= 1e-10
 
