@@ -152,51 +152,114 @@ def local_wls(
     return gram, s[:, a.shape[0] :].reshape(n, k, Y.shape[1])
 
 
-# If gram - _CERTIFY_SHIFT * trace * I is positive definite, then lambda_min >
-# _CERTIFY_SHIFT * trace >= _CERTIFY_SHIFT * lambda_max: rcond is above ten
-# times the gate, a margin that dwarfs the rounding of Cholesky and eigvalsh.
+# lambda_max <= tr G and lambda_min >= 1 / tr G^-1, so rcond >= 1 / (tr G tr G^-1).
+# The certificate asks that bound to clear ten times the gate: the bound is
+# loose by at most k^2, and the margin dwarfs the rounding of the factor, whose
+# tr G^-1 is relatively accurate to about k eps / rcond.
 _CERTIFY_SHIFT = 10.0 * _RCOND_GATE
-# Smaller shifts are left to the eigenvalues: near the subnormals rounding is
-# no longer relative, and the margin argument above fails.
+# Traces with _CERTIFY_SHIFT * tr G below this are left to the eigenvalues:
+# near the subnormals rounding is no longer relative, and the margin fails.
 _CERTIFY_MIN_SHIFT = np.finfo(float).tiny / np.finfo(float).eps
 
 
-def _certified(gram: np.ndarray) -> bool:
-    """True if every matrix in the stack provably passes the rcond gate.
+def _columns(stack: np.ndarray) -> np.ndarray:
+    """(n_t, a, b) -> (a, b, n_t) with every entry a contiguous column over the centers."""
+    return np.ascontiguousarray(stack.transpose(1, 2, 0))
 
-    One batched Cholesky of gram - _CERTIFY_SHIFT * trace * I stands in for
-    the eigenvalues.  LAPACK lets NaN through a Cholesky, so non-finite
-    stacks are never certified.
+
+def _cholesky(G: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of a (k, k, n_t) stack of symmetric matrices, or None.
+
+    Column-vector numpy ops over the centers, one pass per column of L, so
+    LAPACK's per-matrix cost is not paid; only the lower triangle is read.
+    None when a pivot is not positive (or is NaN) at some center.
+    """
+    k = G.shape[0]
+    L = np.zeros(G.shape)
+    for j in range(k):
+        d = G[j, j] - np.einsum("pn,pn->n", L[j, :j], L[j, :j])
+        if not (d > 0.0).all():
+            return None
+        L[j, j] = np.sqrt(d)
+        L[j + 1 :, j] = (G[j + 1 :, j] - np.einsum("ipn,pn->in", L[j + 1 :, :j], L[j, :j])) / L[j, j]
+    return L
+
+
+def _certify(gram: np.ndarray) -> np.ndarray | None:
+    """The Cholesky factor of a (n_t, k, k) stack if every matrix provably passes the gate, else None.
+
+    The stack is certified when every pivot is positive and tr G tr G^-1 <=
+    1 / _CERTIFY_SHIFT at every center, with tr G^-1 = ||L^-1||_F^2 summed
+    one column of L^-1 at a time.  Non-finite stacks, and traces too small
+    for relative rounding (_CERTIFY_MIN_SHIFT), are never certified.  The
+    factor is in :func:`_cholesky`'s layout, the one :func:`_solve_gated`
+    takes.
     """
     if not np.isfinite(gram).all():
-        return False
-    shift = _CERTIFY_SHIFT * np.trace(gram, axis1=-2, axis2=-1)
+        return None
+    shift = _CERTIFY_SHIFT * np.einsum("nii->n", gram)
     if not np.all((shift >= _CERTIFY_MIN_SHIFT) & (shift < np.inf)):
-        return False
-    try:
-        np.linalg.cholesky(gram - shift[..., None, None] * np.eye(gram.shape[-1]))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
+    L = _cholesky(_columns(gram))
+    if L is None:
+        return None
+    k = L.shape[0]
+    tr_inv = np.zeros_like(shift)
+    for q in range(k):
+        # Column q of L^-1, from row q down, by forward substitution.
+        y = np.empty((k - q,) + shift.shape)
+        y[0] = 1.0 / L[q, q]
+        for i in range(1, k - q):
+            y[i] = np.einsum("pn,pn->n", L[q + i, q : q + i], y[:i]) / -L[q + i, q + i]
+        tr_inv += np.einsum("in,in->n", y, y)
+    return L if np.all(shift * tr_inv <= 1.0) else None
 
 
-def _solve_gated(gram: np.ndarray, rhs: np.ndarray, first_t: int, certified: bool | None = None) -> np.ndarray:
+def _certified(gram: np.ndarray) -> bool:
+    """True if every matrix in the stack provably passes the rcond gate (:func:`_certify`)."""
+    return _certify(gram) is not None
+
+
+def _cholesky_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(n_t, k, c) solutions of L L' x = rhs: two substitutions over all columns at once."""
+    y = np.array(rhs.transpose(1, 2, 0), order="C")  # a copy, overwritten in place
+    for i in range(L.shape[0]):
+        y[i] = (y[i] - np.einsum("pn,pcn->cn", L[i, :i], y[:i])) / L[i, i]
+    for i in reversed(range(L.shape[0])):
+        y[i] = (y[i] - np.einsum("pn,pcn->cn", L[i + 1 :, i], y[i + 1 :])) / L[i, i]
+    return np.ascontiguousarray(y.transpose(2, 0, 1))
+
+
+def _solve_gated(
+    gram: np.ndarray,
+    rhs: np.ndarray,
+    first_t: int,
+    certified: bool | None = None,
+    factor: np.ndarray | None = None,
+) -> np.ndarray:
     """Batched gram^-1 rhs; raises SingularMomentError at the first center failing the gate.
 
-    The gate is rcond < _RCOND_GATE by eigenvalues (:func:`_psd_rcond`); it
-    runs only when the Cholesky certificate fails, so every decision, center
-    and rcond reported is the eigenvalue gate's.  A caller that knows the
-    certificate's outcome passes it as ``certified``: True skips the gate,
-    False goes straight to the eigenvalues.  A certified G vouches for every
-    principal block G_vv too: lambda_min(G_vv) >= lambda_min(G) (Cauchy
-    interlacing) and tr G_vv <= tr G.
+    The gate is rcond < _RCOND_GATE by eigenvalues (:func:`_psd_rcond`).  It
+    runs only when the trace-bound certificate (:func:`_certify`) fails, and
+    then the solve is LAPACK's, so every decision, center and rcond reported
+    is the eigenvalue gate's.  A certified stack is solved with the
+    certificate's own Cholesky factor; rhs columns of the identity give G^-1.
+
+    A caller that knows the certificate's outcome passes it: ``factor`` is a
+    factor :func:`_certify` returned; ``certified`` True vouches for the
+    stack, which is then factored without the bound; False goes straight to
+    the eigenvalues.  A certified G vouches for every principal block G_vv:
+    lambda_min(G_vv) >= lambda_min(G) (Cauchy interlacing) and tr G_vv <= tr G.
     """
-    if not (_certified(gram) if certified is None else certified):
-        rcond = _psd_rcond(gram)
-        bad = rcond < _RCOND_GATE
-        if np.any(bad):
-            r = int(np.argmax(bad))
-            raise SingularMomentError(t=first_t + r, rcond=float(rcond[r]))
+    if factor is None and certified is not False:
+        factor = _certify(gram) if certified is None else _cholesky(_columns(gram))
+    if factor is not None:
+        return _cholesky_solve(factor, rhs)
+    rcond = _psd_rcond(gram)
+    bad = rcond < _RCOND_GATE
+    if np.any(bad):
+        r = int(np.argmax(bad))
+        raise SingularMomentError(t=first_t + r, rcond=float(rcond[r]))
     return np.linalg.solve(gram, rhs)
 
 
@@ -219,8 +282,8 @@ class SmoothedMoments:
 
     s1[r] estimates E(W M x^2), s2[r] estimates E(W M N'), s3[r] estimates
     E(W M M') at u = t/T; cross holds [s1 | s2].  The solves gate s3
-    themselves; ``certified`` is the certificate outcome handed to
-    :func:`_solve_gated`, when s3 is read off a Gram already gated.
+    themselves; ``certified`` is handed to :func:`_solve_gated`: True when s3
+    is a principal block of a certified Gram, None to certify s3 here.
     ``rcond`` computes its reciprocal condition numbers on demand.
     """
 
@@ -439,7 +502,8 @@ def alpha_standard_errors(
     M, _ = regressor_matrices(series, partition)
     W, _ = resolve_weights(series, partition.p, weights)
     win = kernels.kernel_window(series.T, fit.bandwidth)
-    sandwich = _local_sandwich(np.linalg.inv(fit.gram), M, W**2 * sigma_sq**2, win)
+    eye = np.broadcast_to(np.eye(partition.m), fit.gram.shape)
+    sandwich = _local_sandwich(_solve_gated(fit.gram, eye, partition.p + 1), M, W**2 * sigma_sq**2, win)
     v_u = var_xi_sq * kernels.k_l2_norm_sq() * sandwich
     diag = np.clip(np.diagonal(v_u, axis1=1, axis2=2), 0.0, None)
     return np.sqrt(diag / (series.T * fit.bandwidth))

@@ -50,13 +50,15 @@ class CvResult:
     beta: np.ndarray | None = None
 
 
+def _all_singular(what: str, last: Exception | None) -> AllSingularError:
+    """AllSingularError for ``what``, naming the last singularity caught (center and rcond)."""
+    return AllSingularError(what if last is None else f"{what}; last: {last}")
+
+
 def _cv_score_tvarch(series, X, W, x2t, b, p) -> float:
     win = kernels.kernel_window(series.T, b)
     gram, cross = local_wls(X, x2t[:, None], W, win, leave_out=p)
-    try:
-        a_loo = _solve_gated(gram, cross, p + 1)[..., 0]
-    except SingularMomentError:
-        return np.inf
+    a_loo = _solve_gated(gram, cross, p + 1)[..., 0]
     resid = x2t - np.einsum("tk,tk->t", X, a_loo)
     return float(np.sum(W * resid**2))
 
@@ -74,9 +76,15 @@ def cv_bandwidth_tvarch(
     W, _ = resolve_weights(series, p, weights)
     x2t = series.values[p:] ** 2
     bs = grid.bandwidths(series.T)
-    scores = np.array([_cv_score_tvarch(series, X, W, x2t, b, p) for b in bs])
+    scores = np.full(bs.shape[0], np.inf)
+    last = None
+    for i, b in enumerate(bs):
+        try:
+            scores[i] = _cv_score_tvarch(series, X, W, x2t, b, p)
+        except SingularMomentError as err:
+            last = err
     if not np.any(np.isfinite(scores)):
-        raise AllSingularError("every grid bandwidth failed cross-validation")
+        raise _all_singular("every grid bandwidth failed cross-validation", last) from last
     best = int(np.nanargmin(scores))
     return CvResult(bandwidth=float(bs[best]), bandwidths=bs, scores=scores)
 
@@ -104,6 +112,7 @@ def cv_bandwidth_semiparametric(
 
     scores = np.full(bs.shape[0], np.inf)
     betas = [None] * bs.shape[0]
+    last = None
     for i, b in enumerate(bs):
         win = kernels.kernel_window(series.T, b)
         s3 = _leaveout_sums(kernels.local_sums(W, win), W, win, p)
@@ -117,13 +126,14 @@ def cv_bandwidth_semiparametric(
         gram = np.einsum("t,tm,tn->mn", W, Z, Z)
         try:
             beta = _solve_design(gram, np.einsum("t,tm,t->m", W, Z, y), "residual design")
-        except SingularDesignError:
+        except SingularDesignError as err:
+            last = err
             continue
         resid = y - Z @ beta
         scores[i] = float(np.sum(W * resid**2))
         betas[i] = beta
     if not np.any(np.isfinite(scores)):
-        raise AllSingularError("every grid bandwidth failed cross-validation")
+        raise _all_singular("every grid bandwidth failed cross-validation", last) from last
     best = int(np.nanargmin(scores))
     return CvResult(bandwidth=float(bs[best]), bandwidths=bs, scores=scores, beta=betas[best])
 
@@ -166,18 +176,20 @@ def select_lag_order(
     X = canonical_matrix(series, q_max)
     gram, cross = local_wls(X, x2t[:, None], Wq, win)
     rss = np.empty(q_max + 1)
+    last = None
     for p in range(q_max + 1):
         k = p + 1
         try:
             a_fit = _solve_gated(gram[:, :k, :k], cross[:, :k], q_max + 1)[..., 0]
-        except SingularMomentError:
+        except SingularMomentError as err:
             rss[p] = np.inf
+            last = err
             continue
         resid = x2t - np.einsum("tk,tk->t", X[:, :k], a_fit)
         rss[p] = float(np.sum(Wq * resid**2))
 
     if not np.any(np.isfinite(rss)):
-        raise AllSingularError("every candidate order failed")
+        raise _all_singular("every candidate order failed", last) from last
     criteria = np.log(rss) + zeta * (np.arange(q_max + 1) + 1.0)
     p_hat = int(np.nanargmin(criteria))
     return OrderSelection(

@@ -29,7 +29,7 @@ from .estimate import (
     _RCOND_GATE,
     LEVEL,
     SmoothedMoments,
-    _certified,
+    _certify,
     _local_sandwich,
     _psd_rcond,
     _solve_design,
@@ -80,18 +80,21 @@ class NonparametricFit:
 
 
 def nonparametric_fit(series: ReturnSeries, p: int, weights, b: float) -> NonparametricFit:
-    """Local weighted least squares fit of the full coefficient vector, and G^-1 from the same solve."""
+    """Local weighted least squares fit of the full coefficient vector, and G^-1 from the same solve.
+
+    The certificate's Cholesky factor of G serves the solve, so G is factored once.
+    """
     series.require_length(p)
     X = canonical_matrix(series, p)
     W, kind = resolve_weights(series, p, weights)
     win = kernels.kernel_window(series.T, b)
     gram, cross = local_wls(X, series.values[p:, None] ** 2, W, win)
-    certified = _certified(gram)
+    factor = _certify(gram)
     eye = np.broadcast_to(np.eye(p + 1), gram.shape)
-    sol = _solve_gated(gram, np.concatenate([cross, eye], axis=2), p + 1, certified)
+    sol = _solve_gated(gram, np.concatenate([cross, eye], axis=2), p + 1, factor is not None, factor)
     u = np.arange(p + 1, series.T + 1) / series.T
     return NonparametricFit(u=u, a_tilde=sol[..., 0], gram=gram, cross=cross, gram_inv=sol[..., 1:],
-                            weights_kind=kind, certified=certified, bandwidth=b)
+                            weights_kind=kind, certified=factor is not None, bandwidth=b)
 
 
 @dataclass(frozen=True)
@@ -133,7 +136,7 @@ def constancy_statistic(
     npfit = nonparametric_fit(series, p, weights, b)
     cross = np.concatenate([npfit.cross[:, v], npfit.gram[:, v[:, None], c]], axis=2)  # [s1 | s2]
     moments = SmoothedMoments(s3=npfit.gram[:, v[:, None], v], cross=cross, bandwidth=b,
-                              weights_kind=npfit.weights_kind, first_t=p + 1, certified=npfit.certified)
+                              weights_kind=npfit.weights_kind, first_t=p + 1, certified=npfit.certified or None)
     bfit = estimate_beta(series, partition, weights, b, moments=moments)
     X = canonical_matrix(series, p)
     W = bfit.weights

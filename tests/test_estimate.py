@@ -460,6 +460,34 @@ def test_solve_gated_certificate_margin():
     assert err.value.t == 3 and err.value.rcond == pytest.approx(10.0**-12.5, rel=1e-3)
 
 
+def test_certificate_leaves_near_subnormal_traces_to_the_eigenvalues():
+    # A well-conditioned stack whose trace is too small for relative rounding
+    # is not certified; the eigenvalue gate passes it and LAPACK solves it.
+    rhs = np.ones((2, 3, 1))
+    for scale in (1e-290, 1e-300):
+        stack = scale * np.broadcast_to(np.diag([1.0, 2.0, 3.0]), (2, 3, 3))
+        assert not _certified(stack)
+        np.testing.assert_array_equal(_solve_gated(stack, rhs, 1), np.linalg.solve(stack, rhs))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 11])
+def test_certified_solve_and_inverse_match_dense(k):
+    # Well-conditioned stacks take the certified route: its Cholesky solutions
+    # and the G^-1 read off identity columns match per-matrix dense solves.
+    rng = np.random.default_rng(17 + k)
+    n_t = 40
+    A = rng.normal(size=(n_t, k, 3 * k))
+    gram = 10.0 ** rng.uniform(-3.0, 3.0, (n_t, 1, 1)) * (A @ A.transpose(0, 2, 1)) / (3 * k)
+    rhs = rng.normal(size=(n_t, k, 2))
+    assert _certified(gram)
+    sol = _solve_gated(gram, np.concatenate([rhs, np.broadcast_to(np.eye(k), gram.shape)], axis=2), 1)
+    want_x = np.stack([np.linalg.solve(G, b) for G, b in zip(gram, rhs)])
+    want_inv = np.stack([np.linalg.inv(G) for G in gram])
+    for r in range(n_t):
+        assert _max_rel(sol[r, :, :2], want_x[r]) <= 1e-10
+        assert _max_rel(sol[r, :, 2:], want_inv[r]) <= 1e-10
+
+
 def test_plugin_no_flooring_on_healthy_run(sptv2_model):
     s = simulate_path(sptv2_model, SimulationConfig(T=1500, seed=101))
     part = CoefficientPartition.semiparametric(2)

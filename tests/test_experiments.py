@@ -3,6 +3,7 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import tvarch.errors
@@ -102,6 +103,17 @@ def test_pipeline_variance_only_data():
         assert bundle["fit"]["model"] == "tv(0)"
         assert "variance_curve" in bundle["fit"]
     assert "error" not in bundle
+
+
+def test_pipeline_singular_grid_names_the_failing_center():
+    # At scale 1e-4 the raw rcond of every local Gram falls below the gate,
+    # so order selection fails; the error names a failing center and its rcond.
+    x = np.random.default_rng(3).normal(size=500)
+    bundle = run_pipeline(ReturnSeries(1e-4 * x), q_max=3, B=100, seed=1)
+    assert bundle["error"]["stage"] == "order-selection"
+    assert bundle["error"]["type"] == "AllSingularError"
+    assert "every grid bandwidth failed" in bundle["error"]["message"]
+    assert "at t=" in bundle["error"]["message"] and "rcond=" in bundle["error"]["message"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

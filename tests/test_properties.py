@@ -1,9 +1,10 @@
 """Property tests: the fits routed through the local weighted-least-squares core,
 the constancy statistic and the semiparametric cross-validation match the
 dense oracles on small random series, and the certified rcond gate decides
-exactly as the eigenvalue gate."""
+exactly as the eigenvalue gate and certifies only what that gate passes."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,20 @@ def _with_defect(gram: np.ndarray, r: int, defect: str) -> np.ndarray:
     return out
 
 
+_EPS = np.finfo(float).eps
+
+
+def _backward_error(gram, rhs, x):
+    """Normwise backward error ||G x - b|| / (||G|| ||x|| + ||b||) per center and column.
+
+    The residual is formed in extended precision so that its own rounding
+    does not count against the solve."""
+    G, X, B = (np.asarray(a, dtype=np.longdouble) for a in (gram, x, rhs))
+    resid = np.linalg.norm((G @ X - B).astype(float), axis=1)
+    g_norm = np.linalg.norm(gram, ord=2, axis=(1, 2))
+    return resid / (g_norm[:, None] * np.linalg.norm(x, axis=1) + np.linalg.norm(rhs, axis=1))
+
+
 def _gate_outcome(gram, rhs):
     try:
         return ("solve", _solve_gated(gram, rhs, 5))
@@ -173,13 +188,37 @@ def test_certified_gate_decides_as_eigvalsh_gate(seed, n_t, log_rcond, log_scale
         rhs = rng.normal(size=(n_t, k, 2))
         defects = [_with_defect(gram, defective, d) for d in ("nan", "inf", "zero", "indefinite")]
         for stack in [gram, margin] + defects:
-            got = _gate_outcome(stack, rhs)
+            with warnings.catch_warnings():
+                # A stack the factor rejects must not reach sqrt or a division.
+                warnings.simplefilter("error", RuntimeWarning)
+                got = _gate_outcome(stack, rhs)
             want = reference.eigvalsh_gate_solve(stack, rhs, 5)
             assert got[0] == want[0]
             if got[0] == "raise":
                 assert got[1:] == want[1:]
+            elif _certified(stack):
+                # The certified route solves with its own Cholesky factor, not LU.
+                assert _backward_error(stack, rhs, got[1]).max() <= 4 * k * _EPS
+                lam = np.linalg.eigvalsh(stack)
+                kappa = lam[:, -1] / lam[:, 0]
+                forward = np.linalg.norm(got[1] - want[1], axis=1) / np.linalg.norm(want[1], axis=1)
+                assert np.all(forward <= 8 * k * _EPS * kappa[:, None])
             else:
                 np.testing.assert_array_equal(got[1], want[1])
+
+
+@given(
+    seed=seeds, n_t=st.integers(1, 6), k=st.integers(1, 11), log_rcond=st.floats(-13.0, -9.0), log_scale=st.floats(-3.0, 3.0)
+)
+def test_certificate_is_sound(seed, n_t, k, log_rcond, log_scale):
+    # tr G tr G^-1 bounds 1 / rcond from above, so whatever the certificate
+    # passes clears 1e-11 by eigenvalues, up to their rounding.
+    rng = np.random.default_rng(seed)
+    log_rconds = rng.uniform(log_rcond, min(log_rcond + 3.0, 0.0), n_t)
+    log_rconds[rng.integers(n_t)] = log_rcond
+    gram = _planted_stack(rng, n_t, k, log_rconds, log_scale)
+    if _certified(gram):
+        assert _psd_rcond(gram).min() >= 1e-11 * (1.0 - 1e-6)
 
 
 @given(seed=seeds, n_t=st.integers(1, 6), k=st.integers(2, 5), log_rcond=st.floats(-11.5, -9.0), data=st.data())

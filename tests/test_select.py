@@ -15,7 +15,7 @@ from tvarch import (
     simulate_path,
 )
 from tvarch import select
-from tvarch.errors import AllSingularError, InputError, SingularDesignError
+from tvarch.errors import AllSingularError, InputError, SingularDesignError, SingularMomentError
 from tvarch.simulate import derive_seed
 
 import reference
@@ -79,9 +79,12 @@ def test_cv_semiparametric_skips_singular_residual_design(monkeypatch):
     solve_design = select._solve_design
     monkeypatch.setattr(select, "_solve_design", spy)
     s = ReturnSeries(np.where(np.arange(80) % 2, 1.0, -1.0))
-    with pytest.raises(AllSingularError):
+    with pytest.raises(AllSingularError) as err:
         cv_bandwidth_semiparametric(s, 2, grid=BandwidthGrid(multipliers=(1.0, 1.5)))
     assert len(raised) == 2
+    # The error names the last singular design and chains it.
+    assert err.value.__cause__ is raised[-1]
+    assert str(raised[-1]) in str(err.value) and "rcond=" in str(err.value)
 
 
 def test_cv_semiparametric_inner_beta_close_to_estimator(sptv2_model):
@@ -132,6 +135,19 @@ def test_consistency_condition_growth(tv1_model):
         sel = select_lag_order(s, q_max=3)
         vals.append(T ** (2.0 / 3.0) * sel.zeta)
     assert vals[0] < vals[1] < vals[2]
+
+
+def test_select_order_all_singular_names_the_last_center(monkeypatch, series_mid):
+    # The 1 x 1 order-0 Gram passes any finite gate, so every order failing is
+    # staged here: the bandwidth is fixed and each gated solve fails.
+    def singular(gram, rhs, first_t):
+        raise SingularMomentError(t=first_t + gram.shape[-1], rcond=1e-13)
+
+    monkeypatch.setattr(select, "_solve_gated", singular)
+    monkeypatch.setattr(select, "cv_bandwidth_tvarch", lambda *a, **k: select.CvResult(0.2, np.array([0.2]), np.ones(1)))
+    with pytest.raises(AllSingularError, match=r"every candidate order failed; last: .* at t=6 \(rcond=1\.000e-13\)") as err:
+        select_lag_order(series_mid, q_max=2)
+    assert isinstance(err.value.__cause__, SingularMomentError)
 
 
 def test_select_order_recovers_truth_easy_case():

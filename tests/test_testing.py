@@ -17,6 +17,7 @@ from tvarch import (
 from tvarch import test_constancy as run_constancy_test
 from tvarch import test_second_order as run_second_order_test
 from tvarch import test_zero_wald as run_zero_wald_test
+from tvarch import estimate
 from tvarch.errors import InputError, NumericalError, SingularDesignError, SingularMomentError
 from tvarch.estimate import _solve_gated, estimate_beta, local_wls, resolve_weights
 from tvarch.kernels import box, k_l2_norm_sq, k_star_l2_norm_sq, kernel_window
@@ -190,6 +191,29 @@ def test_constancy_beta_step_reads_the_moments_estimate_beta_smooths(scale, cons
     assert nonparametric_fit(s, 2, "level", 0.1).certified == (scale == 1.0)
     stat = constancy_statistic(s, part, "level", 0.1)
     np.testing.assert_array_equal(stat.beta_hat, estimate_beta(s, part, "level", 0.1).beta)
+
+
+def test_nonparametric_fit_factors_its_gram_once(series_mid, monkeypatch):
+    # The certificate's Cholesky factor is the one the solve uses: one factor,
+    # and neither LAPACK's solve, its Cholesky nor the eigenvalues run.
+    factored = []
+
+    def spy(G):
+        factored.append(G.shape)
+        return cholesky(G)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK ran on a certified Gram")
+
+    cholesky = estimate._cholesky
+    monkeypatch.setattr(estimate, "_cholesky", spy)
+    for name in ("solve", "cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    fit = nonparametric_fit(series_mid, 2, "level", 0.2)
+    assert fit.certified and factored == [(3, 3, series_mid.T - 2)]
+    monkeypatch.undo()
+    want = np.linalg.inv(fit.gram)
+    assert np.all(np.abs(fit.gram_inv - want).max(axis=(1, 2)) <= 1e-10 * np.abs(want).max(axis=(1, 2)))
 
 
 def test_constancy_rejects_a_gamma_that_is_not_a_matrix(series_mid):
