@@ -19,7 +19,7 @@ import numpy as np
 from .data import IngestSpec, load_series
 from .errors import InputError, NumericalError, TvArchError
 from .estimate import fit_semiparametric
-from .experiments import SCHEMA_VERSION, ExperimentSpec, run_experiment, run_pipeline
+from .experiments import DESIGNS, SCHEMA_VERSION, ExperimentSpec, run_experiment, run_pipeline
 from .model import CoefficientPartition, NoiseSpec, TvArchModel
 from .select import BandwidthGrid, cv_bandwidth_semiparametric, cv_bandwidth_tvarch, select_lag_order
 from .simulate import SimulationConfig, simulate_path
@@ -465,8 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_pipeline)
 
     sp = sub.add_parser("experiment", help="reproduce a simulation design at desk scale")
-    sp.add_argument("--design", required=True,
-                    choices=("rmse", "constancy-power", "dynamic-coverage", "order-selection"))
+    sp.add_argument("--design", required=True, choices=tuple(DESIGNS))
     sp.add_argument("--T", default=None, help="comma-separated sample sizes")
     sp.add_argument("--R", type=int, default=200, help="replications")
     sp.add_argument("--noise", default="gaussian", help="gaussian or t<df> (e.g. t9)")

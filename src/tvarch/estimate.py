@@ -192,7 +192,7 @@ def _certify(gram: np.ndarray) -> np.ndarray | None:
     1 / _CERTIFY_SHIFT at every center, with tr G^-1 = ||L^-1||_F^2 summed
     one column of L^-1 at a time.  Non-finite stacks, and traces too small
     for relative rounding (_CERTIFY_MIN_SHIFT), are never certified.  The
-    factor is in :func:`_cholesky`'s layout, the one :func:`_solve_gated`
+    factor is in :func:`_cholesky`'s layout, the one :func:`_cholesky_solve`
     takes.
     """
     if not np.isfinite(gram).all():
@@ -215,11 +215,6 @@ def _certify(gram: np.ndarray) -> np.ndarray | None:
     return L if np.all(shift * tr_inv <= 1.0) else None
 
 
-def _certified(gram: np.ndarray) -> bool:
-    """True if every matrix in the stack provably passes the rcond gate (:func:`_certify`)."""
-    return _certify(gram) is not None
-
-
 def _cholesky_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """(n_t, k, c) solutions of L L' x = rhs: two substitutions over all columns at once."""
     y = np.array(rhs.transpose(1, 2, 0), order="C")  # a copy, overwritten in place
@@ -230,13 +225,7 @@ def _cholesky_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(y.transpose(2, 0, 1))
 
 
-def _solve_gated(
-    gram: np.ndarray,
-    rhs: np.ndarray,
-    first_t: int,
-    certified: bool | None = None,
-    factor: np.ndarray | None = None,
-) -> np.ndarray:
+def _solve_gated(gram: np.ndarray, rhs: np.ndarray, first_t: int) -> np.ndarray:
     """Batched gram^-1 rhs; raises SingularMomentError at the first center failing the gate.
 
     The gate is rcond < _RCOND_GATE by eigenvalues (:func:`_psd_rcond`).  It
@@ -244,15 +233,8 @@ def _solve_gated(
     then the solve is LAPACK's, so every decision, center and rcond reported
     is the eigenvalue gate's.  A certified stack is solved with the
     certificate's own Cholesky factor; rhs columns of the identity give G^-1.
-
-    A caller that knows the certificate's outcome passes it: ``factor`` is a
-    factor :func:`_certify` returned; ``certified`` True vouches for the
-    stack, which is then factored without the bound; False goes straight to
-    the eigenvalues.  A certified G vouches for every principal block G_vv:
-    lambda_min(G_vv) >= lambda_min(G) (Cauchy interlacing) and tr G_vv <= tr G.
     """
-    if factor is None and certified is not False:
-        factor = _certify(gram) if certified is None else _cholesky(_columns(gram))
+    factor = _certify(gram)
     if factor is not None:
         return _cholesky_solve(factor, rhs)
     rcond = _psd_rcond(gram)
@@ -281,22 +263,13 @@ class SmoothedMoments:
     """Kernel-smoothed local moments per center t = p+1..T.
 
     s1[r] estimates E(W M x^2), s2[r] estimates E(W M N'), s3[r] estimates
-    E(W M M') at u = t/T; cross holds [s1 | s2].  The solves gate s3
-    themselves; ``certified`` is handed to :func:`_solve_gated`: True when s3
-    is a principal block of a certified Gram, None to certify s3 here.
-    ``rcond`` computes its reciprocal condition numbers on demand.
+    E(W M M') at u = t/T; cross holds [s1 | s2].  :func:`projection_ratios`
+    gates s3 when it solves it.
     """
 
     s3: np.ndarray  # (n_t, m, m)
     cross: np.ndarray  # (n_t, m, 1 + n)
-    bandwidth: float
-    weights_kind: str
     first_t: int
-    certified: bool | None = None
-
-    @property
-    def rcond(self) -> np.ndarray:  # (n_t,)
-        return _psd_rcond(self.s3)
 
     @property
     def s1(self) -> np.ndarray:  # (n_t, m)
@@ -305,10 +278,6 @@ class SmoothedMoments:
     @property
     def s2(self) -> np.ndarray:  # (n_t, m, n)
         return self.cross[..., 1:]
-
-    @property
-    def n_centers(self) -> int:
-        return self.s3.shape[0]
 
 
 def smoothed_moments(
@@ -320,16 +289,16 @@ def smoothed_moments(
     """All-centers smoothed moments of the regression of [x^2, N] on M."""
     p = partition.p
     M, N = regressor_matrices(series, partition)
-    W, kind = resolve_weights(series, p, weights)
+    W, _ = resolve_weights(series, p, weights)
     Y = np.concatenate([series.values[p:, None] ** 2, N], axis=1)
     win = kernels.kernel_window(series.T, b)
     s3, cross = local_wls(M, Y, W, win)
-    return SmoothedMoments(s3=s3, cross=cross, bandwidth=b, weights_kind=kind, first_t=p + 1)
+    return SmoothedMoments(s3=s3, cross=cross, first_t=p + 1)
 
 
 def projection_ratios(moments: SmoothedMoments) -> tuple[np.ndarray, np.ndarray]:
     """q1 = s3^-1 s1 and q2 = s3^-1 s2 for every center, from one batched solve."""
-    q = _solve_gated(moments.s3, moments.cross, moments.first_t, moments.certified)
+    q = _solve_gated(moments.s3, moments.cross, moments.first_t)
     return q[..., 0], q[..., 1:]
 
 

@@ -44,7 +44,7 @@ from .testing import (
     test_second_order,
 )
 
-__all__ = ["SCHEMA_VERSION", "run_pipeline", "ExperimentSpec", "run_experiment"]
+__all__ = ["SCHEMA_VERSION", "run_pipeline", "DESIGNS", "ExperimentSpec", "run_experiment"]
 
 SCHEMA_VERSION = 1
 
@@ -157,8 +157,6 @@ def run_pipeline(
 # ---------------------------------------------------------------------------
 # Experiment designs.
 
-_DESIGNS = ("rmse", "constancy-power", "dynamic-coverage", "order-selection")
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -174,17 +172,15 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
-        if self.design not in _DESIGNS:
-            raise InputError(f"unknown design {self.design!r}; pick one of {_DESIGNS}")
+        if self.design not in DESIGNS:
+            raise InputError(f"unknown design {self.design!r}; pick one of {tuple(DESIGNS)}")
         if self.replications < 30:
             raise InputError("statistical acceptance runs need at least 30 replications")
-        defaults = {
-            "rmse": (500, 1500),
-            "constancy-power": (1000, 2000),
-            "dynamic-coverage": (500, 1000),
-            "order-selection": (500, 1000, 2000),
-        }
-        T_list = tuple(int(t) for t in self.T_list) or defaults[self.design]
+        if self.calibration not in ("monte-carlo", "asymptotic"):
+            raise InputError(f"unknown calibration {self.calibration!r}; pick monte-carlo or asymptotic")
+        if not all(0.0 < lvl < 1.0 for lvl in self.levels):
+            raise InputError(f"levels must lie in (0, 1), got {self.levels}")
+        T_list = tuple(int(t) for t in self.T_list) or DESIGNS[self.design][1]
         object.__setattr__(self, "T_list", T_list)
 
 
@@ -417,15 +413,18 @@ def _noise_name(noise: NoiseSpec) -> str:
     return noise.law if noise.law == "gaussian" else f"t({noise.df})"
 
 
+# Each design's runner and its default sample sizes.
+DESIGNS = {
+    "rmse": (_rmse_design, (500, 1500)),
+    "constancy-power": (_constancy_design, (1000, 2000)),
+    "dynamic-coverage": (_coverage_design, (500, 1000)),
+    "order-selection": (_order_design, (500, 1000, 2000)),
+}
+
+
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run one simulation design and return its result table with MC errors."""
-    runner = {
-        "rmse": _rmse_design,
-        "constancy-power": _constancy_design,
-        "dynamic-coverage": _coverage_design,
-        "order-selection": _order_design,
-    }[spec.design]
-    rows = runner(spec)
+    rows = DESIGNS[spec.design][0](spec)
     return {
         "schema_version": SCHEMA_VERSION,
         "design": spec.design,

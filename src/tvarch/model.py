@@ -53,10 +53,9 @@ class CoefficientFunction:
     and are also what the JSON model configs map onto.
     """
 
-    def __init__(self, fn, name: str = "custom", lipschitz_hint: float | None = None):
+    def __init__(self, fn, name: str = "custom"):
         self._fn = fn
         self.name = name
-        self.lipschitz_hint = lipschitz_hint
 
     def __call__(self, u):
         u_arr = np.asarray(u, dtype=float)
@@ -71,7 +70,7 @@ class CoefficientFunction:
     @classmethod
     def constant(cls, value: float) -> "CoefficientFunction":
         value = float(value)
-        return cls(lambda u: np.full_like(u, value), name=f"constant({value})", lipschitz_hint=0.0)
+        return cls(lambda u: np.full_like(u, value), name=f"constant({value})")
 
     @classmethod
     def sine(cls, offset: float, amplitude: float, frequency: float = 1.0) -> "CoefficientFunction":
@@ -79,7 +78,6 @@ class CoefficientFunction:
         return cls(
             lambda u: offset + amplitude * np.sin(2.0 * np.pi * frequency * u),
             name=f"sine({offset}, {amplitude}, {frequency})",
-            lipschitz_hint=2.0 * np.pi * abs(amplitude) * frequency,
         )
 
     @classmethod
@@ -88,7 +86,6 @@ class CoefficientFunction:
         return cls(
             lambda u: offset + amplitude * np.cos(2.0 * np.pi * frequency * u),
             name=f"cosine({offset}, {amplitude}, {frequency})",
-            lipschitz_hint=2.0 * np.pi * abs(amplitude) * frequency,
         )
 
     @classmethod
@@ -100,8 +97,7 @@ class CoefficientFunction:
         ys = np.array([p[1] for p in pts])
         if xs[0] > 0.0 or xs[-1] < 1.0:
             raise InputError("piecewise_linear knots must span [0, 1]")
-        slope = float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
-        return cls(lambda u: np.interp(u, xs, ys), name="piecewise_linear", lipschitz_hint=slope)
+        return cls(lambda u: np.interp(u, xs, ys), name="piecewise_linear")
 
     @classmethod
     def from_config(cls, cfg: dict) -> "CoefficientFunction":

@@ -29,9 +29,7 @@ from .estimate import (
     _RCOND_GATE,
     LEVEL,
     SmoothedMoments,
-    _certify,
     _local_sandwich,
-    _psd_rcond,
     _solve_design,
     _solve_gated,
     covariance_beta,
@@ -70,31 +68,23 @@ class NonparametricFit:
     gram: np.ndarray  # (n_t, p+1, p+1): smoothed W X X' (kappa_u estimates)
     cross: np.ndarray  # (n_t, p+1, 1): smoothed W X x^2
     gram_inv: np.ndarray  # (n_t, p+1, p+1): G^-1, from the same solve as a_tilde
-    weights_kind: str
-    certified: bool  # the Cholesky certificate passed every gram
     bandwidth: float
-
-    @property
-    def rcond(self) -> np.ndarray:  # (n_t,), computed when read
-        return _psd_rcond(self.gram)
 
 
 def nonparametric_fit(series: ReturnSeries, p: int, weights, b: float) -> NonparametricFit:
-    """Local weighted least squares fit of the full coefficient vector, and G^-1 from the same solve.
+    """Local weighted least squares fit of the full coefficient vector.
 
-    The certificate's Cholesky factor of G serves the solve, so G is factored once.
+    One gated solve against [cross | I] gives a_tilde and G^-1, so G is factored once.
     """
     series.require_length(p)
     X = canonical_matrix(series, p)
-    W, kind = resolve_weights(series, p, weights)
+    W, _ = resolve_weights(series, p, weights)
     win = kernels.kernel_window(series.T, b)
     gram, cross = local_wls(X, series.values[p:, None] ** 2, W, win)
-    factor = _certify(gram)
     eye = np.broadcast_to(np.eye(p + 1), gram.shape)
-    sol = _solve_gated(gram, np.concatenate([cross, eye], axis=2), p + 1, factor is not None, factor)
+    sol = _solve_gated(gram, np.concatenate([cross, eye], axis=2), p + 1)
     u = np.arange(p + 1, series.T + 1) / series.T
-    return NonparametricFit(u=u, a_tilde=sol[..., 0], gram=gram, cross=cross, gram_inv=sol[..., 1:],
-                            weights_kind=kind, certified=factor is not None, bandwidth=b)
+    return NonparametricFit(u=u, a_tilde=sol[..., 0], gram=gram, cross=cross, gram_inv=sol[..., 1:], bandwidth=b)
 
 
 @dataclass(frozen=True)
@@ -121,8 +111,9 @@ def constancy_statistic(
     The partition-free local fit (:func:`nonparametric_fit`) smooths the full
     design once and yields a_tilde and G^-1.  The per-partition beta step
     (:func:`estimate_beta`) reads its local moments off that fit, s3 = G[v, v],
-    s2 = G[v, c] and s1 = cross[v]; a certified G vouches for G[v, v], else it
-    is gated alone.
+    s2 = G[v, c] and s1 = cross[v], and gates G[v, v] itself.  Whenever G
+    passed the trace-bound certificate, so does G[v, v]: tr G_vv <= tr G, and
+    tr G_vv^-1 <= tr (G^-1)_vv <= tr G^-1 (a Schur complement).
     One more smoothing gives the fit covariance block O_cc = Z' S Z, Z =
     G^-1[:, c].  ``gamma`` is None (identity) or a positive definite n x n matrix.
     """
@@ -135,8 +126,7 @@ def constancy_statistic(
 
     npfit = nonparametric_fit(series, p, weights, b)
     cross = np.concatenate([npfit.cross[:, v], npfit.gram[:, v[:, None], c]], axis=2)  # [s1 | s2]
-    moments = SmoothedMoments(s3=npfit.gram[:, v[:, None], v], cross=cross, bandwidth=b,
-                              weights_kind=npfit.weights_kind, first_t=p + 1, certified=npfit.certified or None)
+    moments = SmoothedMoments(s3=npfit.gram[:, v[:, None], v], cross=cross, first_t=p + 1)
     bfit = estimate_beta(series, partition, weights, b, moments=moments)
     X = canonical_matrix(series, p)
     W = bfit.weights
@@ -355,20 +345,23 @@ def mc_pivotal_quantiles(
 class TestReport:
     name: str
     statistic: float
-    pivotal: bool
     mc_quantiles: dict
     p_value: float
     B: int
     seed: int
     bandwidth: float
-    decision: dict
     extra: dict = field(default_factory=dict)
+
+    @property
+    def decision(self) -> dict:
+        """'reject' at every level whose critical value the statistic exceeds, else 'accept'."""
+        return {lvl: ("reject" if self.statistic > q else "accept") for lvl, q in self.mc_quantiles.items()}
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "statistic": self.statistic,
-            "pivotal": self.pivotal,
+            "pivotal": True,
             "mc_quantiles": {f"{lvl:g}": q for lvl, q in self.mc_quantiles.items()},
             "p_value": self.p_value,
             "B": self.B,
@@ -377,10 +370,6 @@ class TestReport:
             "decision": {f"{lvl:g}": d for lvl, d in self.decision.items()},
             "extra": self.extra,
         }
-
-
-def _decisions(stat: float, quantiles: dict) -> dict:
-    return {lvl: ("reject" if stat > q else "accept") for lvl, q in quantiles.items()}
 
 
 def test_constancy(
@@ -402,13 +391,11 @@ def test_constancy(
     return TestReport(
         name=f"constancy(constant={list(partition.constant)})",
         statistic=stat.e_t,
-        pivotal=True,
         mc_quantiles=cal.quantiles,
         p_value=cal.p_value(stat.e_t),
         B=B,
         seed=seed,
         bandwidth=b,
-        decision=_decisions(stat.e_t, cal.quantiles),
         extra={
             "s_t": stat.s_t,
             "varpi1": stat.varpi1,
@@ -438,13 +425,11 @@ def test_zero_wald(
     return TestReport(
         name=f"zero-wald(constant={list(partition.constant)})",
         statistic=stat,
-        pivotal=True,
         mc_quantiles=cal.quantiles,
         p_value=cal.p_value(stat),
         B=B,
         seed=seed,
         bandwidth=b,
-        decision=_decisions(stat, cal.quantiles),
         extra={
             "beta_hat": [float(v) for v in fit.beta],
             "beta_se": [float(v) for v in cov.se],
@@ -507,13 +492,11 @@ def test_second_order(
     return TestReport(
         name=f"second-order(p={p})",
         statistic=stat.psi,
-        pivotal=True,
         mc_quantiles=quantiles,
         p_value=p_value,
         B=B_used,
         seed=seed,
         bandwidth=b,
-        decision=_decisions(stat.psi, quantiles),
         extra={
             "a_hat": [float(v) for v in stat.a_hat],
             "sigma_sq_hat": stat.sigma_sq_hat,

@@ -19,7 +19,7 @@ from tvarch import (
     smoothed_moments,
 )
 from tvarch.errors import DegenerateSeriesError, InputError, SingularDesignError, SingularMomentError
-from tvarch.estimate import _certified, _local_sandwich, _solve_gated, fitted_sigma_sq, local_wls
+from tvarch.estimate import _certify, _local_sandwich, _solve_gated, fitted_sigma_sq, local_wls
 from tvarch.kernels import box, kernel_window
 from tvarch.model import regressor_matrices
 from tvarch.simulate import derive_seed
@@ -448,12 +448,12 @@ def test_solve_gated_certificate_margin():
     Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
     stack = np.stack([(Q * 10.0 ** np.linspace(0.0, e, 3)) @ Q.T for e in (-9.0, -11.5, -12.5)])
     stack = 0.5 * (stack + stack.transpose(0, 2, 1))
-    assert _certified(stack[:1]) and not _certified(stack[:2])
+    assert _certify(stack[:1]) is not None and _certify(stack[:2]) is None
     rhs = np.ones((3, 3, 1))
     np.testing.assert_array_equal(_solve_gated(stack[:2], rhs[:2], 1), np.linalg.solve(stack[:2], rhs[:2]))
     # Near the subnormals only the eigenvalues decide.
     tiny = 1e-300 * stack[:1]
-    assert not _certified(tiny)
+    assert _certify(tiny) is None
     np.testing.assert_array_equal(_solve_gated(tiny, rhs[:1], 1), np.linalg.solve(tiny, rhs[:1]))
     with pytest.raises(SingularMomentError) as err:
         _solve_gated(stack, rhs, 1)
@@ -466,7 +466,7 @@ def test_certificate_leaves_near_subnormal_traces_to_the_eigenvalues():
     rhs = np.ones((2, 3, 1))
     for scale in (1e-290, 1e-300):
         stack = scale * np.broadcast_to(np.diag([1.0, 2.0, 3.0]), (2, 3, 3))
-        assert not _certified(stack)
+        assert _certify(stack) is None
         np.testing.assert_array_equal(_solve_gated(stack, rhs, 1), np.linalg.solve(stack, rhs))
 
 
@@ -479,7 +479,7 @@ def test_certified_solve_and_inverse_match_dense(k):
     A = rng.normal(size=(n_t, k, 3 * k))
     gram = 10.0 ** rng.uniform(-3.0, 3.0, (n_t, 1, 1)) * (A @ A.transpose(0, 2, 1)) / (3 * k)
     rhs = rng.normal(size=(n_t, k, 2))
-    assert _certified(gram)
+    assert _certify(gram) is not None
     sol = _solve_gated(gram, np.concatenate([rhs, np.broadcast_to(np.eye(k), gram.shape)], axis=2), 1)
     want_x = np.stack([np.linalg.solve(G, b) for G, b in zip(gram, rhs)])
     want_inv = np.stack([np.linalg.inv(G) for G in gram])

@@ -28,6 +28,18 @@ def test_experiment_spec_validation():
     assert spec.T_list == (500, 1500)
 
 
+def test_experiment_spec_rejects_an_unknown_calibration():
+    # A misspelt calibration must not fall back to Monte-Carlo and echo the typo.
+    with pytest.raises(InputError, match="asymptotc"):
+        ExperimentSpec(design="dynamic-coverage", calibration="asymptotc")
+
+
+@pytest.mark.parametrize("levels", [(1.5,), (0.05, 0.0), (-0.1,), (1.0,)])
+def test_experiment_spec_rejects_levels_outside_the_unit_interval(levels):
+    with pytest.raises(InputError, match="levels"):
+        ExperimentSpec(design="rmse", levels=levels)
+
+
 def test_rmse_design_small():
     spec = ExperimentSpec(design="rmse", T_list=(300,), replications=30, seed=1)
     out = run_experiment(spec)

@@ -21,7 +21,7 @@ from tvarch import (
     estimate_beta,
 )
 from tvarch.errors import NumericalError, SingularMomentError
-from tvarch.estimate import _certified, _psd_rcond, _solve_gated
+from tvarch.estimate import _certify, _psd_rcond, _solve_gated
 from tvarch.testing import constancy_statistic, nonparametric_fit
 
 import reference
@@ -51,7 +51,7 @@ def test_nonparametric_fit_matches_dense(seed, T, p, b):
         fit = nonparametric_fit(ReturnSeries(x), p, "level", b)
     except NumericalError:
         assume(False)
-    assume(fit.rcond.min() > _RCOND_MIN)
+    assume(_psd_rcond(fit.gram).min() > _RCOND_MIN)
     want = reference.dense_nonparametric(x, p, reference.level_weights(x, p), b)
     assert _max_rel(fit.a_tilde, want) <= 1e-10
 
@@ -196,7 +196,7 @@ def test_certified_gate_decides_as_eigvalsh_gate(seed, n_t, log_rcond, log_scale
             assert got[0] == want[0]
             if got[0] == "raise":
                 assert got[1:] == want[1:]
-            elif _certified(stack):
+            elif _certify(stack) is not None:
                 # The certified route solves with its own Cholesky factor, not LU.
                 assert _backward_error(stack, rhs, got[1]).max() <= 4 * k * _EPS
                 lam = np.linalg.eigvalsh(stack)
@@ -217,20 +217,23 @@ def test_certificate_is_sound(seed, n_t, k, log_rcond, log_scale):
     log_rconds = rng.uniform(log_rcond, min(log_rcond + 3.0, 0.0), n_t)
     log_rconds[rng.integers(n_t)] = log_rcond
     gram = _planted_stack(rng, n_t, k, log_rconds, log_scale)
-    if _certified(gram):
+    if _certify(gram) is not None:
         assert _psd_rcond(gram).min() >= 1e-11 * (1.0 - 1e-6)
 
 
 @given(seed=seeds, n_t=st.integers(1, 6), k=st.integers(2, 5), log_rcond=st.floats(-11.5, -9.0), data=st.data())
 def test_certified_gram_certifies_every_principal_sub_block(seed, n_t, k, log_rcond, data):
-    # Cauchy interlacing: if the certificate passes G, every G[v, v] passes the
-    # eigenvalue gate, which is why the constancy statistic's beta step skips it.
+    # The certificate passes every principal block G[v, v] of a G it passes,
+    # since tr G_vv <= tr G and tr G_vv^-1 <= tr (G^-1)_vv <= tr G^-1 (a Schur
+    # complement); the eigenvalue gate passes it too (Cauchy interlacing).  The
+    # constancy statistic's beta step relies on this when it gates G[v, v].
     rng = np.random.default_rng(seed)
     log_rconds = rng.uniform(log_rcond, 0.0, n_t)
     log_rconds[data.draw(st.integers(0, n_t - 1))] = log_rcond
     gram = _planted_stack(rng, n_t, k, log_rconds, data.draw(st.floats(-3.0, 3.0)))
-    assume(_certified(gram))
+    assume(_certify(gram) is not None)
     for size in range(1, k):
         for v in itertools.combinations(range(k), size):
             sub = gram[:, list(v)][:, :, list(v)]
+            assert _certify(sub) is not None
             assert reference.eigvalsh_gate_solve(sub, np.ones((n_t, size, 1)), 5)[0] == "solve"
