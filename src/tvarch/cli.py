@@ -89,14 +89,15 @@ def _parse_noise(text: str) -> NoiseSpec:
     raise InputError(f"--noise must be 'gaussian' or 't<df>' (e.g. t9), got {text!r}")
 
 
-def _load_input(args):
+def _load_input(args) -> tuple:
+    """The series, and the config block that reproduces how it was read."""
     if not args.input:
         raise InputError("this command needs --input")
     column = args.column
     if column is not None and column.lstrip("-").isdigit():
         column = int(column)
     spec = IngestSpec(path=args.input, column=column, mode=args.mode, scale=args.scale)
-    return load_series(spec), spec
+    return load_series(spec), {"input": spec.path, "column": spec.column, "mode": spec.mode, "scale": spec.scale}
 
 
 def _bandwidth_for(args, series, p: int, kind: str) -> float:
@@ -172,7 +173,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    series, spec = _load_input(args)
+    series, config = _load_input(args)
     partition = _parse_partition(args.partition, args.p)
     b = _bandwidth_for(args, series, args.p, "sptv" if partition.n == args.p else "tv")
     fit = fit_semiparametric(
@@ -187,7 +188,7 @@ def _cmd_fit(args) -> int:
     result = {
         "schema_version": SCHEMA_VERSION,
         "command": "fit",
-        "config": {"input": spec.path, "mode": spec.mode, "scale": spec.scale, "p": args.p},
+        "config": {**config, "p": args.p},
         **fit.to_dict(),
     }
     if args.curves_out:
@@ -213,13 +214,13 @@ def _cmd_fit(args) -> int:
 
 
 def _test_command(args, runner, name: str) -> int:
-    series, spec = _load_input(args)
+    series, config = _load_input(args)
     levels = _parse_levels(args.alpha)
     report = runner(series, levels)
     result = {
         "schema_version": SCHEMA_VERSION,
         "command": name,
-        "config": {"input": spec.path, "mode": spec.mode, "scale": spec.scale, "p": args.p},
+        "config": {**config, "p": args.p},
         **report.to_dict(),
     }
     _emit(args, result, _report_table(result))
@@ -266,7 +267,7 @@ def _cmd_test_dynamic(args) -> int:
 
 
 def _cmd_select_bandwidth(args) -> int:
-    series, spec = _load_input(args)
+    series, config = _load_input(args)
     grid = _parse_grid(args.grid)
     if args.model_kind == "sptv":
         cv = cv_bandwidth_semiparametric(series, args.p, grid=grid)
@@ -275,7 +276,7 @@ def _cmd_select_bandwidth(args) -> int:
     result = {
         "schema_version": SCHEMA_VERSION,
         "command": "select-bandwidth",
-        "config": {"input": spec.path, "p": args.p, "model": args.model_kind},
+        "config": {**config, "p": args.p, "model": args.model_kind},
         "bandwidth": cv.bandwidth,
         "curve": [
             {"b": float(b), "score": (None if not np.isfinite(s) else float(s))}
@@ -297,12 +298,12 @@ def _cmd_select_bandwidth(args) -> int:
 
 
 def _cmd_select_order(args) -> int:
-    series, spec = _load_input(args)
+    series, config = _load_input(args)
     sel = select_lag_order(series, q_max=args.q, grid=_parse_grid(args.grid))
     result = {
         "schema_version": SCHEMA_VERSION,
         "command": "select-order",
-        "config": {"input": spec.path, "q_max": args.q},
+        "config": {**config, "q_max": args.q},
         "p_hat": sel.p_hat,
         "bandwidth": sel.bandwidth,
         "zeta": sel.zeta,
@@ -315,7 +316,7 @@ def _cmd_select_order(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    series, spec = _load_input(args)
+    series, config = _load_input(args)
     bundle = run_pipeline(
         series,
         q_max=args.q,
@@ -325,7 +326,7 @@ def _cmd_pipeline(args) -> int:
         grid=_parse_grid(args.grid),
         workers=args.workers,
     )
-    bundle["config"] = {"input": spec.path, "mode": spec.mode, "scale": spec.scale, "q_max": args.q}
+    bundle["config"] = {**config, "q_max": args.q}
     human = [f"pipeline summary (T={series.T})"]
     if "order" in bundle:
         human.append(f"  selected order: p = {bundle['order']['p_hat']}")

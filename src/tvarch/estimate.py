@@ -15,7 +15,7 @@ M is (T-p, m), N is (T-p, n), all per-center grids are over the same rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -316,9 +316,6 @@ class BetaFit:
     x_sq: np.ndarray  # (n_t,)
     gram: np.ndarray  # (n, n): sum_t W_t O_t O_t'
     local_gram: np.ndarray  # (n_t, m, m): the smoothed W M M' behind q1 and q2
-    bandwidth: float
-    partition: CoefficientPartition
-    nu: float = 0.0
 
     @property
     def rcond_min(self) -> float:
@@ -366,9 +363,6 @@ def estimate_beta(
         x_sq=x2t,
         gram=gram,
         local_gram=moments.s3,
-        bandwidth=b,
-        partition=partition,
-        nu=0.0,
     )
 
 
@@ -500,8 +494,7 @@ def estimate_beta_plugin(
     if nu == 0.0 and np.any(sig4 == 0.0):
         raise NonPositiveVolatilityError("fitted volatility vanished with nu=0")
     w_star = 1.0 / (sig4 + nu)
-    fit = replace(estimate_beta(series, partition, w_star, b), nu=float(nu))
-    return fit, w_star, floored
+    return estimate_beta(series, partition, w_star, b), w_star, floored
 
 
 # Centers per chunk of the plug-in sweep times the window length: bounds the

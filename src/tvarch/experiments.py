@@ -48,6 +48,10 @@ __all__ = ["SCHEMA_VERSION", "run_pipeline", "DESIGNS", "ExperimentSpec", "run_e
 
 SCHEMA_VERSION = 1
 
+# run_pipeline's lag-constancy gate and its lag count when p_hat = 0.
+ALPHA_GATE = 0.05
+P_CONFIRM = 2
+
 
 # ---------------------------------------------------------------------------
 # Pipeline.
@@ -59,15 +63,15 @@ def run_pipeline(
     B: int = 2000,
     levels=(0.05, 0.10),
     seed: int = 0,
-    alpha_gate: float = 0.05,
-    p_confirm: int = 2,
     grid: BandwidthGrid | None = None,
     workers: int = 1,
 ) -> dict:
     """Order selection, constancy tests, fit, and dynamics test on one series.
 
     When the criterion selects p_hat = 0 the constancy tests still run at
-    ``p_confirm`` lags to corroborate the choice.  On a failure in a late
+    ``P_CONFIRM`` lags to corroborate the choice.  The fit keeps the lags
+    constant when their constancy p-value exceeds ``ALPHA_GATE``, and only
+    then runs the second-order test.  On a failure in a late
     stage the bundle is returned with the stages completed so far plus an
     ``error`` entry.
     """
@@ -81,7 +85,7 @@ def run_pipeline(
             "bandwidth": sel.bandwidth,
             "q_max": q_max,
         }
-        p_test = sel.p_hat if sel.p_hat >= 1 else p_confirm
+        p_test = sel.p_hat if sel.p_hat >= 1 else P_CONFIRM
         bundle["p_test"] = p_test
 
         stage = "constancy-tests"
@@ -123,7 +127,7 @@ def run_pipeline(
             }
             lags_constant = False
         else:
-            lags_constant = lags_p > alpha_gate
+            lags_constant = lags_p > ALPHA_GATE
             if lags_constant:
                 cv_sp = cv_bandwidth_semiparametric(series, p_test, grid=grid)
                 fit = fit_semiparametric(
@@ -178,8 +182,8 @@ class ExperimentSpec:
             raise InputError("statistical acceptance runs need at least 30 replications")
         if self.calibration not in ("monte-carlo", "asymptotic"):
             raise InputError(f"unknown calibration {self.calibration!r}; pick monte-carlo or asymptotic")
-        if not all(0.0 < lvl < 1.0 for lvl in self.levels):
-            raise InputError(f"levels must lie in (0, 1), got {self.levels}")
+        if not self.levels or not all(0.0 < lvl < 1.0 for lvl in self.levels):
+            raise InputError(f"levels must be nonempty and lie in (0, 1), got {self.levels}")
         T_list = tuple(int(t) for t in self.T_list) or DESIGNS[self.design][1]
         object.__setattr__(self, "T_list", T_list)
 

@@ -10,12 +10,11 @@ standard Monte-Carlo convention (1 + #{replicates >= observed}) / (B + 1).
 from __future__ import annotations
 
 import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
-import scipy.stats
 
 from . import kernels
 from .errors import (
@@ -94,8 +93,6 @@ class ConstancyStatistic:
     varpi2: float
     e_t: float
     beta_hat: np.ndarray
-    beta_tilde: np.ndarray  # (n_t, n)
-    u: np.ndarray
 
 
 def constancy_statistic(
@@ -132,8 +129,7 @@ def constancy_statistic(
     W = bfit.weights
     x2t = bfit.x_sq
 
-    beta_tilde = npfit.a_tilde[:, c]
-    diff = beta_tilde - bfit.beta[None, :]
+    diff = npfit.a_tilde[:, c] - bfit.beta[None, :]
 
     # Empirical counterpart of the fit covariance kernel O(u), constant block.
     sig_tilde = np.einsum("tk,tk->t", X, npfit.a_tilde)
@@ -170,8 +166,6 @@ def constancy_statistic(
         varpi2=varpi2,
         e_t=float(e_t),
         beta_hat=bfit.beta,
-        beta_tilde=beta_tilde,
-        u=npfit.u,
     )
 
 
@@ -192,7 +186,6 @@ class SecondOrderStatistic:
     a_hat: np.ndarray  # (p,): truncatable lag estimates
     psi: float
     sigma_sq_hat: float  # variance-drift correction factor
-    d_hat: np.ndarray  # (T,): smoothed squares
 
 
 def second_order_statistic(series: ReturnSeries, p: int, b: float) -> SecondOrderStatistic:
@@ -231,7 +224,7 @@ def second_order_statistic(series: ReturnSeries, p: int, b: float) -> SecondOrde
     psi = float(T * np.sum(np.maximum(a_hat, 0.0) ** 2) / sigma_sq_hat)
     if not (np.isfinite(psi) and np.isfinite(sigma_sq_hat)):
         raise NumericalError(f"second-order statistic is not finite (psi={psi}, sigma^2={sigma_sq_hat})")
-    return SecondOrderStatistic(a_hat=a_hat, psi=psi, sigma_sq_hat=sigma_sq_hat, d_hat=d_hat)
+    return SecondOrderStatistic(a_hat=a_hat, psi=psi, sigma_sq_hat=sigma_sq_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +426,29 @@ def test_zero_wald(
         extra={
             "beta_hat": [float(v) for v in fit.beta],
             "beta_se": [float(v) for v in cov.se],
-            "chi2_p_value": float(scipy.stats.chi2.sf(stat, df=n)),
+            "chi2_p_value": _chi2_sf(stat, n),
             "df": n,
             "mc_retried": cal.retried,
         },
     )
+
+
+def _chi2_sf(c: float, k: int) -> float:
+    """P(chi2_k >= c) for an integer k >= 1: the regularized gamma tail Q(k/2, c/2).
+
+    Starts from Q(1/2, h) = erfc(sqrt h) or Q(1, h) = exp(-h) and steps up by
+    Q(s+1, h) = Q(s, h) + h^s e^-h / Gamma(s+1), each term taken through its
+    logarithm so that no power overflows.
+    """
+    h = 0.5 * c
+    if h <= 0.0:
+        return 1.0
+    s, q = (0.5, math.erfc(math.sqrt(h))) if k % 2 else (1.0, math.exp(-h))
+    log_h = math.log(h)
+    while s < 0.5 * k:
+        q += math.exp(s * log_h - h - math.lgamma(s + 1.0))
+        s += 1.0
+    return q
 
 
 def _psi_upper_tail(p: int, c: float) -> float:
@@ -448,18 +459,23 @@ def _psi_upper_tail(p: int, c: float) -> float:
     """
     if c <= 0.0:
         return 1.0
-    k = np.arange(1, p + 1)
-    return float(np.dot(scipy.stats.binom.pmf(k, p, 0.5), scipy.stats.chi2.sf(c, k)))
+    return sum(math.comb(p, k) * _chi2_sf(c, k) for k in range(1, p + 1)) / 2.0**p
 
 
 @functools.lru_cache(maxsize=64)
 def asymptotic_psi_quantile(p: int, level: float) -> float:
-    """(1-level)-quantile of the limiting law sum_j max(Z_j, 0)^2, by root-finding."""
+    """(1-level)-quantile of the limiting law sum_j max(Z_j, 0)^2, by bisection."""
+    if not 0.0 < level < 1.0:
+        raise InputError(f"level must lie in (0, 1), got {level}")
     if _psi_upper_tail(p, np.nextafter(0.0, 1.0)) <= level:
         return 0.0
-    # P(Psi >= c) <= P(chi2_p >= c), so the chi2_p quantile bounds the root.
-    hi = float(scipy.stats.chi2.isf(level, p))
-    return float(scipy.optimize.brentq(lambda c: _psi_upper_tail(p, c) - level, 0.0, hi, xtol=1e-14))
+    lo, hi = 0.0, 1.0
+    while _psi_upper_tail(p, hi) > level:
+        lo, hi = hi, 2.0 * hi
+    # The tail falls strictly in c: halve [lo, hi] until no float lies between.
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if _psi_upper_tail(p, mid) > level else (lo, mid)
+    return hi
 
 
 def test_second_order(

@@ -14,6 +14,52 @@ def epan(x: float) -> float:
     return 0.75 * (1.0 - x * x) if abs(x) <= 1.0 else 0.0
 
 
+def epan_array(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) <= 1.0, 0.75 * (1.0 - v * v), 0.0)
+
+
+def box_array(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) <= 1.0, 0.5, 0.0)
+
+
+def _simpson(y: np.ndarray, h) -> np.ndarray:
+    """Composite Simpson rule along the last axis of samples y at an odd node count, spacing h."""
+    odd, even = y[..., 1:-1:2].sum(axis=-1), y[..., 2:-1:2].sum(axis=-1)
+    return h / 3.0 * (y[..., 0] + y[..., -1] + 4.0 * odd + 2.0 * even)
+
+
+def simpson_l2_norm_sq(kernel, nodes: int = 4097) -> float:
+    """int_{-1}^{1} K(v)^2 dv by Simpson's rule on ``nodes`` (odd) points."""
+    y = kernel(np.linspace(-1.0, 1.0, nodes)) ** 2
+    return float(_simpson(y, 2.0 / (nodes - 1)))
+
+
+def simpson_k_star(x, kernel, nodes: int = 4097) -> np.ndarray:
+    """K*(x) = int_{-1}^{1-2|x|} K(v) K(v + 2|x|) dv by Simpson's rule, per point of x.
+
+    Points go 256 at a time, which bounds the (points, nodes) temporaries.
+    """
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(xs)
+    for lo in range(0, xs.shape[0], 256):
+        a = 2.0 * np.abs(xs[lo : lo + 256])
+        hi = 1.0 - a
+        h = (hi + 1.0) / (nodes - 1)
+        # np.linspace(-1, hi, nodes) for each row: the last node is exactly hi,
+        # so v + a ends exactly at the kernel's edge.
+        v = np.arange(nodes) * h[:, None] - 1.0
+        v[:, -1] = hi
+        y = kernel(v) * kernel(v + a[:, None])
+        out[lo : lo + 256] = np.where(hi > -1.0, _simpson(y, h), 0.0)
+    return out
+
+
+def simpson_k_star_l2_norm_sq(kernel, nodes: int = 4097) -> float:
+    """int_{-1}^{1} K*(x)^2 dx, with K* even: twice the Simpson integral over [0, 1]."""
+    y = simpson_k_star(np.linspace(0.0, 1.0, nodes), kernel, nodes) ** 2
+    return float(2.0 * _simpson(y, 1.0 / (nodes - 1)))
+
+
 def norm_weights(t: int, b: float, T: int, p: int) -> np.ndarray:
     """k(t, i; b) over i = p+1..T by direct summation."""
     raw = np.array([epan((t - i) / (T * b)) for i in range(p + 1, T + 1)])

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tvarch
 from tvarch.cli import main
 
 MODEL_CFG = {
@@ -36,6 +41,15 @@ def sim_csv(tmp_path_factory):
     )
     assert rc == 0
     return csv_path
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test extra only: the package and its CLI run on numpy alone.
+    src = str(Path(tvarch.__file__).resolve().parents[1])
+    code = "import sys, tvarch, tvarch.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def _run(capsys, argv):
@@ -269,6 +283,26 @@ def test_prices_mode_cli(tmp_path, capsys):
     )
     assert rc == 0
     assert json.loads(out)["p_hat"] in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["select-bandwidth", "--p", "1"], {"p": 1, "model": "tv"}),
+        (["select-order", "--q", "2"], {"q_max": 2}),
+    ],
+    ids=["select-bandwidth", "select-order"],
+)
+def test_select_commands_echo_how_the_input_was_read(tmp_path, capsys, argv, extra):
+    # The config must reproduce the report: column, mode and scale change the series.
+    prices = tmp_path / "prices.csv"
+    p = np.exp(np.cumsum(0.01 * np.random.default_rng(3).normal(size=(300, 2)), axis=0))
+    prices.write_text("a,b\n" + "".join(f"{float(u)!r},{float(v)!r}\n" for u, v in p))
+    argv = argv + ["--input", str(prices), "--column", "b", "--mode", "prices", "--scale", "100", "--json"]
+    rc, out = _run(capsys, argv)
+    assert rc == 0
+    want = {"input": str(prices), "column": "b", "mode": "prices", "scale": 100.0, **extra}
+    assert json.loads(out)["config"] == want
 
 
 def test_dynamic_test_at_extreme_scale_exits_cleanly(sim_csv, capsys):

@@ -34,7 +34,7 @@ def test_experiment_spec_rejects_an_unknown_calibration():
         ExperimentSpec(design="dynamic-coverage", calibration="asymptotc")
 
 
-@pytest.mark.parametrize("levels", [(1.5,), (0.05, 0.0), (-0.1,), (1.0,)])
+@pytest.mark.parametrize("levels", [(1.5,), (0.05, 0.0), (-0.1,), (1.0,), ()])
 def test_experiment_spec_rejects_levels_outside_the_unit_interval(levels):
     with pytest.raises(InputError, match="levels"):
         ExperimentSpec(design="rmse", levels=levels)

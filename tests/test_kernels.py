@@ -21,25 +21,33 @@ def test_epanechnikov_values():
 def test_l2_norm_against_quadrature_oracle():
     oracle, err = scipy.integrate.quad(lambda x: (0.75 * (1 - x * x)) ** 2, -1.0, 1.0)
     assert err < 1e-10
-    assert k_l2_norm_sq() == pytest.approx(oracle, abs=1e-8)
-    assert k_l2_norm_sq() == pytest.approx(0.6, abs=1e-6)
+    assert k_l2_norm_sq() == pytest.approx(oracle, rel=1e-12)
+    assert k_l2_norm_sq() == 0.6
 
 
 def test_l2_norm_node_doubling():
-    assert k_l2_norm_sq(nodes=10_001) == pytest.approx(k_l2_norm_sq(nodes=1_000_001), abs=1e-8)
+    # The Simpson oracle converges, and to the closed forms of both kernels.
+    for kernel, oracle_kernel in ((epanechnikov, reference.epan_array), (box, reference.box_array)):
+        coarse = reference.simpson_l2_norm_sq(oracle_kernel, 10_001)
+        assert coarse == pytest.approx(reference.simpson_l2_norm_sq(oracle_kernel, 1_000_001), abs=1e-8)
+        assert k_l2_norm_sq(kernel) == pytest.approx(coarse, rel=1e-12)
 
 
 def test_box_kernel_norm():
-    assert k_l2_norm_sq(box) == pytest.approx(0.5, abs=1e-9)
+    oracle, _ = scipy.integrate.quad(lambda x: box(x) ** 2, -1.0, 1.0)
+    assert k_l2_norm_sq(box) == 0.5
+    assert k_l2_norm_sq(box) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_k_star_at_zero_equals_l2_norm():
-    assert k_star(0.0) == pytest.approx(k_l2_norm_sq(), abs=1e-8)
+    assert k_star(0.0) == pytest.approx(k_l2_norm_sq(), abs=1e-15)
+    assert k_star(0.0, box) == pytest.approx(k_l2_norm_sq(box), abs=1e-15)
 
 
 def test_k_star_boundary():
     assert k_star(1.0) == 0.0
     assert k_star(-1.0) == 0.0
+    assert k_star(1.0, box) == 0.0
 
 
 def test_k_star_closed_form():
@@ -49,26 +57,53 @@ def test_k_star_closed_form():
         return 3 / 5 - 3 * a**2 / 4 + 3 * a**3 / 8 - 3 * a**5 / 160
 
     for x in (0.1, 0.25, 0.5, 0.75, -0.3):
-        assert k_star(x) == pytest.approx(closed(x), abs=1e-10)
-    assert k_star(0.25) == pytest.approx(0.4587890625, abs=1e-10)
-    assert k_star(0.5) == pytest.approx(0.20625, abs=1e-10)
+        assert k_star(x) == pytest.approx(closed(x), abs=1e-14)
+    assert k_star(0.25) == pytest.approx(0.4587890625, abs=1e-15)
+    assert k_star(0.5) == pytest.approx(0.20625, abs=1e-15)
+
+
+def _quad_k_star(x, kernel):
+    a = 2.0 * abs(x)
+    if a >= 2.0 - 1e-9:
+        # An overlap shorter than 1e-9 holds less than 1e-18; quad warns on it.
+        return 0.0
+    return scipy.integrate.quad(lambda v: kernel(v) * kernel(v + a), -1.0, 1.0 - a)[0]
+
+
+@pytest.mark.parametrize(
+    "kernel, oracle_kernel",
+    [(epanechnikov, reference.epan_array), (box, reference.box_array)],
+    ids=["epanechnikov", "box"],
+)
+def test_k_star_closed_forms_match_quadrature(kernel, oracle_kernel):
+    xs = np.linspace(-1.2, 1.2, 97)
+    got = k_star(xs, kernel)
+    np.testing.assert_allclose(got, reference.simpson_k_star(xs, oracle_kernel), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, [_quad_k_star(x, kernel) for x in xs], rtol=0, atol=1e-12)
+
+    norm_sq = k_star_l2_norm_sq(kernel)
+    assert norm_sq == pytest.approx(reference.simpson_k_star_l2_norm_sq(oracle_kernel), rel=1e-12)
+    quad, _ = scipy.integrate.quad(lambda x: _quad_k_star(x, kernel) ** 2, 0.0, 1.0)
+    assert norm_sq == pytest.approx(2.0 * quad, rel=1e-12)
 
 
 def test_k_star_l2_norm():
     # Analytic value 167/770 for the Epanechnikov overlap function.
-    assert k_star_l2_norm_sq() == pytest.approx(167.0 / 770.0, abs=1e-6)
-    assert k_star_l2_norm_sq(nodes=8193) == pytest.approx(k_star_l2_norm_sq(nodes=4097), abs=1e-6)
+    assert k_star_l2_norm_sq() == 167.0 / 770.0
+    assert k_star_l2_norm_sq(epanechnikov) == 167.0 / 770.0
 
 
 def test_box_k_star_exact():
     # K*(x) = (1 - |x|) / 2 for the box kernel.  Its integrand is constant on
     # every inner grid that ends exactly at 1 - 2|x|, where the kernel's edge
-    # is, so Simpson is exact at any node count.
+    # is, so the Simpson oracle is exact at any node count.
     xs = np.linspace(-1.2, 1.2, 97)
+    want = np.clip(1.0 - np.abs(xs), 0.0, None) / 2
+    np.testing.assert_allclose(k_star(xs, box), want, rtol=0, atol=1e-15)
+    assert k_star_l2_norm_sq(box) == 1.0 / 6.0
     for nodes in (101, 1001, 4097):
-        want = np.clip(1.0 - np.abs(xs), 0.0, None) / 2
-        np.testing.assert_allclose(k_star(xs, box, nodes), want, rtol=0, atol=1e-14)
-        assert k_star_l2_norm_sq(box, nodes) == pytest.approx(1.0 / 6.0, rel=1e-13)
+        np.testing.assert_allclose(reference.simpson_k_star(xs, reference.box_array, nodes), want, rtol=0, atol=1e-14)
+        assert reference.simpson_k_star_l2_norm_sq(reference.box_array, nodes) == pytest.approx(1.0 / 6.0, rel=1e-13)
 
 
 def test_k_star_shape_properties():
@@ -79,12 +114,13 @@ def test_k_star_shape_properties():
     np.testing.assert_allclose(k_star(-xs), vals, atol=1e-12)  # even
 
 
-def test_kernel_constants_cached_once_per_kernel():
-    for constant in (k_l2_norm_sq, k_star_l2_norm_sq):
-        constant.cache_clear()
-        values = {constant(), constant(epanechnikov), constant(kernel=epanechnikov), constant(epanechnikov, 4097)}
-        assert len(values) == 1
-        assert constant.cache_info().misses == 1
+def test_constants_reject_an_unknown_kernel():
+    def triangle(x):
+        return np.maximum(1.0 - np.abs(x), 0.0)
+
+    for call in (k_l2_norm_sq, k_star_l2_norm_sq, lambda kernel: k_star(0.3, kernel)):
+        with pytest.raises(InputError):
+            call(triangle)
 
 
 def test_constants_are_pure():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.stats
 
 from tvarch import (
@@ -23,7 +24,7 @@ from tvarch.estimate import _certify, _solve_gated, estimate_beta, local_wls, re
 from tvarch.kernels import box, k_l2_norm_sq, k_star_l2_norm_sq, kernel_window
 from tvarch.model import canonical_matrix
 from tvarch.simulate import derive_seed
-from tvarch.testing import _wald_statistic, asymptotic_psi_quantile, mc_p_value, mc_quantile
+from tvarch.testing import _chi2_sf, _wald_statistic, asymptotic_psi_quantile, mc_p_value, mc_quantile
 
 import reference
 
@@ -439,10 +440,42 @@ def test_asymptotic_quantile_p2_mixture_oracle():
     def cdf(x):
         return 0.25 * (1.0 + 2.0 * scipy.stats.chi2.cdf(x, 1) + scipy.stats.chi2.cdf(x, 2))
 
-    from scipy.optimize import brentq
-
-    want = brentq(lambda x: cdf(x) - 0.95, 0.0, 20.0)
+    want = scipy.optimize.brentq(lambda x: cdf(x) - 0.95, 0.0, 20.0)
     assert q == pytest.approx(want, abs=0.01)
+
+
+def test_chi2_tail_matches_scipy():
+    cs = np.concatenate([[0.0], np.logspace(-6, 3, 91)])
+    for k in range(1, 13):
+        got = [_chi2_sf(float(c), k) for c in cs]
+        np.testing.assert_allclose(got, scipy.stats.chi2.sf(cs, k), rtol=1e-12, atol=0.0)
+
+
+def _brentq_psi_quantile(p, level):
+    """The mixture quantile by scipy's binomial weights, chi2 tails and brentq."""
+    k = np.arange(1, p + 1)
+
+    def tail(c):
+        return float(np.dot(scipy.stats.binom.pmf(k, p, 0.5), scipy.stats.chi2.sf(c, k)))
+
+    if tail(np.nextafter(0.0, 1.0)) <= level:
+        return 0.0
+    # P(Psi >= c) <= P(chi2_p >= c), so the chi2_p quantile bounds the root.
+    hi = float(scipy.stats.chi2.isf(level, p))
+    return scipy.optimize.brentq(lambda c: tail(c) - level, 0.0, hi, xtol=1e-14)
+
+
+def test_asymptotic_quantile_matches_brentq_reference():
+    for p in range(1, 11):
+        for level in (0.01, 0.05, 0.10, 0.25, 0.5):
+            want = _brentq_psi_quantile(p, level)
+            assert asymptotic_psi_quantile(p, level) == pytest.approx(want, rel=1e-12, abs=0.0), (p, level)
+
+
+@pytest.mark.parametrize("level", [0.0, -0.1, 1.0, float("nan")])
+def test_asymptotic_quantile_rejects_a_level_outside_the_unit_interval(level):
+    with pytest.raises(InputError, match="level"):
+        asymptotic_psi_quantile(2, level)
 
 
 def test_second_order_report_modes(tv1_model):
