@@ -103,26 +103,19 @@ def _psd_rcond(stack: np.ndarray) -> np.ndarray:
     return np.clip(rc, 0.0, None)
 
 
-def _local_mean(values: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Kernel-weighted local means along axis 0: local sums over the window's mass."""
-    den = kernels.window_counts(values.shape[0], window)
-    return kernels.local_sums(values, window) / den.reshape((-1,) + (1,) * (values.ndim - 1))
-
-
 def _leaveout_sums(full: np.ndarray, per_index: np.ndarray, win: np.ndarray, p: int) -> np.ndarray:
-    """Subtract the k = t..t+p window terms from every center's full sums."""
+    """Subtract the k = t..t+p window terms from every center's full sums, in place; returns ``full``."""
     half = (win.shape[0] - 1) // 2
-    out = full.copy()
     for j in range(0, min(p, half) + 1):
         # Weight the center t places on excluded index k = t + j.
         w = win[half - j]
         if w == 0.0:
             continue
         if j == 0:
-            out -= w * per_index
+            full -= w * per_index
         else:
-            out[:-j] -= w * per_index[j:]
-    return out
+            full[:-j] -= w * per_index[j:]
+    return full
 
 
 def local_wls(
@@ -138,18 +131,32 @@ def local_wls(
     indices t..t+p are dropped from center t's sums (the leave-(p+1)-out
     cross-validation fit) and the sums stay unnormalized, which changes no
     solution.
+
+    The smoothed columns are rows of one C-contiguous (columns, n) block, so
+    :func:`kernels.local_sums` reads them in place, and the gram is written
+    into the (k, k, n) layout :func:`_cholesky` factors; both results are
+    (n, ...) views of those arrays.
     """
     n, k = X.shape
+    c = Y.shape[1]
     a, b = np.triu_indices(k)
-    WX = W[:, None] * X
-    g = np.concatenate([WX[:, a] * X[:, b], (WX[:, :, None] * Y[:, None, :]).reshape(n, -1)], axis=1)
+    XT = X.T
+    WXT = W * XT
+    g = np.empty((a.shape[0] + k * c, n))
+    row = 0
+    for i in range(k):  # the triangle row by row: columns (i, i..k-1)
+        np.multiply(WXT[i], XT[i:], out=g[row : row + k - i])
+        row += k - i
+    np.multiply(WXT[:, None, :], Y.T[None, :, :], out=g[row:].reshape(k, c, n))
+    s = kernels.local_sums(g.T, window)
     if leave_out is None:
-        s = _local_mean(g, window)
+        s /= kernels.window_counts(n, window)[:, None]
     else:
-        s = _leaveout_sums(kernels.local_sums(g, window), g, window, leave_out)
-    gram = np.empty((n, k, k))
-    gram[:, a, b] = gram[:, b, a] = s[:, : a.shape[0]]
-    return gram, s[:, a.shape[0] :].reshape(n, k, Y.shape[1])
+        _leaveout_sums(s, g.T, window, leave_out)
+    sT = s.T
+    gram = np.empty((k, k, n))
+    gram[a, b] = gram[b, a] = sT[:row]
+    return gram.transpose(2, 0, 1), sT[row:].reshape(k, c, n).transpose(2, 0, 1)
 
 
 # lambda_max <= tr G and lambda_min >= 1 / tr G^-1, so rcond >= 1 / (tr G tr G^-1).
@@ -163,8 +170,13 @@ _CERTIFY_MIN_SHIFT = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _columns(stack: np.ndarray) -> np.ndarray:
-    """(n_t, a, b) -> (a, b, n_t) with every entry a contiguous column over the centers."""
-    return np.ascontiguousarray(stack.transpose(1, 2, 0))
+    """(n_t, a, b) -> (a, b, n_t) with every entry a contiguous column over the centers.
+
+    A view when the entries already are, as in :func:`local_wls`'s gram and
+    its leading blocks; otherwise a copy.
+    """
+    cols = stack.transpose(1, 2, 0)
+    return cols if cols.strides[-1] == cols.itemsize else np.ascontiguousarray(cols)
 
 
 def _cholesky(G: np.ndarray) -> np.ndarray | None:

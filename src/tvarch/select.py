@@ -110,15 +110,16 @@ def cv_bandwidth_semiparametric(
     x2t = series.values[p:] ** 2
     bs = grid.bandwidths(series.T)
 
+    # The smoothed columns [W | W x^2 | W N], as rows of one (2 + n, n_t) block.
+    g = np.concatenate([W[None, :], (W * x2t)[None, :], W * N.T])
+
     scores = np.full(bs.shape[0], np.inf)
     betas = [None] * bs.shape[0]
     last = None
     for i, b in enumerate(bs):
         win = kernels.kernel_window(series.T, b)
-        s3 = _leaveout_sums(kernels.local_sums(W, win), W, win, p)
-        s1 = _leaveout_sums(kernels.local_sums(W * x2t, win), W * x2t, win, p)
-        g2 = W[:, None] * N
-        s2 = _leaveout_sums(kernels.local_sums(g2, win), g2, win, p)
+        s = _leaveout_sums(kernels.local_sums(g.T, win), g.T, win, p)
+        s3, s1, s2 = s[:, 0], s[:, 1], s[:, 2:]
         if np.any(s3 <= 0.0):
             continue
         y = x2t - s1 / s3

@@ -203,12 +203,14 @@ def second_order_statistic(series: ReturnSeries, p: int, b: float) -> SecondOrde
 
     # d_hat over all centers 1..T, averaging the in-range indices i >= p+1.
     win = kernels.kernel_window(T, b)
-    mask = np.ones(T)
-    mask[:p] = 0.0
-    den = kernels.local_sums(mask, win)
+    g = np.ones((2, T))  # the smoothed columns [mask | x^2 mask], as rows
+    g[:, :p] = 0.0
+    g[1] *= x_sq
+    s = kernels.local_sums(g.T, win)
+    den = s[:, 0]
     if np.any(den <= 0.0):
         raise SingularDesignError("kernel window misses the estimation range; enlarge b")
-    d_hat = kernels.local_sums(x_sq * mask, win) / den
+    d_hat = s[:, 1] / den
 
     h_resid = x_sq - d_hat
     y = h_resid[p:]

@@ -290,6 +290,18 @@ def dense_alpha_plugin(
     return alpha, se, floored
 
 
+def dense_local_sums(values: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Per center t = 0..n-1 along axis 0, sum_i window[half + t - i] * values[i] over in-range i."""
+    v = np.asarray(values, dtype=float)
+    half = (len(window) - 1) // 2
+    out = np.zeros(v.shape)
+    for t in range(v.shape[0]):
+        for i in range(v.shape[0]):
+            if 0 <= half + t - i < len(window):
+                out[t] += window[half + t - i] * v[i]
+    return out
+
+
 def dense_window_counts(n: int, window: np.ndarray) -> np.ndarray:
     """Per center t = 0..n-1, the window mass sum_i window[half + t - i] over in-range i."""
     half = (len(window) - 1) // 2

@@ -107,6 +107,19 @@ def test_pipeline_bundle_on_sptv_data():
     assert bundle == again
 
 
+def test_pipeline_json_identical_across_workers_on_the_gemm_smoother(sptv2_model, monkeypatch):
+    # At T=1500 the local fits smooth enough columns for the blocked GEMM
+    # smoother; two worker threads must give the same bytes as one.
+    gemm_calls = []
+    gemm = tvarch.kernels._gemm_sums
+    monkeypatch.setattr(tvarch.kernels, "_gemm_sums", lambda *a: gemm_calls.append(1) or gemm(*a))
+    series = simulate_path(sptv2_model, SimulationConfig(T=1500, seed=11))
+    one = run_pipeline(series, q_max=4, B=100, seed=3, workers=1)
+    assert "error" not in one and gemm_calls
+    two = run_pipeline(series, q_max=4, B=100, seed=3, workers=2)
+    assert json.dumps(two, sort_keys=True) == json.dumps(one, sort_keys=True)
+
+
 def test_pipeline_variance_only_data():
     model = TvArchModel(p=0, coeffs=(CoefficientFunction.sine(2.0, 1.0),))
     series = simulate_path(model, SimulationConfig(T=600, seed=6))

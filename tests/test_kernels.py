@@ -208,6 +208,20 @@ def test_local_sums_match_direct():
         assert sm[r] == pytest.approx(float(k @ vals), abs=1e-12)
 
 
+def test_local_sums_keep_a_non_finite_value_inside_its_window():
+    # Past the GEMM column threshold a NaN or inf must still reach only the
+    # centers whose window covers it, as in a convolution.
+    win = kernel_window(400, 0.05)
+    h = (win.shape[0] - 1) // 2
+    vals = np.ones((400, 6))
+    vals[200, 1] = np.nan
+    vals[300, 4] = np.inf
+    out = local_sums(vals, win)
+    assert np.array_equal(np.flatnonzero(np.isnan(out[:, 1])), np.arange(200 - h, 200 + h + 1))
+    assert np.array_equal(np.flatnonzero(~np.isfinite(out[:, 4])), np.arange(300 - h, 300 + h + 1))
+    assert np.isfinite(np.delete(out, [1, 4], axis=1)).all()
+
+
 def test_window_counts_match_convolution():
     for T, b in ((10, 0.3), (60, 0.05), (60, 0.9), (500, 0.1), (2000, 0.07), (8000, 0.05)):
         win = kernel_window(T, b)

@@ -1,7 +1,8 @@
-"""Property tests: the fits routed through the local weighted-least-squares core,
-the constancy statistic and the semiparametric cross-validation match the
-dense oracles on small random series, and the certified rcond gate decides
-exactly as the eigenvalue gate and certifies only what that gate passes."""
+"""Property tests: the smoother matches an explicit double loop on both of its
+paths, the fits routed through the local weighted-least-squares core, the
+constancy statistic and the semiparametric cross-validation match the dense
+oracles on small random series, and the certified rcond gate decides exactly
+as the eigenvalue gate and certifies only what that gate passes."""
 
 import itertools
 import warnings
@@ -19,6 +20,7 @@ from tvarch import (
     cv_bandwidth_tvarch,
     estimate_alpha,
     estimate_beta,
+    kernels,
 )
 from tvarch.errors import NumericalError, SingularMomentError
 from tvarch.estimate import _certify, _psd_rcond, _solve_gated
@@ -42,6 +44,34 @@ def _series(seed: int, T: int) -> np.ndarray:
 
 def _max_rel(got, want) -> float:
     return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+_BLOCK = kernels._BLOCK
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+@given(
+    seed=seeds,
+    trailing=st.sampled_from([(), (1,), (2,), (3,), (7,), (1, 2), (2, 2), (3, 4)]),
+    column_major=st.booleans(),
+    data=st.data(),
+)
+def test_local_sums_match_dense_loop(n, seed, trailing, column_major, data):
+    # Column counts on both sides of the GEMM dispatch, signed values, 1-D to
+    # 3-D input, windows longer than 2n - 1 (trimmed), and the transposed
+    # layout the local weighted-least-squares core hands over.
+    half = data.draw(st.integers(0, 2 * n + 2))
+    rng = np.random.default_rng(seed)
+    window = rng.uniform(size=2 * half + 1) * (rng.uniform(size=2 * half + 1) > 0.1)
+    values = rng.normal(size=(n,) + trailing) * np.exp(rng.normal(size=(n,) + trailing))
+    if column_major and len(trailing) == 1:
+        values = np.ascontiguousarray(values.T).T
+    got = kernels.local_sums(values, window)
+    want = reference.dense_local_sums(values, window)
+    scale = reference.dense_local_sums(np.abs(values), window)
+    assert got.shape == values.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    assert len(kernels._SLAB_CACHE) <= 1
 
 
 @given(seed=seeds, T=lengths, p=orders, b=bandwidths)
