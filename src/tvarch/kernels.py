@@ -28,17 +28,14 @@ O(T^2 b).
 :func:`local_sums` computes the convolution as a blocked GEMM.  The centers
 go _BLOCK at a time; each block is one matmul of its input rows, read in
 place from a (columns, n) array, with a (_BLOCK + L - 1, _BLOCK) Toeplitz
-slab of the length-L window, and the last slab built is cached.  With fewer
-than _GEMM_MIN_COLUMNS columns one np.convolve per column is faster and is
-kept; so is any input with a non-finite value.  A GEMM sum is a dot product
+slab of the length-L window, built once per call.  An input with a
+non-finite value takes one np.convolve per column.  A GEMM sum is a dot product
 of the same terms in BLAS's order, so it can differ from the convolution,
 and between BLAS thread counts, in the last bits: outputs are byte-identical
 at a fixed BLAS thread setting, whatever the package's own ``workers``.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -136,38 +133,23 @@ def _conv_centered(a: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.convolve(a, window, mode="full")[half : half + a.shape[0]]
 
 
-# The blocked GEMM smoother: centers per block, the fewest columns it takes
-# (below that one np.convolve per column is faster), and the last slab built,
-# shared by the calibration's worker threads under its lock.
+# Centers per block of the GEMM smoother.
 _BLOCK = 64
-_GEMM_MIN_COLUMNS = 3
-_SLAB_CACHE: dict = {}
-_SLAB_LOCK = threading.Lock()
 
 
 def _slab(window: np.ndarray, block: int) -> np.ndarray:
     """(block + L - 1, block) Toeplitz slab with slab[r, s] = window[L - 1 + s - r], zero off the window.
 
     Row r of a block's slab weights input index t0 - half + r for the
-    block's center t0 + s.  The last slab is kept, keyed on the window's
-    bytes and the block, so a run of calls with one window builds it once.
+    block's center t0 + s.  Row r is padded[top - r : top - r + block]: a
+    view with a negative row stride, copied once so BLAS can read it.
     """
-    key = (window.tobytes(), block)
-    with _SLAB_LOCK:
-        slab = _SLAB_CACHE.get(key)
-        if slab is None:
-            # Row r of the slab is padded[top - r : top - r + block]: a view
-            # with a negative row stride, copied once.
-            L = window.shape[0]
-            padded = np.zeros(L + 2 * (block - 1))
-            padded[block - 1 : block - 1 + L] = window
-            top = block + L - 2
-            step = padded.itemsize
-            rows = np.ndarray((block + L - 1, block), buffer=padded, offset=step * top, strides=(-step, step))
-            slab = rows.copy()
-            _SLAB_CACHE.clear()
-            _SLAB_CACHE[key] = slab
-    return slab
+    L = window.shape[0]
+    padded = np.zeros(L + 2 * (block - 1))
+    padded[block - 1 : block - 1 + L] = window
+    top = block + L - 2
+    step = padded.itemsize
+    return np.ndarray((block + L - 1, block), buffer=padded, offset=step * top, strides=(-step, step)).copy()
 
 
 def _gemm_sums(columns: np.ndarray, window: np.ndarray) -> np.ndarray:
@@ -179,10 +161,8 @@ def _gemm_sums(columns: np.ndarray, window: np.ndarray) -> np.ndarray:
     """
     c, n = columns.shape
     block = min(_BLOCK, n)
-    # The output comes first: a slab built before it, and kept in the cache
-    # past this call, fragmented the heap (peak RSS about 4 MB higher at T=8000).
-    out = np.empty((c, n))
     slab = _slab(window, block)
+    out = np.empty((c, n))
     half = (window.shape[0] - 1) // 2
     for t0 in range(0, n, block):
         t1 = min(t0 + block, n)
@@ -195,19 +175,17 @@ def _gemm_sums(columns: np.ndarray, window: np.ndarray) -> np.ndarray:
 def local_sums(values: np.ndarray, window: np.ndarray) -> np.ndarray:
     """sum_i K((t-i)/(Tb)) * values[i] for every center t, along axis 0.
 
-    With at least _GEMM_MIN_COLUMNS columns (the entries of values[i]) the
-    sums are a blocked GEMM over the columns as rows of a (c, n) array: an
-    input that is the transpose of such an array, as the package's callers
-    build it, is read without a copy, and the result is laid out the same
-    way.  Fewer columns, or any non-finite value, take one np.convolve per
-    column, so a non-finite value reaches only the centers its window covers.
+    The sums are a blocked GEMM over the columns (the entries of values[i])
+    as rows of a (c, n) array: an input that is the transpose of such an
+    array, as the package's callers build it, is read without a copy, and
+    the result is laid out the same way.  An input with any non-finite value
+    takes one np.convolve per column instead, so a non-finite value reaches
+    only the centers its window covers.
     """
     v = np.asarray(values, dtype=float)
     window = _trim_window(window, v.shape[0])
-    if v.ndim == 1:
-        return _conv_centered(v, window)
     flat = v.reshape(v.shape[0], -1)
-    if flat.shape[1] >= _GEMM_MIN_COLUMNS and np.isfinite(flat).all():
+    if np.isfinite(flat).all():
         return _gemm_sums(np.ascontiguousarray(flat.T), window).T.reshape(v.shape)
     out = np.empty_like(flat)
     for j in range(flat.shape[1]):

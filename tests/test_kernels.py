@@ -209,8 +209,8 @@ def test_local_sums_match_direct():
 
 
 def test_local_sums_keep_a_non_finite_value_inside_its_window():
-    # Past the GEMM column threshold a NaN or inf must still reach only the
-    # centers whose window covers it, as in a convolution.
+    # A NaN or inf must reach only the centers whose window covers it, as in
+    # a convolution, not every center of its GEMM block.
     win = kernel_window(400, 0.05)
     h = (win.shape[0] - 1) // 2
     vals = np.ones((400, 6))
