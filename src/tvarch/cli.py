@@ -61,6 +61,14 @@ def _parse_levels(text: str) -> tuple:
     return levels
 
 
+def _workers(text: str) -> int:
+    """argparse type of ``--workers``: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _parse_partition(tokens, p: int) -> CoefficientPartition:
     if not tokens:
         return CoefficientPartition.semiparametric(p)
@@ -132,7 +140,7 @@ def _add_common_flags(sp, bandwidth: bool = True) -> None:
 def _add_test_flags(sp) -> None:
     sp.add_argument("--B", type=int, default=2000, help="Monte-Carlo calibration replicates")
     sp.add_argument("--alpha", default="0.05,0.10", help="comma-separated test levels")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_workers, default=1)
 
 
 def _report_table(report: dict) -> str:
@@ -474,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", default="0.05,0.10")
     sp.add_argument("--q", type=int, default=10)
     sp.add_argument("--calibration", choices=("monte-carlo", "asymptotic"), default="monte-carlo")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_workers, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out", default=None, help="prefix for .json and .csv outputs")

@@ -103,21 +103,6 @@ def _psd_rcond(stack: np.ndarray) -> np.ndarray:
     return np.clip(rc, 0.0, None)
 
 
-def _leaveout_sums(full: np.ndarray, per_index: np.ndarray, win: np.ndarray, p: int) -> np.ndarray:
-    """Subtract the k = t..t+p window terms from every center's full sums, in place; returns ``full``."""
-    half = (win.shape[0] - 1) // 2
-    for j in range(0, min(p, half) + 1):
-        # Weight the center t places on excluded index k = t + j.
-        w = win[half - j]
-        if w == 0.0:
-            continue
-        if j == 0:
-            full -= w * per_index
-        else:
-            full[:-j] -= w * per_index[j:]
-    return full
-
-
 def local_wls(
     X: np.ndarray, Y: np.ndarray, W: np.ndarray, window: np.ndarray, leave_out: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -127,10 +112,11 @@ def local_wls(
     cross[r] smooths W_i X_i Y_i' (k, c); :func:`_solve_gated` solves them.
     The gram is symmetric, so only its k(k+1)/2 upper-triangle columns
     (W_i X_ia) X_ib, a <= b, are smoothed and then mirrored.  By default the
-    smoother is the kernel-weighted local mean.  With ``leave_out=p`` the
-    indices t..t+p are dropped from center t's sums (the leave-(p+1)-out
-    cross-validation fit) and the sums stay unnormalized, which changes no
-    solution.
+    smoother is the kernel-weighted local mean.  With ``leave_out=p`` it
+    smooths with the holed window :func:`kernels.leave_out_window`, which
+    drops the indices t..t+p from center t's sums (the leave-(p+1)-out
+    cross-validation fit); the sums stay unnormalized, which changes no
+    solution, and a center with no index left gets exact zeros.
 
     The smoothed columns are rows of one C-contiguous (columns, n) block, so
     :func:`kernels.local_sums` reads them in place, and the gram is written
@@ -148,11 +134,11 @@ def local_wls(
         np.multiply(WXT[i], XT[i:], out=g[row : row + k - i])
         row += k - i
     np.multiply(WXT[:, None, :], Y.T[None, :, :], out=g[row:].reshape(k, c, n))
-    s = kernels.local_sums(g.T, window)
     if leave_out is None:
+        s = kernels.local_sums(g.T, window)
         s /= kernels.window_counts(n, window)[:, None]
     else:
-        _leaveout_sums(s, g.T, window, leave_out)
+        s = kernels.local_sums(g.T, kernels.leave_out_window(window, leave_out))
     sT = s.T
     gram = np.empty((k, k, n))
     gram[a, b] = gram[b, a] = sT[:row]
@@ -497,8 +483,8 @@ def estimate_beta_plugin(
     Returns the plug-in fit, the realized weights, and the flooring count of
     the first-pass volatility.
     """
-    if nu < 0.0:
-        raise InputError("nu must be >= 0")
+    if not 0.0 <= nu < np.inf:
+        raise InputError(f"nu must be finite and >= 0, got {nu}")
     if base is None:
         base = estimate_beta(series, partition, weights, b)
     sigma_sq, floored = fitted_sigma_sq(series, partition, base)
@@ -537,8 +523,8 @@ def estimate_alpha_plugin(
 
     Returns alpha (n_t, m), its standard errors (n_t, m) and the floored count.
     """
-    if mu < 0.0:
-        raise InputError("mu must be >= 0")
+    if not 0.0 <= mu < np.inf:
+        raise InputError(f"mu must be finite and >= 0, got {mu}")
     p = partition.p
     M, N = regressor_matrices(series, partition)
     beta = np.asarray(beta, dtype=float)

@@ -184,6 +184,8 @@ class ExperimentSpec:
             raise InputError(f"unknown calibration {self.calibration!r}; pick monte-carlo or asymptotic")
         if not self.levels or not all(0.0 < lvl < 1.0 for lvl in self.levels):
             raise InputError(f"levels must be nonempty and lie in (0, 1), got {self.levels}")
+        if self.workers < 1:
+            raise InputError(f"workers must be >= 1, got {self.workers}")
         T_list = tuple(int(t) for t in self.T_list) or DESIGNS[self.design][1]
         object.__setattr__(self, "T_list", T_list)
 

@@ -23,7 +23,9 @@ package is a discrete convolution with the window returned by
 :func:`kernel_window`: :func:`local_sums` gives the numerators for all
 centers at once and :func:`window_counts` the denominators, from the window's
 prefix sums; the local sums set the total cost of smoothing every center,
-O(T^2 b).
+O(T^2 b).  The leave-(p+1)-out cross-validation sums are the same
+convolution with a holed window, :func:`leave_out_window`, whose entries
+for indices t..t+p are zero, so they are exact and cost no second pass.
 
 :func:`local_sums` computes the convolution as a blocked GEMM.  The centers
 go _BLOCK at a time; each block is one matmul of its input rows, read in
@@ -48,6 +50,7 @@ __all__ = [
     "k_star",
     "k_star_l2_norm_sq",
     "kernel_window",
+    "leave_out_window",
     "local_sums",
     "window_counts",
 ]
@@ -117,6 +120,14 @@ def kernel_window(T: int, b: float, kernel=epanechnikov) -> np.ndarray:
     halfwidth = int(np.floor(T * b))
     d = np.arange(-halfwidth, halfwidth + 1)
     return np.asarray(kernel(d / (T * b)), dtype=float)
+
+
+def leave_out_window(window: np.ndarray, p: int) -> np.ndarray:
+    """``window`` with entries half-p..half, the weights center t puts on indices t..t+p, set to zero."""
+    half = (window.shape[0] - 1) // 2
+    holed = window.copy()
+    holed[max(half - p, 0) : half + 1] = 0.0
+    return holed
 
 
 def _trim_window(window: np.ndarray, n: int) -> np.ndarray:

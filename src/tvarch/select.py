@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .errors import AllSingularError, InputError, SingularDesignError, SingularMomentError
-from .estimate import LEVEL, _leaveout_sums, _solve_design, _solve_gated, local_wls, resolve_weights
+from .estimate import LEVEL, _solve_design, _solve_gated, local_wls, resolve_weights
 from .model import CoefficientPartition, ReturnSeries, canonical_matrix, regressor_matrices
 
 __all__ = [
@@ -117,8 +117,7 @@ def cv_bandwidth_semiparametric(
     betas = [None] * bs.shape[0]
     last = None
     for i, b in enumerate(bs):
-        win = kernels.kernel_window(series.T, b)
-        s = _leaveout_sums(kernels.local_sums(g.T, win), g.T, win, p)
+        s = kernels.local_sums(g.T, kernels.leave_out_window(kernels.kernel_window(series.T, b), p))
         s3, s1, s2 = s[:, 0], s[:, 1], s[:, 2:]
         if np.any(s3 <= 0.0):
             continue

@@ -309,6 +309,8 @@ def mc_pivotal_quantiles(
     """
     if B < 100:
         raise InputError("Monte-Carlo calibration needs B >= 100")
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
     if not isinstance(weights_kind, str):
         raise InputError("replicates need a weight scheme name, not a realized array")
 

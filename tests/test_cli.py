@@ -316,3 +316,37 @@ def test_dynamic_test_at_extreme_scale_exits_cleanly(sim_csv, capsys):
     report, big = json.loads(out), json.loads(out_big)
     assert big["statistic"] == pytest.approx(report["statistic"], rel=1e-9)
     assert big["decision"] == report["decision"]
+
+
+@pytest.mark.parametrize("flag", ["--nu", "--mu"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_fit_plugin_rejects_a_non_finite_or_negative_nu_and_mu(sim_csv, capsys, flag, value):
+    rc = main(["fit", "--input", str(sim_csv), "--p", "1", "--bandwidth", "0.2", "--plugin", flag, value])
+    assert rc == 2
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test-constancy", "--p", "1", "--bandwidth", "0.2"],
+        ["test-zero", "--p", "1", "--bandwidth", "0.2"],
+        ["test-dynamic", "--p", "1", "--bandwidth", "0.2"],
+        ["pipeline", "--q", "2"],
+    ],
+    ids=["test-constancy", "test-zero", "test-dynamic", "pipeline"],
+)
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exits_2(sim_csv, capsys, argv, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", str(sim_csv), "--B", "100", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_experiment_workers_below_one_exits_2(capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--design", "rmse", "--R", "30", "--T", "300", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err

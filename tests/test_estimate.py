@@ -21,7 +21,7 @@ from tvarch import (
 from tvarch.errors import DegenerateSeriesError, InputError, SingularDesignError, SingularMomentError
 from tvarch.estimate import _certify, _local_sandwich, _solve_gated, fitted_sigma_sq, local_wls
 from tvarch.kernels import box, kernel_window
-from tvarch.model import regressor_matrices
+from tvarch.model import canonical_matrix, regressor_matrices
 from tvarch.simulate import derive_seed
 
 import reference
@@ -440,6 +440,48 @@ def test_local_wls_symmetric_and_matches_dense(k, leave_out):
     want_gram, want_cross = reference.dense_local_moments(X, Y, W, b, T, p, leave_out=lo)
     assert _max_rel(gram, want_gram) <= 1e-10
     assert _max_rel(cross, want_cross) <= 1e-10
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_plugin_nu_and_mu_must_be_finite_and_nonnegative(value):
+    s = ReturnSeries(np.random.default_rng(0).standard_normal(200))
+    part = CoefficientPartition.semiparametric(1)
+    with pytest.raises(InputError, match="nu must be finite"):
+        estimate_beta_plugin(s, part, 0.3, nu=value)
+    with pytest.raises(InputError, match="mu must be finite"):
+        estimate_alpha_plugin(s, part, np.array([0.3]), 0.3, alpha_init=np.ones((199, 1)), var_xi_sq=2.0, mu=value)
+
+
+@pytest.mark.parametrize("b", [0.04, 0.06, 1.0], ids=["half-below-p", "half-equal-p", "longer-than-series"])
+def test_local_wls_leave_out_matches_dense_at_any_window_length(b):
+    rng = np.random.default_rng(11)
+    T, p = 40, 2
+    X = rng.uniform(0.5, 2.0, size=(T - p, 3))
+    Y = rng.normal(size=(T - p, 2))
+    W = rng.uniform(0.5, 2.0, size=T - p)
+    gram, cross = local_wls(X, Y, W, kernel_window(T, b), leave_out=p)
+    want_gram, want_cross = reference.dense_local_moments(X, Y, W, b, T, p, leave_out=p)
+    assert _max_rel(gram, want_gram) <= 1e-10
+    assert _max_rel(cross, want_cross) <= 1e-10
+
+
+@pytest.mark.parametrize("b", [0.05, 0.073, 0.1])
+def test_local_wls_leave_out_exact_zero_where_nothing_is_left(b):
+    # At T=40, p=3 the first center keeps no index of positive weight: the
+    # window's nonzero entries past the hole lie before it or at K(+-1) = 0.
+    T, p = 40, 3
+    s = ReturnSeries(np.random.default_rng(5).standard_normal(T))
+    X = canonical_matrix(s, p)
+    W = level_weights(s, p)
+    gram, cross = local_wls(X, (s.values[p:] ** 2)[:, None], W, kernel_window(T, b), leave_out=p)
+    n = T - p
+    kept = np.array(
+        [any(not r <= i <= r + p and reference.epan((r - i) / (T * b)) > 0.0 for i in range(n)) for r in range(n)]
+    )
+    assert not kept.all() and kept.any()
+    np.testing.assert_array_equal(gram[~kept], 0.0)
+    np.testing.assert_array_equal(cross[~kept], 0.0)
+    assert np.all(np.einsum("tii->t", gram[kept]) > 0.0)
 
 
 def test_solve_gated_certificate_margin():

@@ -40,6 +40,12 @@ def test_experiment_spec_rejects_levels_outside_the_unit_interval(levels):
         ExperimentSpec(design="rmse", levels=levels)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_experiment_spec_rejects_workers_below_one(workers):
+    with pytest.raises(InputError, match="workers"):
+        ExperimentSpec(design="rmse", workers=workers)
+
+
 def test_rmse_design_small():
     spec = ExperimentSpec(design="rmse", T_list=(300,), replications=30, seed=1)
     out = run_experiment(spec)

@@ -64,6 +64,16 @@ def test_cv_semiparametric_leaveout_dense_oracle():
     np.testing.assert_allclose(cv.beta, beta_ref, atol=1e-10)
 
 
+def test_cv_semiparametric_skips_a_bandwidth_that_leaves_a_center_empty():
+    # At b = 0.25 * 40^(-1/3) the first center has no index outside its
+    # left-out run t..t+3, so its local moments are exactly zero and the
+    # bandwidth cannot be scored.
+    s = ReturnSeries(np.random.default_rng(3).standard_normal(40))
+    cv = cv_bandwidth_semiparametric(s, 3, grid=BandwidthGrid((0.25, 2.0)))
+    assert cv.scores[0] == np.inf
+    assert np.isfinite(cv.scores[1]) and cv.bandwidth == cv.bandwidths[1]
+
+
 def test_cv_semiparametric_skips_singular_residual_design(monkeypatch):
     # x^2 = 1 everywhere: each lag equals its leave-out local mean, so at every
     # bandwidth the residual design is exactly 0 and fails the design gate.

@@ -276,6 +276,13 @@ def test_mc_calibration_workers_identical(tv1_model):
     np.testing.assert_array_equal(a.sample, b.sample)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_mc_calibration_rejects_workers_below_one(workers):
+    part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
+    with pytest.raises(InputError, match="workers"):
+        mc_pivotal_quantiles(150, 1, part, "level", 0.25, 100, (0.10,), 7, "second-order", workers=workers)
+
+
 def test_mc_requires_b_at_least_100():
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
     with pytest.raises(InputError):
