@@ -496,7 +496,7 @@ def estimate_beta_plugin(
 
 
 # Centers per chunk of the plug-in sweep times the window length: bounds the
-# sweep's (centers, m, window) temporaries to a few MB at any T and b'.
+# sweep's (centers, window) temporaries to half a MB each at any T and b'.
 _SWEEP_CELLS = 1 << 16
 
 
@@ -514,11 +514,12 @@ def estimate_alpha_plugin(
 
     sigma_{t,i}^2 = M_i'alpha_t + N_i'beta couples the window index i to the
     center t, so this pass cannot be written as one convolution.  Instead a
-    sliding-window sweep gathers each center's window rows, a chunk of
-    centers at a time, and solves the local moments of every center in the
-    chunk at once.  Volatilities with |sigma_{t,i}^2| below floor_rel *
-    mean(x^2) are counted; with mu = 0 their sigma^4 is floored there.
-    Standard errors use the optimal asymptotic variance
+    sliding-window sweep reads each center's window of the q = m(m+1)/2 + m
+    product rows [M_a M_b, a <= b | M_a (x^2 - N'beta)], built once, and
+    takes all q local moments of a chunk of centers with one reduction
+    against the weights K / (sigma^4 + mu).  Volatilities with |sigma_{t,i}^2|
+    below floor_rel * mean(x^2) are counted; with mu = 0 their sigma^4 is
+    floored there.  Standard errors use the optimal asymptotic variance
     Var(xi^2) ||K||_2^2 E^-1(MM'/sigma^4) / (T b').
 
     Returns alpha (n_t, m), its standard errors (n_t, m) and the floored count.
@@ -531,37 +532,59 @@ def estimate_alpha_plugin(
     x2t = series.values[p:] ** 2
     n_t, m = M.shape
     win = kernels.kernel_window(series.T, b_prime)
-    half = (win.shape[0] - 1) // 2
+    L = win.shape[0]
+    half = (L - 1) // 2
 
     n_beta = N @ beta if partition.n else np.zeros(n_t)
     floor = floor_rel * float((series.values**2).mean())
     se_scale = var_xi_sq * kernels.k_l2_norm_sq() / (series.T * b_prime)
+    counts = kernels.window_counts(n_t, win)
 
-    # Window views (m + 3, n_t, 2*half+1) of the rows [M', N'beta, x^2 - N'beta, 1]:
-    # entry [:, r, j] is index r - half + j, zero off range, so the last row
-    # marks the in-range indices.
-    cols = np.vstack([M.T, n_beta, x2t - n_beta, np.ones(n_t)])
+    # Window views (rows, n_t, L) of [M', N'beta, 1, products]: entry [:, r, j]
+    # is index r - half + j, zero off range, so row m + 1 marks the in-range
+    # indices.
+    a, b = np.triu_indices(m)
+    tri = a.shape[0]
+    cols = np.vstack([M.T, n_beta, np.ones(n_t), M.T[a] * M.T[b], M.T * (x2t - n_beta)])
     padded = np.pad(cols, [(0, 0), (half, half)])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, win.shape[0], axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=1)
+    Mw, nbw, inside, prods = windows[:m], windows[m], windows[m + 1], windows[m + 2 :]
     eye = np.broadcast_to(np.eye(m), (n_t, m, m))
 
     alpha_star = np.empty((n_t, m))
     se = np.empty((n_t, m))
     floored = 0
-    chunk = max(1, _SWEEP_CELLS // win.shape[0])
+    chunk = max(1, _SWEEP_CELLS // L)
+    sig_buf = np.empty((min(chunk, n_t), L))
+    tmp_buf = np.empty_like(sig_buf)
     for lo in range(0, n_t, chunk):
-        rows = slice(lo, min(lo + chunk, n_t))
-        Mc, nb, y, inside = windows[:m, rows], windows[m, rows], windows[m + 1, rows], windows[m + 2, rows]
-        sig2 = np.einsum("mcl,cm->cl", Mc, alpha_init[rows]) + nb
-        floored += int(np.count_nonzero((inside > 0.0) & (np.abs(sig2) < floor)))
-        sig4 = np.maximum(sig2 * sig2, floor * floor) if mu == 0.0 else sig2 * sig2
-        kw = win * inside
-        w = kw / (sig4 + mu) / kw.sum(axis=1, keepdims=True)
-        A = Mc.transpose(1, 0, 2) * w[:, None, :]
-        s3 = A @ Mc.transpose(1, 2, 0)
-        rhs = A @ y[..., None]
+        hi = min(lo + chunk, n_t)
+        rows = slice(lo, hi)
+        # A chunk is an edge chunk when some window runs past 0..n_t-1.
+        edge = lo < half or hi - 1 + half > n_t - 1
+        sig, tmp = sig_buf[: hi - lo], tmp_buf[: hi - lo]
+        np.copyto(sig, nbw[rows])
+        for j in range(m):
+            np.multiply(Mw[j, rows], alpha_init[rows, j, None], out=tmp)
+            sig += tmp
+        low = np.abs(sig, out=tmp) < floor
+        if edge:
+            low &= inside[rows] > 0.0
+        floored += int(np.count_nonzero(low))
+        np.square(sig, out=sig)
+        if mu == 0.0:
+            np.maximum(sig, floor * floor, out=sig)
+        else:
+            sig += mu
+        w = np.divide(win, sig, out=sig)
+        if edge:
+            w *= inside[rows]
+        s = np.einsum("cl,qcl->cq", w, prods[:, rows])
+        s /= counts[rows, None]
+        s3 = np.empty((hi - lo, m, m))
+        s3[:, a, b] = s3[:, b, a] = s[:, :tri]
         # One gated solve yields alpha and the inverse behind its standard errors.
-        sol = _solve_gated(s3, np.concatenate([rhs, eye[rows]], axis=2), p + 1 + lo)
+        sol = _solve_gated(s3, np.concatenate([s[:, tri:, None], eye[rows]], axis=2), p + 1 + lo)
         alpha_star[rows] = sol[..., 0]
         se[rows] = np.sqrt(np.clip(np.diagonal(sol[..., 1:], axis1=1, axis2=2), 0.0, None) * se_scale)
     return alpha_star, se, floored

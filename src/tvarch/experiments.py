@@ -35,6 +35,7 @@ from .select import BandwidthGrid, cv_bandwidth_semiparametric, cv_bandwidth_tva
 from .simulate import SimulationConfig, derive_seed, simulate_path
 from .testing import (
     _map_ordered,
+    _require_workers,
     asymptotic_psi_quantile,
     constancy_statistic,
     mc_pivotal_quantiles,
@@ -73,11 +74,14 @@ def run_pipeline(
     constant when their constancy p-value exceeds ``ALPHA_GATE``, and only
     then runs the second-order test.  On a failure in a late
     stage the bundle is returned with the stages completed so far plus an
-    ``error`` entry.
+    ``error`` entry; ``workers < 1`` fails at stage ``input``, before any
+    stage runs.
     """
     bundle: dict = {"schema_version": SCHEMA_VERSION, "seed": seed, "B": B, "levels": list(levels)}
-    stage = "order-selection"
+    stage = "input"
     try:
+        _require_workers(workers)
+        stage = "order-selection"
         sel = select_lag_order(series, q_max=q_max, grid=grid)
         bundle["order"] = {
             "p_hat": sel.p_hat,
@@ -184,8 +188,7 @@ class ExperimentSpec:
             raise InputError(f"unknown calibration {self.calibration!r}; pick monte-carlo or asymptotic")
         if not self.levels or not all(0.0 < lvl < 1.0 for lvl in self.levels):
             raise InputError(f"levels must be nonempty and lie in (0, 1), got {self.levels}")
-        if self.workers < 1:
-            raise InputError(f"workers must be >= 1, got {self.workers}")
+        _require_workers(self.workers)
         T_list = tuple(int(t) for t in self.T_list) or DESIGNS[self.design][1]
         object.__setattr__(self, "T_list", T_list)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .errors import AllSingularError, InputError, SingularDesignError, SingularMomentError
-from .estimate import LEVEL, _solve_design, _solve_gated, local_wls, resolve_weights
+from .estimate import LEVEL, _certify, _cholesky_solve, _solve_design, _solve_gated, local_wls, resolve_weights
 from .model import CoefficientPartition, ReturnSeries, canonical_matrix, regressor_matrices
 
 __all__ = [
@@ -175,12 +175,20 @@ def select_lag_order(
     # over the same rows, weights and window: smooth once, slice per order.
     X = canonical_matrix(series, q_max)
     gram, cross = local_wls(X, x2t[:, None], Wq, win)
+    # A certified Gram certifies every leading block (tr G_kk <= tr G and
+    # tr G_kk^-1 <= tr G^-1), and their factors are leading blocks of its
+    # factor: one certificate serves every order.  Otherwise each order takes
+    # the eigenvalue gate on its own.
+    factor = _certify(gram)
     rss = np.empty(q_max + 1)
     last = None
     for p in range(q_max + 1):
         k = p + 1
         try:
-            a_fit = _solve_gated(gram[:, :k, :k], cross[:, :k], q_max + 1)[..., 0]
+            if factor is None:
+                a_fit = _solve_gated(gram[:, :k, :k], cross[:, :k], q_max + 1)[..., 0]
+            else:
+                a_fit = _cholesky_solve(factor[:k, :k], cross[:, :k])[..., 0]
         except SingularMomentError as err:
             rss[p] = np.inf
             last = err

@@ -246,6 +246,12 @@ def _pivotal_statistic(name, series, p, partition, weights, b, gamma) -> float:
     raise InputError(f"unknown pivotal statistic {name!r}")
 
 
+def _require_workers(workers: int) -> None:
+    """Raise InputError unless the Monte-Carlo thread count is at least 1."""
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
+
+
 def _map_ordered(fn, n: int, workers: int) -> list:
     """[fn(0), ..., fn(n-1)], on a pool of ``workers`` threads when workers > 1.
 
@@ -309,8 +315,7 @@ def mc_pivotal_quantiles(
     """
     if B < 100:
         raise InputError("Monte-Carlo calibration needs B >= 100")
-    if workers < 1:
-        raise InputError(f"workers must be >= 1, got {workers}")
+    _require_workers(workers)
     if not isinstance(weights_kind, str):
         raise InputError("replicates need a weight scheme name, not a realized array")
 
@@ -493,6 +498,7 @@ def test_second_order(
     workers: int = 1,
 ) -> TestReport:
     """Test H0: no second-order dynamic (all lag coefficients zero)."""
+    _require_workers(workers)
     stat = second_order_statistic(series, p, b)
     if calibration == "asymptotic":
         quantiles = {float(lvl): asymptotic_psi_quantile(p, float(lvl)) for lvl in levels}

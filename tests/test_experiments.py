@@ -46,6 +46,16 @@ def test_experiment_spec_rejects_workers_below_one(workers):
         ExperimentSpec(design="rmse", workers=workers)
 
 
+def test_pipeline_rejects_workers_below_one_before_any_stage(monkeypatch):
+    def order_selection(*args, **kwargs):
+        raise AssertionError("order selection ran")
+
+    monkeypatch.setattr(tvarch.experiments, "select_lag_order", order_selection)
+    bundle = run_pipeline(ReturnSeries(np.random.default_rng(2).normal(size=300)), workers=0)
+    assert bundle["error"]["stage"] == "input" and bundle["error"]["type"] == "InputError"
+    assert "workers" in bundle["error"]["message"] and "order" not in bundle
+
+
 def test_rmse_design_small():
     spec = ExperimentSpec(design="rmse", T_list=(300,), replications=30, seed=1)
     out = run_experiment(spec)

@@ -1,11 +1,13 @@
 """Property tests: the smoother matches an explicit double loop on both of its
 paths, the fits routed through the local weighted-least-squares core, the
 constancy statistic and the semiparametric cross-validation match the dense
-oracles on small random series, and the certified rcond gate decides exactly
-as the eigenvalue gate and certifies only what that gate passes."""
+oracles on small random series, the plug-in alpha sweep matches its oracle
+across chunk edges, and the certified rcond gate decides exactly as the
+eigenvalue gate and certifies only what that gate passes."""
 
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,9 @@ from tvarch import (
     ReturnSeries,
     cv_bandwidth_semiparametric,
     cv_bandwidth_tvarch,
+    estimate,
     estimate_alpha,
+    estimate_alpha_plugin,
     estimate_beta,
     kernels,
 )
@@ -101,6 +105,41 @@ def test_semiparametric_fit_matches_dense(seed, T, p, b, data):
     want = reference.dense_semiparametric(x, varying, constant, reference.level_weights(x, p), b)
     assert _max_rel(fit.beta, want["beta"]) <= 1e-10
     assert _max_rel(af.alpha, want["alpha"]) <= 1e-10
+
+
+@given(
+    seed=seeds,
+    T=st.integers(40, 120),
+    m=orders,
+    mu=st.sampled_from([0.0, 0.5]),
+    b=st.floats(0.1, 0.25),
+    centers=st.integers(1, 4),
+    zeroed=st.booleans(),
+)
+def test_plugin_alpha_matches_dense_across_chunk_edges(seed, T, m, mu, b, centers, zeroed):
+    # Chunks of a few centers, so that the sweep has interior chunks (every
+    # window in range) between its edge chunks.  With ``zeroed`` the first
+    # interior chunk's alpha_init rows are zero and beta is zero, so every
+    # sigma^2 of its windows is floored.
+    p = 3
+    x = _series(seed, T)
+    n_t, L = T - p, kernels.kernel_window(T, b).shape[0]
+    half = (L - 1) // 2
+    varying, constant = tuple(range(m)), tuple(range(m, p + 1))
+    rng = np.random.default_rng(seed)
+    beta = np.zeros(p + 1 - m) if zeroed else rng.uniform(0.1, 0.5, p + 1 - m)
+    alpha_init = rng.uniform(0.5, 2.0, (n_t, m))
+    lo = -(-half // centers) * centers  # the first interior chunk
+    assume(lo + centers - 1 + half <= n_t - 1)
+    if zeroed:
+        alpha_init[lo : lo + centers] = 0.0
+    part = CoefficientPartition(p=p, varying=varying, constant=constant)
+    with mock.patch.object(estimate, "_SWEEP_CELLS", centers * L):
+        alpha, se, floored = estimate_alpha_plugin(ReturnSeries(x), part, beta, b, alpha_init, 1.7, mu)
+    ref_alpha, ref_se, ref_floored = reference.dense_alpha_plugin(x, varying, constant, beta, b, alpha_init, 1.7, mu)
+    assert floored == ref_floored == (centers * L if zeroed else 0)
+    assert _max_rel(alpha, ref_alpha) <= 1e-10
+    assert _max_rel(se, ref_se) <= 1e-10
 
 
 def _constancy_partitions(p: int) -> list:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,10 @@ from tvarch import (
     select_lag_order,
     simulate_path,
 )
-from tvarch import select
+from tvarch import kernels, select
 from tvarch.errors import AllSingularError, InputError, SingularDesignError, SingularMomentError
+from tvarch.estimate import LEVEL, _certify, _solve_gated, local_wls, resolve_weights
+from tvarch.model import canonical_matrix
 from tvarch.simulate import derive_seed
 
 import reference
@@ -153,11 +157,64 @@ def test_select_order_all_singular_names_the_last_center(monkeypatch, series_mid
     def singular(gram, rhs, first_t):
         raise SingularMomentError(t=first_t + gram.shape[-1], rcond=1e-13)
 
+    monkeypatch.setattr(select, "_certify", lambda gram: None)
     monkeypatch.setattr(select, "_solve_gated", singular)
     monkeypatch.setattr(select, "cv_bandwidth_tvarch", lambda *a, **k: select.CvResult(0.2, np.array([0.2]), np.ones(1)))
     with pytest.raises(AllSingularError, match=r"every candidate order failed; last: .* at t=6 \(rcond=1\.000e-13\)") as err:
         select_lag_order(series_mid, q_max=2)
     assert isinstance(err.value.__cause__, SingularMomentError)
+
+
+def _per_order_gate(series, q_max, b):
+    """Each candidate order solved by its own gated solve, as rss (inf where it fails) and the errors raised."""
+    X = canonical_matrix(series, q_max)
+    W, _ = resolve_weights(series, q_max, LEVEL)
+    x2t = series.values[q_max:] ** 2
+    gram, cross = local_wls(X, x2t[:, None], W, kernels.kernel_window(series.T, b))
+    rss, errors = np.full(q_max + 1, np.inf), {}
+    for p in range(q_max + 1):
+        try:
+            a_fit = _solve_gated(gram[:, : p + 1, : p + 1], cross[:, : p + 1], q_max + 1)[..., 0]
+        except SingularMomentError as err:
+            errors[p + 1] = str(err)
+            continue
+        rss[p] = float(np.sum(W * (x2t - np.einsum("tk,tk->t", X[:, : p + 1], a_fit)) ** 2))
+    return gram, rss, errors
+
+
+def test_select_order_one_certificate_equals_per_order_gate(series_mid):
+    # The leading blocks of the certified q_max factor solve every order
+    # exactly as each order's own gated solve does.
+    sel = select_lag_order(series_mid, q_max=4)
+    gram, rss, errors = _per_order_gate(series_mid, 4, sel.bandwidth)
+    assert _certify(gram) is not None and not errors
+    np.testing.assert_array_equal(sel.rss, rss)
+
+
+def test_select_order_uncertified_gram_keeps_per_order_gate():
+    # Exact zeros before t=10 leave the high lags of the first centers'
+    # windows empty: orders 0-3 pass, 4-6 fail the eigenvalue gate.  The
+    # bandwidth is fixed, since cross-validation, which fails at it, picks a
+    # wider one at which every order passes.
+    x = np.random.default_rng(4).normal(size=300)
+    x[:10] = 0.0
+    series = ReturnSeries(x)
+    gram, rss, errors = _per_order_gate(series, 6, 0.03)
+    assert _certify(gram) is None and sorted(errors) == [5, 6, 7]
+    raised = {}
+
+    def spy(gram, rhs, first_t):
+        try:
+            return _solve_gated(gram, rhs, first_t)
+        except SingularMomentError as err:
+            raised[gram.shape[-1]] = str(err)
+            raise
+
+    cv = select.CvResult(0.03, np.array([0.03]), np.ones(1))
+    with mock.patch.object(select, "cv_bandwidth_tvarch", return_value=cv), mock.patch.object(select, "_solve_gated", spy):
+        sel = select_lag_order(series, q_max=6)
+    np.testing.assert_array_equal(sel.rss, rss)
+    assert raised == errors
 
 
 def test_select_order_recovers_truth_easy_case():

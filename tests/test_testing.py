@@ -283,6 +283,14 @@ def test_mc_calibration_rejects_workers_below_one(workers):
         mc_pivotal_quantiles(150, 1, part, "level", 0.25, 100, (0.10,), 7, "second-order", workers=workers)
 
 
+@pytest.mark.parametrize("calibration", ["monte-carlo", "asymptotic"])
+def test_second_order_rejects_workers_below_one(calibration):
+    # The asymptotic calibration runs no pool, but workers=0 is still rejected.
+    s = ReturnSeries(np.random.default_rng(2).normal(size=300))
+    with pytest.raises(InputError, match="workers"):
+        run_second_order_test(s, 1, 0.2, B=100, calibration=calibration, workers=0)
+
+
 def test_mc_requires_b_at_least_100():
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
     with pytest.raises(InputError):
