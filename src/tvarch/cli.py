@@ -23,7 +23,7 @@ from .experiments import DESIGNS, SCHEMA_VERSION, ExperimentSpec, run_experiment
 from .model import CoefficientPartition, NoiseSpec, TvArchModel
 from .select import BandwidthGrid, cv_bandwidth_semiparametric, cv_bandwidth_tvarch, select_lag_order
 from .simulate import SimulationConfig, simulate_path
-from .testing import test_constancy, test_second_order, test_zero_wald
+from .testing import _require_levels, test_constancy, test_second_order, test_zero_wald
 
 __all__ = ["main"]
 
@@ -55,10 +55,7 @@ def _parse_list(text: str, convert, flag: str) -> tuple:
 
 
 def _parse_levels(text: str) -> tuple:
-    levels = _parse_list(text, float, "--alpha")
-    if not levels or any(not (0.0 < a < 1.0) for a in levels):
-        raise InputError("--alpha levels must lie in (0, 1)")
-    return levels
+    return _require_levels(_parse_list(text, float, "--alpha"), "--alpha levels")
 
 
 def _workers(text: str) -> int:

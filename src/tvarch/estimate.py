@@ -369,6 +369,14 @@ def _plug_back(q1: np.ndarray, q2: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return q1 - np.einsum("tmn,n->tm", q2, beta)
 
 
+def _require_beta(beta, partition: CoefficientPartition) -> np.ndarray:
+    """beta as a float array; InputError unless it holds the partition's n finite values."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (partition.n,) or not np.isfinite(beta).all():
+        raise InputError(f"beta must hold n={partition.n} finite values, got shape {beta.shape}")
+    return beta
+
+
 def _floored_sigma_sq(
     series: ReturnSeries, M: np.ndarray, N: np.ndarray, alpha: np.ndarray, beta: np.ndarray, floor_rel: float
 ) -> tuple[np.ndarray, int]:
@@ -432,9 +440,9 @@ def estimate_alpha(
     b_prime: float,
 ) -> AlphaFit:
     """Time-varying block on the grid u_t = t/T: alpha_t = q1 - q2 beta."""
+    beta = _require_beta(beta, partition)
     moments = smoothed_moments(series, partition, weights, b_prime)
     q1, q2 = projection_ratios(moments)
-    beta = np.asarray(beta, dtype=float)
     alpha = _plug_back(q1, q2, beta) if partition.n else q1
     u = np.arange(partition.p + 1, series.T + 1) / series.T
     return AlphaFit(u=u, alpha=alpha, bandwidth=b_prime, gram=moments.s3)
@@ -495,9 +503,51 @@ def estimate_beta_plugin(
     return estimate_beta(series, partition, w_star, b), w_star, floored
 
 
-# Centers per chunk of the plug-in sweep times the window length: bounds the
-# sweep's (centers, window) temporaries to half a MB each at any T and b'.
+# Centers per chunk of the plug-in moment pass times the window length: bounds
+# its (centers, window) buffers to half a MB each at any T and b'.  Only the
+# (n_t, q) moments outlive the pass.
 _SWEEP_CELLS = 1 << 16
+
+
+def _plugin_moments(M, n_beta, x2t, win, alpha_init, mu: float, floor: float) -> tuple[np.ndarray, int]:
+    """Unnormalized (n_t, q) plug-in moments of every center, and the floored count.
+
+    Off the series the zero-padded products are exactly 0 and sigma^2 = 0 gets
+    a finite weight (floor > 0, or mu > 0), so those terms are exact zeros.
+    """
+    n_t, m = M.shape
+    L = win.shape[0]
+    half = (L - 1) // 2
+    # Window views (rows, n_t, L) of [M', N'beta, 1, products]: entry [:, r, j]
+    # is index r - half + j, zero off range, so row m + 1 marks the in-range
+    # indices.
+    a, b = np.triu_indices(m)
+    cols = np.vstack([M.T, n_beta, np.ones(n_t), M.T[a] * M.T[b], M.T * (x2t - n_beta)])
+    padded = np.pad(cols, [(0, 0), (half, half)])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=1)
+    Mw, nbw, inside, prods = windows[:m], windows[m], windows[m + 1], windows[m + 2 :]
+
+    s = np.empty((n_t, prods.shape[0]))
+    floored = 0
+    chunk = max(1, _SWEEP_CELLS // L)
+    sig_buf = np.empty((min(chunk, n_t), L))
+    tmp_buf = np.empty_like(sig_buf)
+    for lo in range(0, n_t, chunk):
+        hi = min(lo + chunk, n_t)
+        rows = slice(lo, hi)
+        sig, tmp = sig_buf[: hi - lo], tmp_buf[: hi - lo]
+        np.copyto(sig, nbw[rows])
+        for j in range(m):
+            np.multiply(Mw[j, rows], alpha_init[rows, j, None], out=tmp)
+            sig += tmp
+        floored += int(np.count_nonzero((np.abs(sig, out=tmp) < floor) & (inside[rows] > 0.0)))
+        np.square(sig, out=sig)
+        if mu == 0.0:
+            np.maximum(sig, floor * floor, out=sig)
+        else:
+            sig += mu
+        np.einsum("cl,qcl->cq", np.divide(win, sig, out=sig), prods[:, rows], out=s[rows])
+    return s, floored
 
 
 def estimate_alpha_plugin(
@@ -508,86 +558,48 @@ def estimate_alpha_plugin(
     alpha_init: np.ndarray,
     var_xi_sq: float,
     mu: float = 0.0,
-    floor_rel: float = _FLOOR_REL,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Plug-in time-varying block with per-center weights 1/(sigma_{t,i}^4 + mu).
 
-    sigma_{t,i}^2 = M_i'alpha_t + N_i'beta couples the window index i to the
-    center t, so this pass cannot be written as one convolution.  Instead a
-    sliding-window sweep reads each center's window of the q = m(m+1)/2 + m
-    product rows [M_a M_b, a <= b | M_a (x^2 - N'beta)], built once, and
-    takes all q local moments of a chunk of centers with one reduction
-    against the weights K / (sigma^4 + mu).  Volatilities with |sigma_{t,i}^2|
-    below floor_rel * mean(x^2) are counted; with mu = 0 their sigma^4 is
-    floored there.  Standard errors use the optimal asymptotic variance
+    sigma_{t,i}^2 = M_i'alpha_init[t] + N_i'beta couples the window index i
+    to the center t, so this pass cannot be written as one convolution.
+    Instead a sliding-window sweep over chunks of centers takes the q =
+    m(m+1)/2 + m local moments [M_a M_b, a <= b | M_a (x^2 - N'beta)] of
+    every center against the weights K / (sigma^4 + mu), as one (n_t, q)
+    array; one gated solve of all of them yields alpha and the inverse
+    behind its standard errors.  Volatilities with |sigma_{t,i}^2| below
+    1e-12 * mean(x^2) are counted; with mu = 0 their sigma^4 is floored
+    there.  Standard errors use the optimal asymptotic variance
     Var(xi^2) ||K||_2^2 E^-1(MM'/sigma^4) / (T b').
 
     Returns alpha (n_t, m), its standard errors (n_t, m) and the floored count.
     """
     if not 0.0 <= mu < np.inf:
         raise InputError(f"mu must be finite and >= 0, got {mu}")
+    if not 0.0 <= var_xi_sq < np.inf:
+        raise InputError(f"var_xi_sq must be finite and >= 0, got {var_xi_sq}")
     p = partition.p
     M, N = regressor_matrices(series, partition)
-    beta = np.asarray(beta, dtype=float)
-    x2t = series.values[p:] ** 2
+    beta = _require_beta(beta, partition)
     n_t, m = M.shape
+    alpha_init = np.asarray(alpha_init, dtype=float)
+    if alpha_init.shape != (n_t, m) or not np.isfinite(alpha_init).all():
+        raise InputError(f"alpha_init must be a finite (T-p, m) = {(n_t, m)} array, got shape {alpha_init.shape}")
+    v_hat = float((series.values**2).mean())
+    if v_hat <= 0.0:
+        raise DegenerateSeriesError("series is identically zero")
     win = kernels.kernel_window(series.T, b_prime)
-    L = win.shape[0]
-    half = (L - 1) // 2
 
-    n_beta = N @ beta if partition.n else np.zeros(n_t)
-    floor = floor_rel * float((series.values**2).mean())
-    se_scale = var_xi_sq * kernels.k_l2_norm_sq() / (series.T * b_prime)
-    counts = kernels.window_counts(n_t, win)
-
-    # Window views (rows, n_t, L) of [M', N'beta, 1, products]: entry [:, r, j]
-    # is index r - half + j, zero off range, so row m + 1 marks the in-range
-    # indices.
+    s, floored = _plugin_moments(M, N @ beta, series.values[p:] ** 2, win, alpha_init, mu, _FLOOR_REL * v_hat)
+    s /= kernels.window_counts(n_t, win)[:, None]
     a, b = np.triu_indices(m)
-    tri = a.shape[0]
-    cols = np.vstack([M.T, n_beta, np.ones(n_t), M.T[a] * M.T[b], M.T * (x2t - n_beta)])
-    padded = np.pad(cols, [(0, 0), (half, half)])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=1)
-    Mw, nbw, inside, prods = windows[:m], windows[m], windows[m + 1], windows[m + 2 :]
+    s3 = np.empty((m, m, n_t))
+    s3[a, b] = s3[b, a] = s[:, : a.shape[0]].T
     eye = np.broadcast_to(np.eye(m), (n_t, m, m))
-
-    alpha_star = np.empty((n_t, m))
-    se = np.empty((n_t, m))
-    floored = 0
-    chunk = max(1, _SWEEP_CELLS // L)
-    sig_buf = np.empty((min(chunk, n_t), L))
-    tmp_buf = np.empty_like(sig_buf)
-    for lo in range(0, n_t, chunk):
-        hi = min(lo + chunk, n_t)
-        rows = slice(lo, hi)
-        # A chunk is an edge chunk when some window runs past 0..n_t-1.
-        edge = lo < half or hi - 1 + half > n_t - 1
-        sig, tmp = sig_buf[: hi - lo], tmp_buf[: hi - lo]
-        np.copyto(sig, nbw[rows])
-        for j in range(m):
-            np.multiply(Mw[j, rows], alpha_init[rows, j, None], out=tmp)
-            sig += tmp
-        low = np.abs(sig, out=tmp) < floor
-        if edge:
-            low &= inside[rows] > 0.0
-        floored += int(np.count_nonzero(low))
-        np.square(sig, out=sig)
-        if mu == 0.0:
-            np.maximum(sig, floor * floor, out=sig)
-        else:
-            sig += mu
-        w = np.divide(win, sig, out=sig)
-        if edge:
-            w *= inside[rows]
-        s = np.einsum("cl,qcl->cq", w, prods[:, rows])
-        s /= counts[rows, None]
-        s3 = np.empty((hi - lo, m, m))
-        s3[:, a, b] = s3[:, b, a] = s[:, :tri]
-        # One gated solve yields alpha and the inverse behind its standard errors.
-        sol = _solve_gated(s3, np.concatenate([s[:, tri:, None], eye[rows]], axis=2), p + 1 + lo)
-        alpha_star[rows] = sol[..., 0]
-        se[rows] = np.sqrt(np.clip(np.diagonal(sol[..., 1:], axis1=1, axis2=2), 0.0, None) * se_scale)
-    return alpha_star, se, floored
+    sol = _solve_gated(s3.transpose(2, 0, 1), np.concatenate([s[:, a.shape[0] :, None], eye], axis=2), p + 1)
+    se_scale = var_xi_sq * kernels.k_l2_norm_sq() / (series.T * b_prime)
+    se = np.sqrt(np.clip(np.diagonal(sol[..., 1:], axis1=1, axis2=2), 0.0, None) * se_scale)
+    return sol[..., 0], se, floored
 
 
 @dataclass(frozen=True)

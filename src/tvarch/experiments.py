@@ -35,6 +35,7 @@ from .select import BandwidthGrid, cv_bandwidth_semiparametric, cv_bandwidth_tva
 from .simulate import SimulationConfig, derive_seed, simulate_path
 from .testing import (
     _map_ordered,
+    _require_levels,
     _require_workers,
     asymptotic_psi_quantile,
     constancy_statistic,
@@ -74,12 +75,13 @@ def run_pipeline(
     constant when their constancy p-value exceeds ``ALPHA_GATE``, and only
     then runs the second-order test.  On a failure in a late
     stage the bundle is returned with the stages completed so far plus an
-    ``error`` entry; ``workers < 1`` fails at stage ``input``, before any
-    stage runs.
+    ``error`` entry; ``workers < 1`` and ``levels`` outside (0, 1) fail at
+    stage ``input``, before any stage runs.
     """
-    bundle: dict = {"schema_version": SCHEMA_VERSION, "seed": seed, "B": B, "levels": list(levels)}
+    bundle: dict = {"schema_version": SCHEMA_VERSION, "seed": seed, "B": B, "levels": None}
     stage = "input"
     try:
+        bundle["levels"] = list(_require_levels(levels))
         _require_workers(workers)
         stage = "order-selection"
         sel = select_lag_order(series, q_max=q_max, grid=grid)
@@ -186,8 +188,7 @@ class ExperimentSpec:
             raise InputError("statistical acceptance runs need at least 30 replications")
         if self.calibration not in ("monte-carlo", "asymptotic"):
             raise InputError(f"unknown calibration {self.calibration!r}; pick monte-carlo or asymptotic")
-        if not self.levels or not all(0.0 < lvl < 1.0 for lvl in self.levels):
-            raise InputError(f"levels must be nonempty and lie in (0, 1), got {self.levels}")
+        _require_levels(self.levels)
         _require_workers(self.workers)
         T_list = tuple(int(t) for t in self.T_list) or DESIGNS[self.design][1]
         object.__setattr__(self, "T_list", T_list)

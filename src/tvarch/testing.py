@@ -252,6 +252,17 @@ def _require_workers(workers: int) -> None:
         raise InputError(f"workers must be >= 1, got {workers}")
 
 
+def _require_levels(levels, what: str = "levels") -> tuple:
+    """The test levels as floats; InputError unless there is one or more and each lies in (0, 1)."""
+    try:
+        out = tuple(float(lvl) for lvl in levels)
+    except (TypeError, ValueError):
+        out = ()
+    if not out or not all(0.0 < lvl < 1.0 for lvl in out):
+        raise InputError(f"{what} must be nonempty and lie in (0, 1), got {levels!r}")
+    return out
+
+
 def _map_ordered(fn, n: int, workers: int) -> list:
     """[fn(0), ..., fn(n-1)], on a pool of ``workers`` threads when workers > 1.
 
@@ -316,6 +327,7 @@ def mc_pivotal_quantiles(
     if B < 100:
         raise InputError("Monte-Carlo calibration needs B >= 100")
     _require_workers(workers)
+    _require_levels(levels)
     if not isinstance(weights_kind, str):
         raise InputError("replicates need a weight scheme name, not a realized array")
 
@@ -499,6 +511,7 @@ def test_second_order(
 ) -> TestReport:
     """Test H0: no second-order dynamic (all lag coefficients zero)."""
     _require_workers(workers)
+    _require_levels(levels)
     stat = second_order_statistic(series, p, b)
     if calibration == "asymptotic":
         quantiles = {float(lvl): asymptotic_psi_quantile(p, float(lvl)) for lvl in levels}

@@ -247,15 +247,16 @@ def dense_constancy(x: np.ndarray, varying, constant, W: np.ndarray, b: float) -
     return {"s_t": s_t, "varpi1": varpi1, "varpi2": varpi2, "e_t": e_t, "beta": beta}
 
 
-def dense_alpha_plugin(
-    x: np.ndarray, varying, constant, beta, b: float, alpha_init, var_xi_sq: float, mu: float = 0.0,
-    floor_rel: float = 1e-12,
+def dense_plugin_moments(
+    x: np.ndarray, varying, constant, beta, b: float, alpha_init, mu: float = 0.0, floor_rel: float = 1e-12
 ):
-    """Plug-in alpha with weights K / (sigma_{t,i}^4 + mu), one center and one index at a time.
+    """Plug-in local moments with weights K / (sigma_{t,i}^4 + mu), one center and one index at a time.
 
     sigma_{t,i}^2 = M_i'alpha_init[t] + N_i'beta over the window rows |t - i| <= T b;
     entries with |sigma^2| < floor_rel * mean(x^2) are counted and, with mu = 0,
-    their sigma^4 is floored there.  Returns (alpha, se, floored count).
+    their sigma^4 is floored there.  Returns the normalized (n_t, m, m) local
+    mean of M M' / sigma^4, the (n_t, m) one of M (x^2 - N'beta) / sigma^4,
+    and the floored count.
     """
     p = len(varying) + len(constant) - 1
     T = x.shape[0]
@@ -265,9 +266,8 @@ def dense_alpha_plugin(
     n_t = T - p
     nb = N @ np.asarray(beta, dtype=float) if N.shape[1] else np.zeros(n_t)
     floor = floor_rel * x2.mean()
-    k2 = 0.6  # squared L2 norm of the Epanechnikov kernel
-    alpha = np.empty((n_t, m))
-    se = np.empty((n_t, m))
+    gram = np.empty((n_t, m, m))
+    cross = np.empty((n_t, m))
     floored = 0
     for r, t in enumerate(range(p + 1, T + 1)):
         S = np.zeros((m, m))
@@ -284,8 +284,27 @@ def dense_alpha_plugin(
             mass += k
             S += k / (sig4 + mu) * np.outer(M[i], M[i])
             R += k / (sig4 + mu) * M[i] * (x2[p + i] - nb[i])
-        inv = np.linalg.inv(S / mass)
-        alpha[r] = inv @ (R / mass)
+        gram[r] = S / mass
+        cross[r] = R / mass
+    return gram, cross, floored
+
+
+def dense_alpha_plugin(
+    x: np.ndarray, varying, constant, beta, b: float, alpha_init, var_xi_sq: float, mu: float = 0.0,
+    floor_rel: float = 1e-12,
+):
+    """Plug-in alpha and its standard errors from :func:`dense_plugin_moments`, one center at a time.
+
+    Returns (alpha, se, floored count).
+    """
+    gram, cross, floored = dense_plugin_moments(x, varying, constant, beta, b, alpha_init, mu, floor_rel)
+    k2 = 0.6  # squared L2 norm of the Epanechnikov kernel
+    T = x.shape[0]
+    alpha = np.empty(cross.shape)
+    se = np.empty(cross.shape)
+    for r in range(cross.shape[0]):
+        inv = np.linalg.inv(gram[r])
+        alpha[r] = inv @ cross[r]
         se[r] = np.sqrt(np.diag(inv) * var_xi_sq * k2 / (T * b))
     return alpha, se, floored
 

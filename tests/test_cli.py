@@ -250,6 +250,7 @@ _MODEL_ARGS = ["simulate", "--model", "{model}", "--T", "50", "--out-csv", "{out
         (["fit", "--input", "{csv}", "--p", "1", "--bandwidth", "0.2", "--partition", "varying=a"], None),
         (["select-order", "--input", "{csv}", "--q", "1", "--grid", "abc"], None),
         (["experiment", "--design", "rmse", "--T", "5x0"], None),
+        (["test-zero", "--input", "{csv}", "--p", "1", "--bandwidth", "0.2", "--alpha", "0.05,1.5"], None),
         (_MODEL_ARGS, {"p": 1}),
         (_MODEL_ARGS, {"coeffs": [{"kind": "constant"}, {"kind": "constant", "value": 0.4}]}),
         (_MODEL_ARGS, {"coeffs": [{"kind": "constant", "value": 1.0}], "noise": {"law": "t"}}),
@@ -259,7 +260,7 @@ _MODEL_ARGS = ["simulate", "--model", "{model}", "--T", "50", "--out-csv", "{out
         (_MODEL_ARGS, {"coeffs": [{"kind": "constant", "value": 1.0}], "noise": 5}),
     ],
     ids=[
-        "partition-index", "grid", "experiment-T", "no-coeffs", "constant-no-value", "t-no-df",
+        "partition-index", "grid", "experiment-T", "alpha-level", "no-coeffs", "constant-no-value", "t-no-df",
         "constant-not-number", "knots-missing", "model-not-dict", "noise-not-dict",
     ],
 )

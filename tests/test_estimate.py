@@ -452,6 +452,47 @@ def test_plugin_nu_and_mu_must_be_finite_and_nonnegative(value):
         estimate_alpha_plugin(s, part, np.array([0.3]), 0.3, alpha_init=np.ones((199, 1)), var_xi_sq=2.0, mu=value)
 
 
+@pytest.fixture(scope="module")
+def alpha_stage(sptv2_model):
+    """A T=300 sptv(2) path with its beta and first-pass alpha at b=0.2."""
+    s = simulate_path(sptv2_model, SimulationConfig(T=300, seed=2))
+    part = CoefficientPartition.semiparametric(2)
+    beta = estimate_beta(s, part, "level", 0.2).beta
+    return s, part, beta, estimate_alpha(s, part, beta, "level", 0.2).alpha
+
+
+def test_alpha_stage_rejects_a_beta_of_the_wrong_length(alpha_stage):
+    s, part, beta, alpha = alpha_stage
+    with pytest.raises(InputError, match="beta must hold n=2"):
+        estimate_alpha(s, part, beta[:1], "level", 0.2)
+    with pytest.raises(InputError, match="beta must hold n=2"):
+        estimate_alpha_plugin(s, part, beta[:1], 0.2, alpha_init=alpha, var_xi_sq=1.7)
+
+
+@pytest.mark.parametrize("kind", ["short", "wide", "non-finite"])
+def test_plugin_alpha_rejects_a_malformed_alpha_init(alpha_stage, kind):
+    s, part, beta, alpha = alpha_stage
+    bad = {"short": alpha[1:], "wide": np.hstack([alpha, alpha]), "non-finite": alpha.copy()}[kind]
+    if kind == "non-finite":
+        bad[7, 0] = np.nan
+    with pytest.raises(InputError, match="alpha_init"):
+        estimate_alpha_plugin(s, part, beta, 0.2, alpha_init=bad, var_xi_sq=1.7)
+
+
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+def test_plugin_alpha_rejects_a_negative_or_non_finite_var_xi_sq(alpha_stage, value):
+    s, part, beta, alpha = alpha_stage
+    with pytest.raises(InputError, match="var_xi_sq"):
+        estimate_alpha_plugin(s, part, beta, 0.2, alpha_init=alpha, var_xi_sq=value)
+
+
+def test_plugin_alpha_rejects_an_identically_zero_series():
+    # Its floor would be 0, and the weights K / floor^2 off the series infinite.
+    part = CoefficientPartition.semiparametric(1)
+    with pytest.raises(DegenerateSeriesError):
+        estimate_alpha_plugin(ReturnSeries(np.zeros(100)), part, np.array([0.3]), 0.2, np.ones((99, 1)), 1.7)
+
+
 @pytest.mark.parametrize("b", [0.04, 0.06, 1.0], ids=["half-below-p", "half-equal-p", "longer-than-series"])
 def test_local_wls_leave_out_matches_dense_at_any_window_length(b):
     rng = np.random.default_rng(11)

@@ -56,6 +56,17 @@ def test_pipeline_rejects_workers_below_one_before_any_stage(monkeypatch):
     assert "workers" in bundle["error"]["message"] and "order" not in bundle
 
 
+@pytest.mark.parametrize("levels", [(2.0,), (0.0,), (), 0.05])
+def test_pipeline_rejects_levels_outside_the_unit_interval_before_any_stage(monkeypatch, levels):
+    def order_selection(*args, **kwargs):
+        raise AssertionError("order selection ran")
+
+    monkeypatch.setattr(tvarch.experiments, "select_lag_order", order_selection)
+    bundle = run_pipeline(ReturnSeries(np.random.default_rng(2).normal(size=300)), levels=levels)
+    assert bundle["error"]["stage"] == "input" and bundle["error"]["type"] == "InputError"
+    assert "levels" in bundle["error"]["message"] and "order" not in bundle
+
+
 def test_rmse_design_small():
     spec = ExperimentSpec(design="rmse", T_list=(300,), replications=30, seed=1)
     out = run_experiment(spec)

@@ -2,7 +2,7 @@
 paths, the fits routed through the local weighted-least-squares core, the
 constancy statistic and the semiparametric cross-validation match the dense
 oracles on small random series, the plug-in alpha sweep matches its oracle
-across chunk edges, and the certified rcond gate decides exactly as the
+across chunk edges and gates the whole grid once, and the certified rcond gate decides exactly as the
 eigenvalue gate and certifies only what that gate passes."""
 
 import itertools
@@ -140,6 +140,36 @@ def test_plugin_alpha_matches_dense_across_chunk_edges(seed, T, m, mu, b, center
     assert floored == ref_floored == (centers * L if zeroed else 0)
     assert _max_rel(alpha, ref_alpha) <= 1e-10
     assert _max_rel(se, ref_se) <= 1e-10
+
+
+def test_plugin_alpha_gates_the_whole_grid_once():
+    # A zero run in x zeroes the lag column of M on whole windows, so the
+    # plug-in s3 is singular from a center inside an interior chunk on.  One
+    # gate over every center reports the eigenvalue gate's first singular
+    # center on the dense moments.
+    T, b, centers = 120, 0.1, 3
+    varying, constant = (0, 1), (2,)
+    part = CoefficientPartition(p=2, varying=varying, constant=constant)
+    n_t, L = T - 2, kernels.kernel_window(T, b).shape[0]
+    beta = np.array([0.3])
+    alpha_init = np.random.default_rng(44).uniform(0.5, 2.0, (n_t, 2))
+    x = np.random.default_rng(43).normal(size=T)
+    healthy = x.copy()
+    x[50:90] = 0.0
+    gram, cross, _ = reference.dense_plugin_moments(x, varying, constant, beta, b, alpha_init)
+    verdict, t, rcond = reference.eigvalsh_gate_solve(gram, cross[..., None], 3)
+    lo = (t - 3) // centers * centers
+    assert verdict == "raise" and lo >= (L - 1) // 2 and lo + centers - 1 + (L - 1) // 2 <= n_t - 1
+    with (
+        mock.patch.object(estimate, "_SWEEP_CELLS", centers * L),
+        mock.patch.object(estimate, "_solve_gated", wraps=estimate._solve_gated) as gate,
+    ):
+        with pytest.raises(SingularMomentError) as exc:
+            estimate_alpha_plugin(ReturnSeries(x), part, beta, b, alpha_init, 1.7)
+        assert (exc.value.t, exc.value.rcond) == (t, rcond)
+        assert gate.call_count == 1
+        estimate_alpha_plugin(ReturnSeries(healthy), part, beta, b, alpha_init, 1.7)
+        assert gate.call_count == 2
 
 
 def _constancy_partitions(p: int) -> list:

@@ -291,6 +291,19 @@ def test_second_order_rejects_workers_below_one(calibration):
         run_second_order_test(s, 1, 0.2, B=100, calibration=calibration, workers=0)
 
 
+@pytest.mark.parametrize("levels", [(2.0,), (0.05, 0.0), (1.0,), (float("nan"),), (), 0.05])
+def test_mc_entry_points_reject_levels_outside_the_unit_interval(levels):
+    s = ReturnSeries(np.random.default_rng(2).normal(size=150))
+    part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
+    with pytest.raises(InputError, match="levels"):
+        mc_pivotal_quantiles(150, 1, part, "level", 0.25, 100, levels, 7, "second-order")
+    with pytest.raises(InputError, match="levels"):
+        run_constancy_test(s, part, 0.25, B=100, levels=levels)
+    for calibration in ("monte-carlo", "asymptotic"):
+        with pytest.raises(InputError, match="levels"):
+            run_second_order_test(s, 1, 0.25, B=100, levels=levels, calibration=calibration)
+
+
 def test_mc_requires_b_at_least_100():
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
     with pytest.raises(InputError):
