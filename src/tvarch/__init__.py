@@ -40,7 +40,6 @@ from .estimate import (
     smoothed_moments,
 )
 from .kernels import (
-    box,
     epanechnikov,
     k_l2_norm_sq,
     k_star,

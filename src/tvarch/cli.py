@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from . import errors
 from .data import IngestSpec, load_series
 from .errors import InputError, NumericalError, TvArchError
 from .estimate import fit_semiparametric
@@ -348,7 +349,10 @@ def _cmd_pipeline(args) -> int:
     if "error" in bundle:
         human.append(f"  ERROR in {bundle['error']['stage']}: {bundle['error']['message']}")
     _emit(args, bundle, "\n".join(human) + "\n")
-    return 3 if "error" in bundle else 0
+    if "error" not in bundle:
+        return 0
+    # Every tvarch error class lives in ``errors``; the bundle names it.
+    return 2 if issubclass(getattr(errors, bundle["error"]["type"]), InputError) else 3
 
 
 def _flatten_cells(row: dict) -> dict:

@@ -71,20 +71,20 @@ def level_weights(series: ReturnSeries, p: int) -> np.ndarray:
     return total**-2.0
 
 
-def resolve_weights(series: ReturnSeries, p: int, weights) -> tuple[np.ndarray, str]:
-    """Accept a scheme name ('unit' | 'level') or an explicit weight array."""
+def resolve_weights(series: ReturnSeries, p: int, weights) -> np.ndarray:
+    """The weights over t = p+1..T of a scheme name ('unit' | 'level') or an explicit weight array."""
     if isinstance(weights, str):
         if weights == UNIT:
-            return np.ones(series.T - p), UNIT
+            return np.ones(series.T - p)
         if weights == LEVEL:
-            return level_weights(series, p), LEVEL
+            return level_weights(series, p)
         raise InputError(f"unknown weight scheme {weights!r}")
     W = np.asarray(weights, dtype=float)
     if W.shape != (series.T - p,):
         raise InputError(f"weight array must have length T-p={series.T - p}")
     if not np.all(np.isfinite(W)) or np.any(W <= 0.0):
         raise InputError("weights must be strictly positive and finite")
-    return W, "custom"
+    return W
 
 
 def _psd_rcond(stack: np.ndarray) -> np.ndarray:
@@ -287,7 +287,7 @@ def smoothed_moments(
     """All-centers smoothed moments of the regression of [x^2, N] on M."""
     p = partition.p
     M, N = regressor_matrices(series, partition)
-    W, _ = resolve_weights(series, p, weights)
+    W = resolve_weights(series, p, weights)
     Y = np.concatenate([series.values[p:, None] ** 2, N], axis=1)
     win = kernels.kernel_window(series.T, b)
     s3, cross = local_wls(M, Y, W, win)
@@ -308,7 +308,6 @@ class BetaFit:
     o_resid: np.ndarray  # (n_t, n): N_t residualized on the M block
     v_resid: np.ndarray  # (n_t,): x_t^2 residualized on the M block
     weights: np.ndarray  # (n_t,)
-    weights_kind: str
     q1: np.ndarray  # (n_t, m)
     q2: np.ndarray  # (n_t, m, n)
     x_sq: np.ndarray  # (n_t,)
@@ -340,7 +339,7 @@ def estimate_beta(
     if moments is None:
         moments = smoothed_moments(series, partition, weights, b)
     q1, q2 = projection_ratios(moments)
-    W, kind = resolve_weights(series, partition.p, weights)
+    W = resolve_weights(series, partition.p, weights)
     x2t = series.values[partition.p :] ** 2
 
     v_resid = x2t - np.einsum("tm,tm->t", M, q1)
@@ -355,7 +354,6 @@ def estimate_beta(
         o_resid=o_resid,
         v_resid=v_resid,
         weights=W,
-        weights_kind=kind,
         q1=q1,
         q2=q2,
         x_sq=x2t,
@@ -378,30 +376,27 @@ def _require_beta(beta, partition: CoefficientPartition) -> np.ndarray:
 
 
 def _floored_sigma_sq(
-    series: ReturnSeries, M: np.ndarray, N: np.ndarray, alpha: np.ndarray, beta: np.ndarray, floor_rel: float
+    series: ReturnSeries, M: np.ndarray, N: np.ndarray, alpha: np.ndarray, beta: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """sigma_t^2 = M_t'alpha_t + N_t'beta clipped at floor_rel * mean(x^2), and the clipped count."""
+    """sigma_t^2 = M_t'alpha_t + N_t'beta clipped at _FLOOR_REL * mean(x^2), and the clipped count."""
     v_hat = float((series.values**2).mean())
     if v_hat <= 0.0:
         raise DegenerateSeriesError("series is identically zero")
-    floor = floor_rel * v_hat
+    floor = _FLOOR_REL * v_hat
     sig = np.einsum("tm,tm->t", M, alpha) + N @ beta
     return np.maximum(sig, floor), int(np.sum(sig < floor))
 
 
 def fitted_sigma_sq(
-    series: ReturnSeries,
-    partition: CoefficientPartition,
-    fit: BetaFit,
-    floor_rel: float = _FLOOR_REL,
+    series: ReturnSeries, partition: CoefficientPartition, fit: BetaFit
 ) -> tuple[np.ndarray, int]:
     """Fitted volatility sigma_t^2 = M_t'(q1 - q2 beta) + N_t'beta, floored.
 
-    Values below floor_rel * mean(x^2) are clipped there; the count of
-    floored entries is returned for diagnostics.
+    Values below 1e-12 * mean(x^2) are clipped there; the count of floored
+    entries is returned for diagnostics.
     """
     M, N = regressor_matrices(series, partition)
-    return _floored_sigma_sq(series, M, N, _plug_back(fit.q1, fit.q2, fit.beta), fit.beta, floor_rel)
+    return _floored_sigma_sq(series, M, N, _plug_back(fit.q1, fit.q2, fit.beta), fit.beta)
 
 
 @dataclass(frozen=True)
@@ -469,7 +464,7 @@ def alpha_standard_errors(
     E(WMM') is the gram ``fit`` was solved with.
     """
     M, _ = regressor_matrices(series, partition)
-    W, _ = resolve_weights(series, partition.p, weights)
+    W = resolve_weights(series, partition.p, weights)
     win = kernels.kernel_window(series.T, fit.bandwidth)
     eye = np.broadcast_to(np.eye(partition.m), fit.gram.shape)
     sandwich = _local_sandwich(_solve_gated(fit.gram, eye, partition.p + 1), M, W**2 * sigma_sq**2, win)
@@ -483,24 +478,23 @@ def estimate_beta_plugin(
     partition: CoefficientPartition,
     b: float,
     nu: float = 0.0,
-    weights=LEVEL,
     base: BetaFit | None = None,
-) -> tuple[BetaFit, np.ndarray, int]:
+) -> tuple[BetaFit, int]:
     """Efficiency-improving second pass with weights 1/(sigma_hat^4 + nu).
 
-    Returns the plug-in fit, the realized weights, and the flooring count of
-    the first-pass volatility.
+    ``base`` is the level-weighted first pass, fitted here unless given.
+    Returns the plug-in fit and the flooring count of the first-pass
+    volatility.
     """
     if not 0.0 <= nu < np.inf:
         raise InputError(f"nu must be finite and >= 0, got {nu}")
     if base is None:
-        base = estimate_beta(series, partition, weights, b)
+        base = estimate_beta(series, partition, LEVEL, b)
     sigma_sq, floored = fitted_sigma_sq(series, partition, base)
     sig4 = sigma_sq**2
     if nu == 0.0 and np.any(sig4 == 0.0):
         raise NonPositiveVolatilityError("fitted volatility vanished with nu=0")
-    w_star = 1.0 / (sig4 + nu)
-    return estimate_beta(series, partition, w_star, b), w_star, floored
+    return estimate_beta(series, partition, 1.0 / (sig4 + nu), b), floored
 
 
 # Centers per chunk of the plug-in moment pass times the window length: bounds
@@ -617,7 +611,6 @@ class SemiparametricFit:
     bandwidth: float
     bandwidth_prime: float
     plugin: bool
-    weights_kind: str
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -641,7 +634,7 @@ class SemiparametricFit:
             "sigma_sq": [float(v) for v in self.sigma_sq],
             "bandwidths": {"b": self.bandwidth, "b_prime": self.bandwidth_prime},
             "plugin": self.plugin,
-            "weights": self.weights_kind,
+            "weights": LEVEL,
             "diagnostics": self.diagnostics,
         }
 
@@ -651,27 +644,28 @@ def fit_semiparametric(
     partition: CoefficientPartition,
     b: float,
     b_prime: float | None = None,
-    weights=LEVEL,
     plugin: bool = False,
     nu: float = 0.0,
     mu: float = 0.0,
 ) -> SemiparametricFit:
-    """One-stop semiparametric fit (optionally the plug-in efficient variant)."""
+    """One-stop semiparametric fit (optionally the plug-in efficient variant).
+
+    The first step uses the level weights; the plug-in variant re-weights
+    by the fitted volatility.
+    """
     if b_prime is None:
         b_prime = b
     M, N = regressor_matrices(series, partition)
-    base = estimate_beta(series, partition, weights, b)
+    base = estimate_beta(series, partition, LEVEL, b)
     floored_beta = 0
 
     if plugin:
-        fit, w_star, floored_beta = estimate_beta_plugin(
-            series, partition, b, nu=nu, weights=weights, base=base
-        )
+        fit, floored_beta = estimate_beta_plugin(series, partition, b, nu=nu, base=base)
     else:
         fit = base
 
-    alpha0 = estimate_alpha(series, partition, fit.beta, weights, b_prime)
-    sigma_final, floored_alpha = _floored_sigma_sq(series, M, N, alpha0.alpha, fit.beta, _FLOOR_REL)
+    alpha0 = estimate_alpha(series, partition, fit.beta, LEVEL, b_prime)
+    sigma_final, floored_alpha = _floored_sigma_sq(series, M, N, alpha0.alpha, fit.beta)
     var_xi = _var_xi_sq(fit.x_sq, sigma_final)
 
     if plugin:
@@ -684,10 +678,10 @@ def fit_semiparametric(
             mu=mu,
             var_xi_sq=var_xi,
         )
-        sigma_final, _ = _floored_sigma_sq(series, M, N, alpha, fit.beta, _FLOOR_REL)
+        sigma_final, _ = _floored_sigma_sq(series, M, N, alpha, fit.beta)
     else:
         alpha = alpha0.alpha
-        alpha_se = alpha_standard_errors(series, partition, weights, alpha0, sigma_final, var_xi)
+        alpha_se = alpha_standard_errors(series, partition, LEVEL, alpha0, sigma_final, var_xi)
         floored_mu = 0
 
     sigma_for_cov, floored_cov = fitted_sigma_sq(series, partition, fit)
@@ -705,7 +699,6 @@ def fit_semiparametric(
         bandwidth=b,
         bandwidth_prime=b_prime,
         plugin=plugin,
-        weights_kind=base.weights_kind,
         diagnostics={
             "rcond_min": fit.rcond_min,
             "floored_sigma": floored_beta + floored_alpha + floored_cov,

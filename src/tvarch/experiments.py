@@ -36,6 +36,7 @@ from .simulate import SimulationConfig, derive_seed, simulate_path
 from .testing import (
     _map_ordered,
     _require_levels,
+    _require_replicates,
     _require_workers,
     asymptotic_psi_quantile,
     constancy_statistic,
@@ -75,13 +76,14 @@ def run_pipeline(
     constant when their constancy p-value exceeds ``ALPHA_GATE``, and only
     then runs the second-order test.  On a failure in a late
     stage the bundle is returned with the stages completed so far plus an
-    ``error`` entry; ``workers < 1`` and ``levels`` outside (0, 1) fail at
-    stage ``input``, before any stage runs.
+    ``error`` entry; ``B < 100``, ``workers < 1`` and ``levels`` outside
+    (0, 1) fail at stage ``input``, before any stage runs.
     """
     bundle: dict = {"schema_version": SCHEMA_VERSION, "seed": seed, "B": B, "levels": None}
     stage = "input"
     try:
         bundle["levels"] = list(_require_levels(levels))
+        _require_replicates(B)
         _require_workers(workers)
         stage = "order-selection"
         sel = select_lag_order(series, q_max=q_max, grid=grid)
@@ -116,7 +118,7 @@ def run_pipeline(
             constancy["lags_joint"] = rep.to_dict()
             lags_p = rep.p_value
         else:
-            lags_p = constancy["a1"]["p_value"] if p_test == 1 else 1.0
+            lags_p = constancy["a1"]["p_value"]
         bundle["constancy"] = {"bandwidth": b_tv, "tests": constancy}
 
         stage = "fit"
@@ -153,9 +155,8 @@ def run_pipeline(
 
         stage = "second-order-test"
         if sel.p_hat >= 1 and lags_constant:
-            b_dyn = bundle["fit"]["bandwidths"]["b"] if "bandwidths" in bundle["fit"] else b_tv
             rep = test_second_order(
-                series, p_test, b_dyn, B=B, levels=levels,
+                series, p_test, bundle["fit"]["bandwidths"]["b"], B=B, levels=levels,
                 seed=derive_seed(seed, "dynamic"), workers=workers,
             )
             bundle["second_order"] = rep.to_dict()
@@ -231,8 +232,7 @@ class _QuantileCache:
             if key not in self._store:
                 seed = derive_seed(self.spec.seed, "calibration", statistic, T, p, int(round(b * 1e9)))
                 self._store[key] = mc_pivotal_quantiles(
-                    T, p, partition, LEVEL, b, self.spec.B, self.spec.levels, seed, statistic,
-                    workers=self.spec.workers,
+                    T, p, partition, b, self.spec.B, self.spec.levels, seed, statistic, workers=self.spec.workers
                 )
         return self._store[key]
 
@@ -255,7 +255,7 @@ def _rmse_design(spec: ExperimentSpec) -> list:
             s = simulate_path(model, SimulationConfig(T=T, seed=derive_seed(spec.seed, "rmse", T, r)))
             b = cv_bandwidth_semiparametric(s, 2).bandwidth
             base = estimate_beta(s, partition, LEVEL, b)
-            plug, _, _ = estimate_beta_plugin(s, partition, b, base=base)
+            plug, _ = estimate_beta_plugin(s, partition, b, base=base)
             # Both alpha variants share the projection ratios at bandwidth b.
             alpha0 = _plug_back(base.q1, base.q2, base.beta)[:, 0]
             alpha_star, _, _ = estimate_alpha_plugin(

@@ -1,17 +1,9 @@
 """Kernel functions, the smoothing window, and kernel norm constants.
 
 The package smooths with one kernel, the Epanechnikov kernel 3/4 (1 - x^2) on
-[-1, 1]: the estimators, tests and tuning routines take no kernel argument and
-call :func:`kernel_window`, :func:`k_l2_norm_sq` and :func:`k_star_l2_norm_sq`
-with their defaults.
-
-The norm constants are exact: ||K||^2, the overlap function K* and ||K*||^2
-come from a table of closed forms for the two kernels the module defines,
-Epanechnikov (3/5, a degree-5 polynomial, 167/770) and :func:`box` (1/2,
-(1 - |x|)/2, 1/6); any other kernel raises :class:`InputError`.  The three
-functions keep their ``kernel`` argument because the benchmark harness passes
-the kernel positionally and the test suite checks the box entries against
-quadrature.
+[-1, 1]: the estimators, tests and tuning routines take no kernel argument.
+Its norm constants are exact closed forms: ||K||^2 = 3/5, the overlap
+function K* a degree-5 polynomial, and ||K*||^2 = 167/770.
 
 The smoothing weight placed on observation i by a window centered at t is
 
@@ -45,7 +37,6 @@ from .errors import EmptyWindowError, InputError
 
 __all__ = [
     "epanechnikov",
-    "box",
     "k_l2_norm_sq",
     "k_star",
     "k_star_l2_norm_sq",
@@ -63,63 +54,52 @@ def epanechnikov(x):
     return out if out.ndim else float(out)
 
 
-def box(x):
-    """Box kernel 0.5 on [-1, 1]."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(np.abs(x) <= 1.0, 0.5, 0.0)
-    return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
-# Kernel constants in closed form.
-#
-# For a kernel K on [-1, 1], K*(x) = int K(v) K(v + 2|x|) dv is a function of
-# a = 2|x| alone and vanishes for a >= 2.  Each entry is (||K||^2, K* as a
-# function of a on [0, 2), ||K*||^2).  The Epanechnikov overlap
-# 3/5 - 3a^2/4 + 3a^3/8 - 3a^5/160 is written factored, so that it is exactly
-# 0 at the edge and loses no digits near it.
-_CLOSED_FORMS = {
-    epanechnikov: (3.0 / 5.0, lambda a: 3.0 / 160.0 * (2.0 - a) ** 3 * (a * a + 6.0 * a + 4.0), 167.0 / 770.0),
-    box: (1.0 / 2.0, lambda a: (2.0 - a) / 4.0, 1.0 / 6.0),
-}
-
-
-def _closed_form(kernel):
-    try:
-        return _CLOSED_FORMS[kernel]
-    except (KeyError, TypeError):
-        raise InputError(f"no closed-form constants for kernel {kernel!r}") from None
+def _require_epanechnikov(kernel) -> None:
+    if kernel is not epanechnikov:
+        raise InputError(f"the package smooths with the Epanechnikov kernel only, got {kernel!r}")
 
 
 def k_l2_norm_sq(kernel=epanechnikov) -> float:
-    """Squared L2 norm of the kernel over [-1, 1] (3/5 for Epanechnikov)."""
-    return _closed_form(kernel)[0]
+    """Squared L2 norm 3/5 of the kernel over [-1, 1].
+
+    ``kernel`` takes only :func:`epanechnikov`; any other value raises
+    InputError.  It stays because ``bench/workloads.py`` passes the kernel
+    positionally, and goes with ROADMAP item 4(a).
+    """
+    _require_epanechnikov(kernel)
+    return 3.0 / 5.0
 
 
-def k_star(x, kernel=epanechnikov):
-    """Overlap function K*(x) = int_{-1}^{1-2|x|} K(v) K(v + 2|x|) dv."""
-    overlap = _closed_form(kernel)[1]
+def k_star(x):
+    """Overlap function K*(x) = int_{-1}^{1-2|x|} K(v) K(v + 2|x|) dv.
+
+    With a = 2|x| it is 3/5 - 3a^2/4 + 3a^3/8 - 3a^5/160 on [0, 2), zero
+    beyond, written factored so that it is exactly 0 at the edge and loses no
+    digits near it; a NaN gives 0.
+    """
     a = 2.0 * np.abs(np.asarray(x, dtype=float))
-    out = np.where(a < 2.0, overlap(np.minimum(a, 2.0)), 0.0)
+    inside = np.minimum(a, 2.0)
+    out = np.where(a < 2.0, 3.0 / 160.0 * (2.0 - inside) ** 3 * (inside * inside + 6.0 * inside + 4.0), 0.0)
     return out if out.ndim else float(out)
 
 
 def k_star_l2_norm_sq(kernel=epanechnikov) -> float:
-    """Squared L2 norm of K* over [-1, 1] (167/770 for Epanechnikov)."""
-    return _closed_form(kernel)[2]
+    """Squared L2 norm 167/770 of K* over [-1, 1]; ``kernel`` as in :func:`k_l2_norm_sq`."""
+    _require_epanechnikov(kernel)
+    return 167.0 / 770.0
 
 
 # ---------------------------------------------------------------------------
 # Streaming smoothing core shared by every estimator.
 
 
-def kernel_window(T: int, b: float, kernel=epanechnikov) -> np.ndarray:
+def kernel_window(T: int, b: float) -> np.ndarray:
     """Un-normalized window [K(d/(T b))] for integer offsets |d| <= floor(T b)."""
     if not (0.0 < b <= 1.0):
         raise InputError(f"bandwidth must lie in (0, 1], got {b}")
     halfwidth = int(np.floor(T * b))
     d = np.arange(-halfwidth, halfwidth + 1)
-    return np.asarray(kernel(d / (T * b)), dtype=float)
+    return np.asarray(epanechnikov(d / (T * b)), dtype=float)
 
 
 def leave_out_window(window: np.ndarray, p: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .errors import AllSingularError, InputError, SingularDesignError, SingularMomentError
-from .estimate import LEVEL, _certify, _cholesky_solve, _solve_design, _solve_gated, local_wls, resolve_weights
+from .estimate import _certify, _cholesky_solve, _solve_design, _solve_gated, level_weights, local_wls
 from .model import CoefficientPartition, ReturnSeries, canonical_matrix, regressor_matrices
 
 __all__ = [
@@ -67,13 +67,12 @@ def cv_bandwidth_tvarch(
     series: ReturnSeries,
     p: int,
     grid: BandwidthGrid | None = None,
-    weights=LEVEL,
 ) -> CvResult:
-    """Leave-(p+1)-out cross-validation for the fully nonparametric fit."""
+    """Leave-(p+1)-out cross-validation for the fully nonparametric fit, level-weighted."""
     series.require_length(p)
     grid = grid or BandwidthGrid()
     X = canonical_matrix(series, p)
-    W, _ = resolve_weights(series, p, weights)
+    W = level_weights(series, p)
     x2t = series.values[p:] ** 2
     bs = grid.bandwidths(series.T)
     scores = np.full(bs.shape[0], np.inf)
@@ -106,7 +105,7 @@ def cv_bandwidth_semiparametric(
     grid = grid or BandwidthGrid()
     partition = CoefficientPartition.semiparametric(p)
     _, N = regressor_matrices(series, partition)
-    W, _ = resolve_weights(series, p, LEVEL)
+    W = level_weights(series, p)
     x2t = series.values[p:] ** 2
     bs = grid.bandwidths(series.T)
 
@@ -119,7 +118,9 @@ def cv_bandwidth_semiparametric(
     for i, b in enumerate(bs):
         s = kernels.local_sums(g.T, kernels.leave_out_window(kernels.kernel_window(series.T, b), p))
         s3, s1, s2 = s[:, 0], s[:, 1], s[:, 2:]
-        if np.any(s3 <= 0.0):
+        empty = s3 <= 0.0
+        if np.any(empty):
+            last = SingularMomentError(t=p + 1 + int(np.argmax(empty)), rcond=0.0)
             continue
         y = x2t - s1 / s3
         Z = N - s2 / s3[:, None]
@@ -168,7 +169,7 @@ def select_lag_order(
     b = cv.bandwidth
     zeta = float(np.log(np.log(T)) / (T * b))
 
-    Wq, _ = resolve_weights(series, q_max, LEVEL)
+    Wq = level_weights(series, q_max)
     x2t = series.values[q_max:] ** 2
     win = kernels.kernel_window(T, b)
     # Every candidate's design is a leading column block of the q_max design

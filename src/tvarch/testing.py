@@ -77,7 +77,7 @@ def nonparametric_fit(series: ReturnSeries, p: int, weights, b: float) -> Nonpar
     """
     series.require_length(p)
     X = canonical_matrix(series, p)
-    W, _ = resolve_weights(series, p, weights)
+    W = resolve_weights(series, p, weights)
     win = kernels.kernel_window(series.T, b)
     gram, cross = local_wls(X, series.values[p:, None] ** 2, W, win)
     eye = np.broadcast_to(np.eye(p + 1), gram.shape)
@@ -169,8 +169,8 @@ def constancy_statistic(
     )
 
 
-def _wald_statistic(series, partition, weights, b):
-    fit = estimate_beta(series, partition, weights, b)
+def _wald_statistic(series, partition, b):
+    fit = estimate_beta(series, partition, LEVEL, b)
     sigma_sq, _ = fitted_sigma_sq(series, partition, fit)
     cov = covariance_beta(series, fit, sigma_sq)
     lam, U = np.linalg.eigh(cov.v_hat)
@@ -236,14 +236,20 @@ def second_order_statistic(series: ReturnSeries, p: int, b: float) -> SecondOrde
 _MAX_RETRIES = 5
 
 
-def _pivotal_statistic(name, series, p, partition, weights, b, gamma) -> float:
+def _pivotal_statistic(name, series, p, partition, b, gamma) -> float:
     if name == "constancy":
-        return constancy_statistic(series, partition, weights, b, gamma).e_t
+        return constancy_statistic(series, partition, LEVEL, b, gamma).e_t
     if name == "wald-zero":
-        return _wald_statistic(series, partition, weights, b)[0]
+        return _wald_statistic(series, partition, b)[0]
     if name == "second-order":
         return second_order_statistic(series, p, b).psi
     raise InputError(f"unknown pivotal statistic {name!r}")
+
+
+def _require_replicates(B: int) -> None:
+    """Raise InputError unless a Monte-Carlo calibration has at least 100 replicates."""
+    if B < 100:
+        raise InputError(f"Monte-Carlo calibration needs B >= 100, got {B}")
 
 
 def _require_workers(workers: int) -> None:
@@ -308,7 +314,6 @@ def mc_pivotal_quantiles(
     T: int,
     p: int,
     partition: CoefficientPartition | None,
-    weights_kind: str,
     b: float,
     B: int,
     levels,
@@ -320,23 +325,20 @@ def mc_pivotal_quantiles(
     """Simulate the null distribution of a pivotal statistic.
 
     Each replicate draws T i.i.d. standard Gaussians and runs the full
-    statistic pipeline at the pre-selected bandwidth.  Replicates hitting a
-    numerical degeneracy are redrawn (up to ``_MAX_RETRIES`` draws in all) so
-    the quantile sample size stays exactly B.
+    statistic pipeline, level-weighted, at the pre-selected bandwidth.
+    Replicates hitting a numerical degeneracy are redrawn (up to
+    ``_MAX_RETRIES`` draws in all) so the quantile sample size stays exactly B.
     """
-    if B < 100:
-        raise InputError("Monte-Carlo calibration needs B >= 100")
+    _require_replicates(B)
     _require_workers(workers)
     _require_levels(levels)
-    if not isinstance(weights_kind, str):
-        raise InputError("replicates need a weight scheme name, not a realized array")
 
     def one(r: int) -> tuple[float, int]:
         for attempt in range(_MAX_RETRIES):
             s = derive_seed(seed, r, attempt)
             series = ReturnSeries(generator(s).standard_normal(T))
             try:
-                return _pivotal_statistic(statistic, series, p, partition, weights_kind, b, gamma), attempt
+                return _pivotal_statistic(statistic, series, p, partition, b, gamma), attempt
             except NumericalError:
                 continue
         raise NumericalError(f"MC replicate {r} failed after {_MAX_RETRIES} redraws")
@@ -393,15 +395,12 @@ def test_constancy(
     B: int = 2000,
     levels=(0.05, 0.10),
     seed: int = 0,
-    weights: str = LEVEL,
     gamma=None,
     workers: int = 1,
 ) -> TestReport:
-    """Test that the constant-block coefficients are non time-varying."""
-    stat = constancy_statistic(series, partition, weights, b, gamma)
-    cal = mc_pivotal_quantiles(
-        series.T, partition.p, partition, weights, b, B, levels, seed, "constancy", gamma, workers
-    )
+    """Test that the constant-block coefficients are non time-varying (level-weighted)."""
+    stat = constancy_statistic(series, partition, LEVEL, b, gamma)
+    cal = mc_pivotal_quantiles(series.T, partition.p, partition, b, B, levels, seed, "constancy", gamma, workers)
     return TestReport(
         name=f"constancy(constant={list(partition.constant)})",
         statistic=stat.e_t,
@@ -427,14 +426,11 @@ def test_zero_wald(
     B: int = 2000,
     levels=(0.05, 0.10),
     seed: int = 0,
-    weights: str = LEVEL,
     workers: int = 1,
 ) -> TestReport:
-    """Wald test of H0: constant block equals zero, Monte-Carlo calibrated."""
-    stat, cov, fit = _wald_statistic(series, partition, weights, b)
-    cal = mc_pivotal_quantiles(
-        series.T, partition.p, partition, weights, b, B, levels, seed, "wald-zero", None, workers
-    )
+    """Wald test of H0: constant block equals zero, level-weighted and Monte-Carlo calibrated."""
+    stat, cov, fit = _wald_statistic(series, partition, b)
+    cal = mc_pivotal_quantiles(series.T, partition.p, partition, b, B, levels, seed, "wald-zero", None, workers)
     n = partition.n
     return TestReport(
         name=f"zero-wald(constant={list(partition.constant)})",
@@ -519,9 +515,7 @@ def test_second_order(
         B_used = 0
         retried = 0
     elif calibration == "monte-carlo":
-        cal = mc_pivotal_quantiles(
-            series.T, p, None, LEVEL, b, B, levels, seed, "second-order", None, workers
-        )
+        cal = mc_pivotal_quantiles(series.T, p, None, b, B, levels, seed, "second-order", None, workers)
         quantiles = cal.quantiles
         p_value = cal.p_value(stat.psi)
         B_used = B

@@ -180,8 +180,8 @@ def test_criterion_03_scale_invariance():
         f2 = estimate_beta(scaled, part, "level", b)
         worst = max(worst, float(np.abs(f2.beta - f1.beta).max() / max(np.abs(f1.beta).max(), 1e-12)))
 
-        p1, _, _ = estimate_beta_plugin(s, part, b, base=f1)
-        p2, _, _ = estimate_beta_plugin(scaled, part, b, base=f2)
+        p1, _ = estimate_beta_plugin(s, part, b, base=f1)
+        p2, _ = estimate_beta_plugin(scaled, part, b, base=f2)
         worst = max(worst, float(np.abs(p2.beta - p1.beta).max() / max(np.abs(p1.beta).max(), 1e-12)))
 
         e1 = constancy_statistic(s, part, "level", b).e_t
@@ -297,7 +297,7 @@ def test_criterion_10_order_selection():
 def test_criterion_11_pivotal_asymptotics():
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
     b = 2000.0 ** (-1.0 / 3.0)
-    cal = mc_pivotal_quantiles(2000, 1, part, "level", b, 500, (0.05, 0.10), 11, "constancy")
+    cal = mc_pivotal_quantiles(2000, 1, part, b, 500, (0.05, 0.10), 11, "constancy")
     mean = float(cal.sample.mean())
     var = float(cal.sample.var(ddof=1))
     ok = -0.3 <= mean <= 0.3 and 0.6 <= var <= 1.6

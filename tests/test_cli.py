@@ -345,6 +345,13 @@ def test_workers_below_one_exits_2(sim_csv, capsys, argv, workers):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--B", "50"], ["--q", "-1"]], ids=["B-below-100", "negative-q"])
+def test_pipeline_input_error_in_the_bundle_exits_2(sim_csv, capsys, flags):
+    rc = main(["pipeline", "--input", str(sim_csv), "--json", *(["--B", "100", "--q", "3"] + flags)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "InputError"
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_experiment_workers_below_one_exits_2(capsys, workers):
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from tvarch import (
 )
 from tvarch.errors import DegenerateSeriesError, InputError, SingularDesignError, SingularMomentError
 from tvarch.estimate import _certify, _local_sandwich, _solve_gated, fitted_sigma_sq, local_wls
-from tvarch.kernels import box, kernel_window
+from tvarch.kernels import kernel_window
 from tvarch.model import canonical_matrix, regressor_matrices
 from tvarch.simulate import derive_seed
 
@@ -86,7 +88,7 @@ def test_smoothed_moments_box_global_window():
     # The moments of smoothed_moments, smoothed with a box window over all of [0, 1].
     M, N = regressor_matrices(s, part)
     Y = np.concatenate([s.values[1:, None] ** 2, N], axis=1)
-    s3, _ = local_wls(M, Y, level_weights(s, 1), kernel_window(s.T, 1.0, box))
+    s3, _ = local_wls(M, Y, level_weights(s, 1), reference.box_array(np.arange(-s.T, s.T + 1) / s.T))
     np.testing.assert_allclose(s3, np.broadcast_to(s3[0], s3.shape), rtol=1e-12)
 
 
@@ -249,17 +251,20 @@ def test_covariance_psd(series_mid):
 
 
 def test_fitted_sigma_sq_floor(series_mid):
-    # sigma^2 = M'(q1 - q2 beta) + N'beta from the fit's own ratios; with the
-    # floor raised to mean(x^2), part of it is clipped there and counted.
+    # sigma^2 = M'(q1 - q2 beta) + N'beta from the fit's own ratios.  Lowering
+    # the intercept ratio by the median of sigma^2 pushes about half of it
+    # below the floor 1e-12 * mean(x^2), where it is clipped and counted.
     part = CoefficientPartition(p=2, varying=(0, 1), constant=(2,))
     fit = estimate_beta(series_mid, part, "level", 0.2)
     x = series_mid.values
     M, N = reference.blocks(x, part.varying, part.constant, 2)
     raw = np.einsum("tm,tm->t", M, fit.q1 - fit.q2 @ fit.beta) + N @ fit.beta
-    floor = float(np.mean(x**2))
-    sig, floored = fitted_sigma_sq(series_mid, part, fit, floor_rel=1.0)
+    fit = dataclasses.replace(fit, q1=fit.q1 - np.array([np.median(raw), 0.0]))
+    raw = np.einsum("tm,tm->t", M, fit.q1 - fit.q2 @ fit.beta) + N @ fit.beta
+    floor = 1e-12 * float(np.mean(x**2))
+    sig, floored = fitted_sigma_sq(series_mid, part, fit)
     assert 0 < floored == int(np.sum(raw < floor)) < raw.size
-    np.testing.assert_allclose(sig, np.maximum(raw, floor), rtol=1e-13)
+    np.testing.assert_allclose(sig, np.maximum(raw, floor), rtol=1e-13, atol=1e-13 * np.abs(raw).max())
 
 
 def test_plugin_weight_injection_equivalence(series_mid):
@@ -278,8 +283,8 @@ def test_plugin_nu_insensitivity(sptv2_model):
     part = CoefficientPartition.semiparametric(2)
     b = 0.12
     base = estimate_beta(s, part, "level", b)
-    beta0, _, _ = estimate_beta_plugin(s, part, b, nu=0.0, base=base)
-    beta1, _, _ = estimate_beta_plugin(s, part, b, nu=1500.0**-0.6, base=base)
+    beta0, _ = estimate_beta_plugin(s, part, b, nu=0.0, base=base)
+    beta1, _ = estimate_beta_plugin(s, part, b, nu=1500.0**-0.6, base=base)
     assert np.abs(beta0.beta - beta1.beta).max() < 1e-3
 
 

@@ -67,6 +67,17 @@ def test_pipeline_rejects_levels_outside_the_unit_interval_before_any_stage(monk
     assert "levels" in bundle["error"]["message"] and "order" not in bundle
 
 
+@pytest.mark.parametrize("B", [50, 99])
+def test_pipeline_rejects_fewer_than_100_replicates_before_any_stage(monkeypatch, B):
+    def order_selection(*args, **kwargs):
+        raise AssertionError("order selection ran")
+
+    monkeypatch.setattr(tvarch.experiments, "select_lag_order", order_selection)
+    bundle = run_pipeline(ReturnSeries(np.random.default_rng(2).normal(size=500)), q_max=3, B=B)
+    assert bundle["error"]["stage"] == "input" and bundle["error"]["type"] == "InputError"
+    assert "B >= 100" in bundle["error"]["message"] and "order" not in bundle
+
+
 def test_rmse_design_small():
     spec = ExperimentSpec(design="rmse", T_list=(300,), replications=30, seed=1)
     out = run_experiment(spec)
@@ -106,11 +117,11 @@ def test_quantile_cache_calibrates_each_key_once_under_threads(monkeypatch):
     calls = collections.Counter()
     lock = threading.Lock()
 
-    def counted(T, p, partition, weights, b, *args, **kwargs):
+    def counted(T, p, partition, b, *args, **kwargs):
         with lock:
             calls[(T, p, partition, b)] += 1
         time.sleep(0.05)  # widens the window in which two threads could ask for one key
-        return original(T, p, partition, weights, b, *args, **kwargs)
+        return original(T, p, partition, b, *args, **kwargs)
 
     monkeypatch.setattr(tvarch.experiments, "mc_pivotal_quantiles", counted)
     threaded = run_experiment(ExperimentSpec(**spec, workers=2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from tvarch import box, epanechnikov, k_l2_norm_sq, k_star, k_star_l2_norm_sq
+from tvarch import epanechnikov, k_l2_norm_sq, k_star, k_star_l2_norm_sq
 from tvarch.errors import EmptyWindowError, InputError
 from tvarch.kernels import kernel_window, local_sums, window_counts
 
@@ -26,28 +26,28 @@ def test_l2_norm_against_quadrature_oracle():
 
 
 def test_l2_norm_node_doubling():
-    # The Simpson oracle converges, and to the closed forms of both kernels.
-    for kernel, oracle_kernel in ((epanechnikov, reference.epan_array), (box, reference.box_array)):
+    # The Simpson oracle converges, to the Epanechnikov closed form and to the box kernel's 1/2.
+    for want, oracle_kernel in ((k_l2_norm_sq(), reference.epan_array), (0.5, reference.box_array)):
         coarse = reference.simpson_l2_norm_sq(oracle_kernel, 10_001)
         assert coarse == pytest.approx(reference.simpson_l2_norm_sq(oracle_kernel, 1_000_001), abs=1e-8)
-        assert k_l2_norm_sq(kernel) == pytest.approx(coarse, rel=1e-12)
+        assert want == pytest.approx(coarse, rel=1e-12)
 
 
 def test_box_kernel_norm():
-    oracle, _ = scipy.integrate.quad(lambda x: box(x) ** 2, -1.0, 1.0)
-    assert k_l2_norm_sq(box) == 0.5
-    assert k_l2_norm_sq(box) == pytest.approx(oracle, rel=1e-12)
+    # The Simpson oracle's box kernel against quadrature and the exact 1/2.
+    oracle, _ = scipy.integrate.quad(lambda x: reference.box_array(x) ** 2, -1.0, 1.0)
+    assert oracle == pytest.approx(0.5, rel=1e-12)
+    assert reference.simpson_l2_norm_sq(reference.box_array) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_k_star_at_zero_equals_l2_norm():
     assert k_star(0.0) == pytest.approx(k_l2_norm_sq(), abs=1e-15)
-    assert k_star(0.0, box) == pytest.approx(k_l2_norm_sq(box), abs=1e-15)
 
 
 def test_k_star_boundary():
     assert k_star(1.0) == 0.0
     assert k_star(-1.0) == 0.0
-    assert k_star(1.0, box) == 0.0
+    assert k_star(float("nan")) == 0.0
 
 
 def test_k_star_closed_form():
@@ -72,16 +72,16 @@ def _quad_k_star(x, kernel):
 
 @pytest.mark.parametrize(
     "kernel, oracle_kernel",
-    [(epanechnikov, reference.epan_array), (box, reference.box_array)],
-    ids=["epanechnikov", "box"],
+    [(epanechnikov, reference.epan_array)],
+    ids=["epanechnikov"],
 )
 def test_k_star_closed_forms_match_quadrature(kernel, oracle_kernel):
     xs = np.linspace(-1.2, 1.2, 97)
-    got = k_star(xs, kernel)
+    got = k_star(xs)
     np.testing.assert_allclose(got, reference.simpson_k_star(xs, oracle_kernel), rtol=0, atol=1e-12)
     np.testing.assert_allclose(got, [_quad_k_star(x, kernel) for x in xs], rtol=0, atol=1e-12)
 
-    norm_sq = k_star_l2_norm_sq(kernel)
+    norm_sq = k_star_l2_norm_sq()
     assert norm_sq == pytest.approx(reference.simpson_k_star_l2_norm_sq(oracle_kernel), rel=1e-12)
     quad, _ = scipy.integrate.quad(lambda x: _quad_k_star(x, kernel) ** 2, 0.0, 1.0)
     assert norm_sq == pytest.approx(2.0 * quad, rel=1e-12)
@@ -94,13 +94,11 @@ def test_k_star_l2_norm():
 
 
 def test_box_k_star_exact():
-    # K*(x) = (1 - |x|) / 2 for the box kernel.  Its integrand is constant on
-    # every inner grid that ends exactly at 1 - 2|x|, where the kernel's edge
-    # is, so the Simpson oracle is exact at any node count.
+    # K*(x) = (1 - |x|) / 2 and ||K*||^2 = 1/6 for the box kernel.  Its
+    # integrand is constant on every inner grid that ends exactly at 1 - 2|x|,
+    # where the kernel's edge is, so the Simpson oracle is exact at any node count.
     xs = np.linspace(-1.2, 1.2, 97)
     want = np.clip(1.0 - np.abs(xs), 0.0, None) / 2
-    np.testing.assert_allclose(k_star(xs, box), want, rtol=0, atol=1e-15)
-    assert k_star_l2_norm_sq(box) == 1.0 / 6.0
     for nodes in (101, 1001, 4097):
         np.testing.assert_allclose(reference.simpson_k_star(xs, reference.box_array, nodes), want, rtol=0, atol=1e-14)
         assert reference.simpson_k_star_l2_norm_sq(reference.box_array, nodes) == pytest.approx(1.0 / 6.0, rel=1e-13)
@@ -118,9 +116,11 @@ def test_constants_reject_an_unknown_kernel():
     def triangle(x):
         return np.maximum(1.0 - np.abs(x), 0.0)
 
-    for call in (k_l2_norm_sq, k_star_l2_norm_sq, lambda kernel: k_star(0.3, kernel)):
-        with pytest.raises(InputError):
-            call(triangle)
+    for call in (k_l2_norm_sq, k_star_l2_norm_sq):
+        assert call(epanechnikov) == call()
+        for kernel in (triangle, reference.box_array):
+            with pytest.raises(InputError):
+                call(kernel)
 
 
 def test_constants_are_pure():

@@ -78,6 +78,20 @@ def test_cv_semiparametric_skips_a_bandwidth_that_leaves_a_center_empty():
     assert np.isfinite(cv.scores[1]) and cv.bandwidth == cv.bandwidths[1]
 
 
+def test_cv_semiparametric_names_the_center_a_bandwidth_leaves_empty():
+    # Only the one empty-center bandwidth is on the grid, so every bandwidth
+    # fails; the error names its first empty center as cv_bandwidth_tvarch does.
+    s = ReturnSeries(np.random.default_rng(0).standard_normal(40))
+    with pytest.raises(
+        AllSingularError,
+        match=r"every grid bandwidth failed cross-validation; last: smoothed moment matrix singular at t=3 \(rcond=0\.000e\+00\)",
+    ) as err:
+        cv_bandwidth_semiparametric(s, 2, grid=BandwidthGrid((0.25,)))
+    assert isinstance(err.value.__cause__, SingularMomentError) and err.value.__cause__.t == 3
+    with pytest.raises(AllSingularError, match=r"; last: smoothed moment matrix singular at t=3 "):
+        cv_bandwidth_tvarch(s, 2, grid=BandwidthGrid((0.25,)))
+
+
 def test_cv_semiparametric_skips_singular_residual_design(monkeypatch):
     # x^2 = 1 everywhere: each lag equals its leave-out local mean, so at every
     # bandwidth the residual design is exactly 0 and fails the design gate.
@@ -168,7 +182,7 @@ def test_select_order_all_singular_names_the_last_center(monkeypatch, series_mid
 def _per_order_gate(series, q_max, b):
     """Each candidate order solved by its own gated solve, as rss (inf where it fails) and the errors raised."""
     X = canonical_matrix(series, q_max)
-    W, _ = resolve_weights(series, q_max, LEVEL)
+    W = resolve_weights(series, q_max, LEVEL)
     x2t = series.values[q_max:] ** 2
     gram, cross = local_wls(X, x2t[:, None], W, kernels.kernel_window(series.T, b))
     rss, errors = np.full(q_max + 1, np.inf), {}

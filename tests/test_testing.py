@@ -21,7 +21,7 @@ from tvarch import test_zero_wald as run_zero_wald_test
 from tvarch import estimate
 from tvarch.errors import InputError, NumericalError, SingularDesignError, SingularMomentError
 from tvarch.estimate import _certify, _solve_gated, estimate_beta, local_wls, resolve_weights
-from tvarch.kernels import box, k_l2_norm_sq, k_star_l2_norm_sq, kernel_window
+from tvarch.kernels import k_l2_norm_sq, k_star_l2_norm_sq, kernel_window
 from tvarch.model import canonical_matrix
 from tvarch.simulate import derive_seed
 from tvarch.testing import _chi2_sf, _wald_statistic, asymptotic_psi_quantile, mc_p_value, mc_quantile
@@ -54,7 +54,7 @@ def test_nonparametric_box_global_equals_stationary_fit():
     X = canonical_matrix(s, 1)
     W = reference.level_weights(x, 1)
     x2t = x[1:] ** 2
-    local_gram, cross = local_wls(X, x2t[:, None], W, kernel_window(s.T, 1.0, box))
+    local_gram, cross = local_wls(X, x2t[:, None], W, reference.box_array(np.arange(-s.T, s.T + 1) / s.T))
     a_tilde = _solve_gated(local_gram, cross, 2)[..., 0]
     # constant in u
     np.testing.assert_allclose(a_tilde, np.broadcast_to(a_tilde[0], a_tilde.shape), rtol=1e-10)
@@ -174,7 +174,7 @@ def test_constancy_singular_gram_reports_the_eigenvalue_gate(constant):
     s, part = _quiet_stretch(1e-5, constant)
     with pytest.raises(SingularMomentError) as err:
         constancy_statistic(s, part, "level", 0.1)
-    W, _ = resolve_weights(s, 2, "level")
+    W = resolve_weights(s, 2, "level")
     gram, cross = local_wls(canonical_matrix(s, 2), s.values[2:, None] ** 2, W, kernel_window(200, 0.1))
     want = reference.eigvalsh_gate_solve(gram, cross, 3)
     assert want[0] == "raise" and 0.0 < want[2] < 1e-12
@@ -261,18 +261,18 @@ def test_mc_p_value_bounds():
 
 def test_mc_calibration_deterministic(tv1_model):
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
-    a = mc_pivotal_quantiles(200, 1, part, "level", 0.2, 100, (0.10,), 42, "constancy")
-    b = mc_pivotal_quantiles(200, 1, part, "level", 0.2, 100, (0.10,), 42, "constancy")
+    a = mc_pivotal_quantiles(200, 1, part, 0.2, 100, (0.10,), 42, "constancy")
+    b = mc_pivotal_quantiles(200, 1, part, 0.2, 100, (0.10,), 42, "constancy")
     np.testing.assert_array_equal(a.sample, b.sample)
     assert a.quantiles == b.quantiles
-    c = mc_pivotal_quantiles(200, 1, part, "level", 0.2, 100, (0.10,), 43, "constancy")
+    c = mc_pivotal_quantiles(200, 1, part, 0.2, 100, (0.10,), 43, "constancy")
     assert not np.array_equal(a.sample, c.sample)
 
 
 def test_mc_calibration_workers_identical(tv1_model):
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
-    a = mc_pivotal_quantiles(150, 1, part, "level", 0.25, 100, (0.10,), 7, "second-order")
-    b = mc_pivotal_quantiles(150, 1, part, "level", 0.25, 100, (0.10,), 7, "second-order", workers=4)
+    a = mc_pivotal_quantiles(150, 1, part, 0.25, 100, (0.10,), 7, "second-order")
+    b = mc_pivotal_quantiles(150, 1, part, 0.25, 100, (0.10,), 7, "second-order", workers=4)
     np.testing.assert_array_equal(a.sample, b.sample)
 
 
@@ -280,7 +280,7 @@ def test_mc_calibration_workers_identical(tv1_model):
 def test_mc_calibration_rejects_workers_below_one(workers):
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
     with pytest.raises(InputError, match="workers"):
-        mc_pivotal_quantiles(150, 1, part, "level", 0.25, 100, (0.10,), 7, "second-order", workers=workers)
+        mc_pivotal_quantiles(150, 1, part, 0.25, 100, (0.10,), 7, "second-order", workers=workers)
 
 
 @pytest.mark.parametrize("calibration", ["monte-carlo", "asymptotic"])
@@ -296,7 +296,7 @@ def test_mc_entry_points_reject_levels_outside_the_unit_interval(levels):
     s = ReturnSeries(np.random.default_rng(2).normal(size=150))
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
     with pytest.raises(InputError, match="levels"):
-        mc_pivotal_quantiles(150, 1, part, "level", 0.25, 100, levels, 7, "second-order")
+        mc_pivotal_quantiles(150, 1, part, 0.25, 100, levels, 7, "second-order")
     with pytest.raises(InputError, match="levels"):
         run_constancy_test(s, part, 0.25, B=100, levels=levels)
     for calibration in ("monte-carlo", "asymptotic"):
@@ -307,13 +307,7 @@ def test_mc_entry_points_reject_levels_outside_the_unit_interval(levels):
 def test_mc_requires_b_at_least_100():
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
     with pytest.raises(InputError):
-        mc_pivotal_quantiles(100, 1, part, "level", 0.2, 50, (0.10,), 1, "constancy")
-
-
-def test_mc_rejects_weight_arrays():
-    part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
-    with pytest.raises(InputError):
-        mc_pivotal_quantiles(100, 1, part, np.ones(99), 0.2, 100, (0.10,), 1, "constancy")
+        mc_pivotal_quantiles(100, 1, part, 0.2, 50, (0.10,), 1, "constancy")
 
 
 def test_mc_gives_up_after_retries():
@@ -321,7 +315,7 @@ def test_mc_gives_up_after_retries():
     # the full fit is singular in every replicate and redraws cannot help.
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
     with pytest.raises(NumericalError):
-        mc_pivotal_quantiles(30, 1, part, "level", 0.03, 100, (0.10,), 1, "constancy")
+        mc_pivotal_quantiles(30, 1, part, 0.03, 100, (0.10,), 1, "constancy")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +337,7 @@ def test_constancy_report_deterministic(tv1_model):
 def test_wald_scalar_statistic(tv1_model):
     s = simulate_path(tv1_model, SimulationConfig(T=300, seed=9))
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
-    stat, cov, fit = _wald_statistic(s, part, "level", 0.2)
+    stat, cov, fit = _wald_statistic(s, part, 0.2)
     assert stat == pytest.approx(s.T * fit.beta[0] ** 2 / cov.v_hat[0, 0], rel=1e-10)
 
 
@@ -375,12 +369,12 @@ def test_wald_size_on_null_data():
     flat = TvArchModel(p=0, coeffs=(CoefficientFunction.constant(1.0),))
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
     b = 0.15
-    cal = mc_pivotal_quantiles(400, 1, part, "level", b, 300, (0.10,), 77, "wald-zero")
+    cal = mc_pivotal_quantiles(400, 1, part, b, 300, (0.10,), 77, "wald-zero")
     rej = 0
     R = 300
     for r in range(R):
         s = simulate_path(flat, SimulationConfig(T=400, seed=derive_seed(88, r)))
-        stat, _, _ = _wald_statistic(s, part, "level", b)
+        stat, _, _ = _wald_statistic(s, part, b)
         rej += stat > cal.quantiles[0.10]
     assert 0.06 <= rej / R <= 0.14
 
