@@ -76,8 +76,8 @@ def run_pipeline(
     constant when their constancy p-value exceeds ``ALPHA_GATE``, and only
     then runs the second-order test.  On a failure in a late
     stage the bundle is returned with the stages completed so far plus an
-    ``error`` entry; ``B < 100``, ``workers < 1`` and ``levels`` outside
-    (0, 1) fail at stage ``input``, before any stage runs.
+    ``error`` entry; ``q_max < 0``, ``B < 100``, ``workers < 1`` and
+    ``levels`` outside (0, 1) fail at stage ``input``, before any stage runs.
     """
     bundle: dict = {"schema_version": SCHEMA_VERSION, "seed": seed, "B": B, "levels": None}
     stage = "input"
@@ -85,6 +85,8 @@ def run_pipeline(
         bundle["levels"] = list(_require_levels(levels))
         _require_replicates(B)
         _require_workers(workers)
+        if q_max < 0:
+            raise InputError("q_max must be >= 0")
         stage = "order-selection"
         sel = select_lag_order(series, q_max=q_max, grid=grid)
         bundle["order"] = {

@@ -19,14 +19,32 @@ O(T^2 b).  The leave-(p+1)-out cross-validation sums are the same
 convolution with a holed window, :func:`leave_out_window`, whose entries
 for indices t..t+p are zero, so they are exact and cost no second pass.
 
-:func:`local_sums` computes the convolution as a blocked GEMM.  The centers
-go _BLOCK at a time; each block is one matmul of its input rows, read in
-place from a (columns, n) array, with a (_BLOCK + L - 1, _BLOCK) Toeplitz
-slab of the length-L window, built once per call.  An input with a
-non-finite value takes one np.convolve per column.  A GEMM sum is a dot product
-of the same terms in BLAS's order, so it can differ from the convolution,
-and between BLAS thread counts, in the last bits: outputs are byte-identical
-at a fixed BLAS thread setting, whatever the package's own ``workers``.
+:func:`local_sums` has two paths for finite input.  Neither keeps a running
+sum across the series, which loses digits: no sum spans more than one window,
+or one chunk.
+
+- The blocked GEMM.  The centers go _BLOCK at a time; each block is one
+  matmul of its input rows, read in place from a (columns, n) array, with a
+  (_BLOCK + L - 1, _BLOCK) Toeplitz slab of the length-L window, built once
+  per call.  It serves any window.
+- The chunk-moment smoother, for long windows that are a quadratic a + c d^2
+  in the tap offset d off a zeroed run at the center: every
+  :func:`kernel_window` and :func:`leave_out_window`.  Each chunk of _CHUNK
+  inputs lying _CHUNK taps or more inside every window of a block enters
+  through three moments, sum v, sum u v and sum u^2 v about its midpoint, so
+  it costs three rows instead of _CHUNK; only the ragged edges and the
+  hole's chunks keep slab rows.  It costs O(n (L / _CHUNK + _BLOCK)) in
+  place of O(n L).
+
+:func:`local_sums` decides in O(1), from L, the hole's length and n, whether
+the chunk path would save a third of the slab's rows and enough work to
+repay its fixed cost; the short windows of T = 500 series never get past this
+test.  Only then does an O(L) check confirm the quadratic to a few ulps; a
+window that fails it keeps the GEMM.  An input with a non-finite value takes
+one np.convolve per column.  A GEMM sum is a dot product of the same terms in
+BLAS's order, so it can differ from the convolution, and between BLAS thread
+counts, in the last bits: outputs are byte-identical at a fixed BLAS thread
+setting, whatever the package's own ``workers``.
 """
 
 from __future__ import annotations
@@ -126,21 +144,36 @@ def _conv_centered(a: np.ndarray, window: np.ndarray) -> np.ndarray:
 
 # Centers per block of the GEMM smoother.
 _BLOCK = 64
+# Inputs per chunk of the chunk-moment smoother.  A block spans two chunks,
+# so every block meets the chunks at the same offsets from its first center.
+_CHUNK = 32
+# [1, u, u^2] for the offsets u of a chunk's inputs from its midpoint.
+_MOMENT_BASIS = np.vander(np.arange(_CHUNK) - (_CHUNK - 1) / 2.0, 3, increasing=True)
+# Output entries (columns x centers) per group of blocks, 512 KiB.
+_GROUP_ENTRIES = 1 << 16
+# Slab rows times centers the chunk path must save to repay its fixed cost
+# (about 0.1 ms; measured at 1 to 77 columns on one core).
+_CHUNK_MIN_SAVED = 1 << 19
+
+
+def _view(a: np.ndarray, start: int, shape: tuple, strides: tuple) -> np.ndarray:
+    """View of the C-contiguous ``a`` from flat element ``start``, with strides counted in elements."""
+    step = a.itemsize
+    return np.ndarray(shape, buffer=a, offset=step * start, strides=tuple(step * s for s in strides))
 
 
 def _slab(window: np.ndarray, block: int) -> np.ndarray:
     """(block + L - 1, block) Toeplitz slab with slab[r, s] = window[L - 1 + s - r], zero off the window.
 
     Row r of a block's slab weights input index t0 - half + r for the
-    block's center t0 + s.  Row r is padded[top - r : top - r + block]: a
-    view with a negative row stride, copied once so BLAS can read it.
+    block's center t0 + s.  Row r is padded[top - r : top - r + block], top
+    = block + L - 2: a view with a negative row stride, so callers copy the
+    rows they multiply by, for BLAS.
     """
     L = window.shape[0]
     padded = np.zeros(L + 2 * (block - 1))
     padded[block - 1 : block - 1 + L] = window
-    top = block + L - 2
-    step = padded.itemsize
-    return np.ndarray((block + L - 1, block), buffer=padded, offset=step * top, strides=(-step, step)).copy()
+    return _view(padded, block + L - 2, (block + L - 1, block), (-1, 1))
 
 
 def _gemm_sums(columns: np.ndarray, window: np.ndarray) -> np.ndarray:
@@ -152,7 +185,7 @@ def _gemm_sums(columns: np.ndarray, window: np.ndarray) -> np.ndarray:
     """
     c, n = columns.shape
     block = min(_BLOCK, n)
-    slab = _slab(window, block)
+    slab = _slab(window, block).copy()
     out = np.empty((c, n))
     half = (window.shape[0] - 1) // 2
     for t0 in range(0, n, block):
@@ -163,25 +196,156 @@ def _gemm_sums(columns: np.ndarray, window: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chunk_layout(n: int, half: int, hole: int):
+    """Chunks (qlo, qend, qhole) of the chunk-moment smoother, or None where it would not pay.
+
+    Offsets are relative to a block's first center, in chunks of _CHUNK
+    inputs.  Chunks qlo..qend-1 lie _CHUNK taps or more inside the window of
+    every center of the block (the guard chunk); of those, chunks 0..qhole-1
+    meet the zeroed run of some center's holed window.  The inputs outside
+    those chunks, and inside the hole's chunks, are the slab bands.  O(1):
+    the bands plus three rows per chunk must save a third of the slab's
+    rows, and _CHUNK_MIN_SAVED rows times centers.
+    """
+    B, C = _BLOCK, _CHUNK
+    qlo = -((half + 1 - B - C) // C)
+    qend = (half + 1 - C) // C
+    qhole = (B + hole - 2) // C + 1 if hole else 0
+    rows = (C * qlo + half) + (B + half - C * qend) + C * qhole + 3 * (qend - qlo)
+    slab = B + 2 * half
+    if qlo > 0 or qhole > qend or 3 * rows > 2 * slab or n * (slab - rows) < _CHUNK_MIN_SAVED:
+        return None
+    return qlo, qend, qhole
+
+
+def _hole(window: np.ndarray) -> int:
+    """Length of the run of zero taps ending at the window's center: p + 1 for a leave_out_window, else 0."""
+    half = (window.shape[0] - 1) // 2
+    hole = 0
+    while hole <= half and window[half - hole] == 0.0:
+        hole += 1
+    return hole
+
+
+def _quadratic(window: np.ndarray, hole: int):
+    """(a, c) with window[half + d] = a + c d^2, |d| <= half, to 4 ulps of a at every tap off the hole, else None.
+
+    a and c are read from the taps d = 1 and d = half, far apart: an
+    adjacent difference would cancel.  The quadratic must also be positive
+    on every tap a chunk can cover, |d| <= half - _CHUNK, so that no chunk
+    weight is a near-zero difference of its moment terms.
+    """
+    half = (window.shape[0] - 1) // 2
+    if window.shape[0] != 2 * half + 1:
+        return None
+    c = (window[-1] - window[half + 1]) / (half * half - 1.0)
+    a = window[half + 1] - c
+    if not (a > 0.0 and a + c * (half - _CHUNK) ** 2 > 0.0):
+        return None
+    d = np.arange(-half, half + 1, dtype=float)
+    miss = np.abs(window - (a + c * d * d))
+    miss[half - hole + 1 : half + 1] = 0.0
+    return (a, c) if miss.max() <= 4.0 * np.finfo(float).eps * a else None
+
+
+def _add_band(blocks: np.ndarray, columns: np.ndarray, rows: np.ndarray, r0: int) -> None:
+    """blocks[j] += columns[:, B j + r0 : B j + r0 + len(rows)] @ rows for every block j, zero past 0..n-1.
+
+    The blocks whose band lies inside 0..n-1 go in one batched matmul over a
+    strided view; the few that cross an end are clipped one at a time.
+    """
+    nb, c, B = blocks.shape
+    n = columns.shape[1]
+    width = rows.shape[0]
+    first = min(nb, max(0, -(r0 // B)))
+    stop = max(first, min(nb, (n - r0 - width) // B + 1))
+    if stop > first:
+        blocks[first:stop] += np.matmul(_view(columns, B * first + r0, (stop - first, c, width), (B, n, 1)), rows)
+    for j in (*range(max(0, (-r0 - width) // B + 1), first), *range(stop, min(nb, -((r0 - n) // B)))):
+        lo, hi = max(B * j + r0, 0), min(B * j + r0 + width, n)
+        blocks[j] += columns[:, lo:hi] @ rows[lo - B * j - r0 : hi - B * j - r0]
+
+
+def _chunk_sums(columns: np.ndarray, window: np.ndarray, layout: tuple, a: float, c: float) -> np.ndarray:
+    """Local sums of every row of a C-contiguous (k, n) array for a window a + c d^2 off its hole.
+
+    Chunk q of _CHUNK inputs has the moments M0 = sum v, M1 = sum u v and
+    M2 = sum u^2 v, u the offset from its midpoint m, one matmul against the
+    basis [1, u, u^2].  Where the chunk lies inside every window of a block
+    it adds (a + c delta^2) M0 - 2 c delta M1 + c M2 to center t, delta =
+    t - m: one batched matmul of each block's moments, a strided view, with
+    a (3 chunks, _BLOCK) coefficient matrix that every block shares.  The
+    bands (the two ragged edges, widened by the guard chunk, and the
+    hole's chunks) add their rows of the Toeplitz slab, in window order.
+    """
+    B, C = _BLOCK, _CHUNK
+    qlo, qend, qhole = layout
+    k, n = columns.shape
+    half = (window.shape[0] - 1) // 2
+    nb = -(-n // B)
+    out = np.empty((k, nb * B))
+    blocks = _view(out, 0, (nb, k, B), (B, nb * B, 1))
+
+    # Block j reads chunks 2j + qlo .. 2j + qend - 1; chunks outside 0..n-1 are zero.
+    chunks = -qlo + max(-(-n // C), (B // C) * (nb - 1) + qend)
+    moments = np.zeros((k, chunks, 3))
+    full = n // C
+    np.matmul(columns[:, : C * full].reshape(k, full, C), _MOMENT_BASIS, out=moments[:, -qlo : full - qlo])
+    if n > C * full:
+        moments[:, full - qlo] = columns[:, C * full :] @ _MOMENT_BASIS[: n - C * full]
+    delta = np.arange(B) - (C * np.arange(qlo, qend)[:, None] + (C - 1) / 2.0)
+    coef = np.stack([a + c * delta * delta, -2.0 * c * delta, np.full_like(delta, c)], axis=1)
+    coef[-qlo : qhole - qlo] = 0.0
+    per_block = _view(moments, 0, (nb, k, 3 * (qend - qlo)), (3 * (B // C), 3 * chunks, 1))
+    coef = coef.reshape(-1, B)
+
+    slab = _slab(window, B)
+    bands = [(-half, C * qlo), (C * qend, B + half)] + ([(0, C * qhole)] if qhole else [])
+    bands = [(r0, np.ascontiguousarray(slab[half + r0 : half + r1])) for r0, r1 in bands]
+    # Groups of blocks small enough that each band's product and the sum it
+    # is added to stay in cache.
+    group = max(1, _GROUP_ENTRIES // (k * B))
+    for g0 in range(0, nb, group):
+        g = blocks[g0 : g0 + group]
+        np.matmul(per_block[g0 : g0 + group], coef, out=g)
+        for r0, rows in bands:
+            _add_band(g, columns, rows, r0 + B * g0)
+    return out[:, :n]
+
+
 def local_sums(values: np.ndarray, window: np.ndarray) -> np.ndarray:
     """sum_i K((t-i)/(Tb)) * values[i] for every center t, along axis 0.
 
-    The sums are a blocked GEMM over the columns (the entries of values[i])
-    as rows of a (c, n) array: an input that is the transpose of such an
+    The sums run over the columns (the entries of values[i]) as rows of a
+    C-contiguous (c, n) array: an input that is the transpose of such an
     array, as the package's callers build it, is read without a copy, and
-    the result is laid out the same way.  An input with any non-finite value
+    the result is laid out the same way.  A long window that is a quadratic
+    off its hole, as every :func:`kernel_window` and
+    :func:`leave_out_window` is, takes the chunk-moment smoother; any other
+    finite input the blocked GEMM.  An input with any non-finite value
     takes one np.convolve per column instead, so a non-finite value reaches
     only the centers its window covers.
     """
     v = np.asarray(values, dtype=float)
-    window = _trim_window(window, v.shape[0])
-    flat = v.reshape(v.shape[0], -1)
-    if np.isfinite(flat).all():
-        return _gemm_sums(np.ascontiguousarray(flat.T), window).T.reshape(v.shape)
-    out = np.empty_like(flat)
-    for j in range(flat.shape[1]):
-        out[:, j] = _conv_centered(flat[:, j], window)
-    return out.reshape(v.shape)
+    n = v.shape[0]
+    window = _trim_window(window, n)
+    flat = v.reshape(n, -1)
+    if not np.isfinite(flat).all():
+        out = np.empty_like(flat)
+        for j in range(flat.shape[1]):
+            out[:, j] = _conv_centered(flat[:, j], window)
+        return out.reshape(v.shape)
+    columns = np.ascontiguousarray(flat.T)
+    half = (window.shape[0] - 1) // 2
+    # A hole only adds slab rows: a window too short for the chunk path
+    # without one skips the hole's scan and the O(L) check.
+    if _chunk_layout(n, half, 0) is not None:
+        hole = _hole(window)
+        layout = _chunk_layout(n, half, hole)
+        fit = None if layout is None else _quadratic(window, hole)
+        if fit is not None:
+            return _chunk_sums(columns, window, layout, *fit).T.reshape(v.shape)
+    return _gemm_sums(columns, window).T.reshape(v.shape)
 
 
 def window_counts(n: int, window: np.ndarray) -> np.ndarray:

@@ -67,6 +67,16 @@ def test_pipeline_rejects_levels_outside_the_unit_interval_before_any_stage(monk
     assert "levels" in bundle["error"]["message"] and "order" not in bundle
 
 
+def test_pipeline_rejects_a_negative_q_max_before_any_stage(monkeypatch):
+    def order_selection(*args, **kwargs):
+        raise AssertionError("order selection ran")
+
+    monkeypatch.setattr(tvarch.experiments, "select_lag_order", order_selection)
+    bundle = run_pipeline(ReturnSeries(np.random.default_rng(2).normal(size=300)), q_max=-1)
+    assert bundle["error"]["stage"] == "input" and bundle["error"]["type"] == "InputError"
+    assert "q_max" in bundle["error"]["message"] and "order" not in bundle
+
+
 @pytest.mark.parametrize("B", [50, 99])
 def test_pipeline_rejects_fewer_than_100_replicates_before_any_stage(monkeypatch, B):
     def order_selection(*args, **kwargs):
@@ -145,15 +155,21 @@ def test_pipeline_bundle_on_sptv_data():
     assert bundle == again
 
 
-def test_pipeline_json_identical_across_workers_on_the_gemm_smoother(sptv2_model, monkeypatch):
-    # At T=1500 the local fits smooth enough columns for the blocked GEMM
-    # smoother; two worker threads must give the same bytes as one.
-    gemm_calls = []
-    gemm = tvarch.kernels._gemm_sums
-    monkeypatch.setattr(tvarch.kernels, "_gemm_sums", lambda *a: gemm_calls.append(1) or gemm(*a))
-    series = simulate_path(sptv2_model, SimulationConfig(T=1500, seed=11))
+def test_pipeline_json_identical_across_workers_on_both_smoothers(sptv2_model, monkeypatch):
+    # At T=2000 the long windows of the CV grids take the chunk-moment
+    # smoother and the short ones the blocked GEMM; two worker threads must
+    # give the same bytes as one.
+    calls = collections.Counter()
+
+    def counted(name):
+        smoother = getattr(tvarch.kernels, name)
+        return lambda *args: calls.update([name]) or smoother(*args)
+
+    for name in ("_gemm_sums", "_chunk_sums"):
+        monkeypatch.setattr(tvarch.kernels, name, counted(name))
+    series = simulate_path(sptv2_model, SimulationConfig(T=2000, seed=11))
     one = run_pipeline(series, q_max=4, B=100, seed=3, workers=1)
-    assert "error" not in one and gemm_calls
+    assert "error" not in one and calls["_gemm_sums"] and calls["_chunk_sums"]
     two = run_pipeline(series, q_max=4, B=100, seed=3, workers=2)
     assert json.dumps(two, sort_keys=True) == json.dumps(one, sort_keys=True)
 

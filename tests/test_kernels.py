@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.integrate
 
-from tvarch import epanechnikov, k_l2_norm_sq, k_star, k_star_l2_norm_sq
+from tvarch import BandwidthGrid, epanechnikov, k_l2_norm_sq, k_star, k_star_l2_norm_sq, kernels
 from tvarch.errors import EmptyWindowError, InputError
-from tvarch.kernels import kernel_window, local_sums, window_counts
+from tvarch.kernels import kernel_window, leave_out_window, local_sums, window_counts
 
 import reference
 
@@ -220,6 +222,61 @@ def test_local_sums_keep_a_non_finite_value_inside_its_window():
     assert np.array_equal(np.flatnonzero(np.isnan(out[:, 1])), np.arange(200 - h, 200 + h + 1))
     assert np.array_equal(np.flatnonzero(~np.isfinite(out[:, 4])), np.arange(300 - h, 300 + h + 1))
     assert np.isfinite(np.delete(out, [1, 4], axis=1)).all()
+
+
+def _smooth_counting_paths(values, window):
+    """local_sums(values, window) and the calls it made to each smoother and to the O(L) quadratic check."""
+    with (
+        mock.patch.object(kernels, "_gemm_sums", wraps=kernels._gemm_sums) as gemm,
+        mock.patch.object(kernels, "_chunk_sums", wraps=kernels._chunk_sums) as chunk,
+        mock.patch.object(kernels, "_quadratic", wraps=kernels._quadratic) as check,
+    ):
+        out = local_sums(values, window)
+    return out, {"gemm": gemm.call_count, "chunk": chunk.call_count, "check": check.call_count}
+
+
+def _assert_matches_dense(got, values, window):
+    want = reference.dense_local_sums(values, window)
+    assert np.all(np.abs(got - want) <= 1e-13 * reference.dense_local_sums(np.abs(values), window))
+
+
+@pytest.mark.parametrize("defect", ["one tap moved by 1e-9", "a zero run off the center"])
+def test_local_sums_keep_the_gemm_for_a_long_window_off_the_quadratic(defect):
+    # At n = 704 the kernel window for b = 0.9 takes the chunk path; a window
+    # that is not a + c d^2 to a few ulps off its hole must not.
+    n = 704
+    window = kernel_window(n, 0.9)
+    half = (window.shape[0] - 1) // 2
+    values = np.random.default_rng(6).normal(size=n)
+    assert _smooth_counting_paths(values, window)[1] == {"gemm": 0, "chunk": 1, "check": 1}
+    if defect == "one tap moved by 1e-9":
+        window[half + 200] += 1e-9
+    else:
+        window[half + 100 : half + 110] = 0.0
+    got, calls = _smooth_counting_paths(values, window)
+    assert calls == {"gemm": 1, "chunk": 0, "check": 1}
+    _assert_matches_dense(got, values, window)
+
+
+def test_local_sums_keep_the_gemm_for_an_even_length_window():
+    # The chunk path reads taps -half..half; a window with one more tap
+    # takes the GEMM, as it did before the chunk path existed.
+    n = 704
+    values = np.random.default_rng(6).normal(size=n)
+    got, calls = _smooth_counting_paths(values, kernel_window(n, 0.9)[:-1])
+    assert calls == {"gemm": 1, "chunk": 0, "check": 1} and got.shape == values.shape
+
+
+def test_local_sums_keep_the_gemm_on_study_sized_windows_without_the_quadratic_check():
+    # T = 500, every grid bandwidth, plain and holed as for p = 2: the O(1)
+    # test sends these to the GEMM before any O(L) work.
+    T, p = 500, 2
+    values = np.random.default_rng(7).normal(size=T - p)
+    for b in BandwidthGrid().bandwidths(T):
+        for window in (kernel_window(T, b), leave_out_window(kernel_window(T, b), p)):
+            got, calls = _smooth_counting_paths(values, window)
+            assert calls == {"gemm": 1, "chunk": 0, "check": 0}
+            _assert_matches_dense(got, values, window)
 
 
 def test_window_counts_match_convolution():

@@ -1,9 +1,10 @@
-"""Property tests: the smoother matches an explicit double loop on both of its
-paths, the fits routed through the local weighted-least-squares core, the
-constancy statistic and the semiparametric cross-validation match the dense
-oracles on small random series, the plug-in alpha sweep matches its oracle
-across chunk edges and gates the whole grid once, and the certified rcond gate decides exactly as the
-eigenvalue gate and certifies only what that gate passes."""
+"""Property tests: the smoother matches an explicit double loop on each of its
+paths, the chunk-moment one on long kernel windows; the fits routed through
+the local weighted-least-squares core, the constancy statistic and the
+semiparametric cross-validation match the dense oracles on small random
+series; the plug-in alpha sweep matches its oracle across chunk edges and
+gates the whole grid once; and the certified rcond gate decides exactly as
+the eigenvalue gate and certifies only what that gate passes."""
 
 import itertools
 import warnings
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tvarch import (
@@ -75,6 +76,46 @@ def test_local_sums_match_dense_loop(n, seed, trailing, column_major, data):
     scale = reference.dense_local_sums(np.abs(values), window)
     assert got.shape == values.shape
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@settings(max_examples=12)
+@given(
+    n=st.sampled_from([700, 703, 704, 736, 768, 799, 832]),
+    tb=st.integers(18, 21).map(lambda m: m * kernels._CHUNK - 1) | st.floats(560.0, 690.0),
+    p=st.integers(-1, 10),
+    group=st.sampled_from([1, 1 << 16]),
+    seed=seeds,
+    data=st.data(),
+)
+def test_chunk_path_matches_dense_loop(n, tb, p, group, seed, data):
+    # Long Epanechnikov windows, plain (p = -1) or holed as for
+    # leave-(p+1)-out, on series on and off multiples of the chunk (32) and
+    # the block (64), with one block per group or all blocks in one.  Column
+    # 0 is signed.  Column 1 is a single spike on the edge tap of a block's
+    # first or last center.  With T b = 32 m - 1 that tap weighs exactly 0
+    # and a chunk boundary lies right on it, so a chunk reaching it (no guard
+    # chunk) leaves rounding where the dense loop has exactly 0.
+    window = kernels.kernel_window(n, tb / n)
+    if p >= 0:
+        window = kernels.leave_out_window(window, p)
+    half = (window.shape[0] - 1) // 2
+    B = kernels._BLOCK
+    edge_taps = [t + half for t in range(0, n - half, B)]
+    edge_taps += [t + B - 1 - half for t in range(0, n, B) if t + B > half]
+    rng = np.random.default_rng(seed)
+    values = np.zeros((n, 2))
+    values[:, 0] = rng.normal(size=n) * np.exp(rng.normal(size=n))
+    values[data.draw(st.sampled_from(edge_taps)), 1] = rng.normal()
+    with (
+        mock.patch.object(kernels, "_GROUP_ENTRIES", group),
+        mock.patch.object(kernels, "_chunk_sums", wraps=kernels._chunk_sums) as chunk_sums,
+    ):
+        got = kernels.local_sums(values, window)
+    assert chunk_sums.called
+    for j in range(2):
+        want = reference.dense_local_sums(values[:, j], window)
+        scale = reference.dense_local_sums(np.abs(values[:, j]), window)
+        assert np.all(np.abs(got[:, j] - want) <= 1e-13 * scale)
 
 
 @given(seed=seeds, T=lengths, p=orders, b=bandwidths)
