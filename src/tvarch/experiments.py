@@ -31,9 +31,16 @@ from .estimate import (
     fit_semiparametric,
 )
 from .model import CoefficientFunction, CoefficientPartition, NoiseSpec, ReturnSeries, TvArchModel
-from .select import BandwidthGrid, cv_bandwidth_semiparametric, cv_bandwidth_tvarch, select_lag_order
+from .select import (
+    BandwidthGrid,
+    _cv_semiparametric,
+    cv_bandwidth_semiparametric,
+    cv_bandwidth_tvarch,
+    select_lag_order,
+)
 from .simulate import SimulationConfig, derive_seed, simulate_path
 from .testing import (
+    _map_chunks,
     _map_ordered,
     _require_levels,
     _require_replicates,
@@ -359,18 +366,22 @@ def _coverage_design(spec: ExperimentSpec) -> list:
     for setup, a0 in _COVERAGE_SETUPS.items():
         model = TvArchModel(p=0, coeffs=(a0,), noise=spec.noise)
         for T in spec.T_list:
-            def one(r: int):
-                s = simulate_path(
-                    model, SimulationConfig(T=T, seed=derive_seed(spec.seed, "cover", setup, T, r))
-                )
-                b = cv_bandwidth_semiparametric(s, p).bandwidth
-                psi = second_order_statistic(s, p, b).psi
-                if spec.calibration == "asymptotic":
-                    return {lvl: psi <= asymptotic_psi_quantile(p, lvl) for lvl in spec.levels}
-                cal = cache.get("second-order", T, p, None, b)
-                return {lvl: psi <= cal.quantiles[lvl] for lvl in spec.levels}
+            def chunk(rs: range) -> list:
+                paths = [
+                    simulate_path(model, SimulationConfig(T=T, seed=derive_seed(spec.seed, "cover", setup, T, r)))
+                    for r in rs
+                ]
+                out = []
+                for s, cv in zip(paths, _cv_semiparametric(paths, p)):
+                    psi = second_order_statistic(s, p, cv.bandwidth).psi
+                    if spec.calibration == "asymptotic":
+                        out.append({lvl: psi <= asymptotic_psi_quantile(p, lvl) for lvl in spec.levels})
+                    else:
+                        cal = cache.get("second-order", T, p, None, cv.bandwidth)
+                        out.append({lvl: psi <= cal.quantiles[lvl] for lvl in spec.levels})
+                return out
 
-            res = _map_ordered(one, spec.replications, spec.workers)
+            res = _map_chunks(chunk, spec.replications, spec.workers)
             row = {"setup": setup, "T": T, "noise": _noise_name(spec.noise)}
             for lvl in spec.levels:
                 count = sum(r[lvl] for r in res)

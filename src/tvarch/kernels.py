@@ -236,8 +236,6 @@ def _quadratic(window: np.ndarray, hole: int):
     weight is a near-zero difference of its moment terms.
     """
     half = (window.shape[0] - 1) // 2
-    if window.shape[0] != 2 * half + 1:
-        return None
     c = (window[-1] - window[half + 1]) / (half * half - 1.0)
     a = window[half + 1] - c
     if not (a > 0.0 and a + c * (half - _CHUNK) ** 2 > 0.0):
@@ -324,8 +322,11 @@ def local_sums(values: np.ndarray, window: np.ndarray) -> np.ndarray:
     :func:`leave_out_window` is, takes the chunk-moment smoother; any other
     finite input the blocked GEMM.  An input with any non-finite value
     takes one np.convolve per column instead, so a non-finite value reaches
-    only the centers its window covers.
+    only the centers its window covers.  The window has odd length 2 half +
+    1, its center at index half; an even length raises InputError.
     """
+    if window.shape[0] % 2 == 0:
+        raise InputError(f"smoothing window must have odd length, got {window.shape[0]}")
     v = np.asarray(values, dtype=float)
     n = v.shape[0]
     window = _trim_window(window, n)

@@ -13,8 +13,16 @@ import numpy as np
 
 from . import kernels
 from .errors import AllSingularError, InputError, SingularDesignError, SingularMomentError
-from .estimate import _certify, _cholesky_solve, _solve_design, _solve_gated, level_weights, local_wls
-from .model import CoefficientPartition, ReturnSeries, canonical_matrix, regressor_matrices
+from .estimate import (
+    _RCOND_GATE,
+    _certify,
+    _cholesky_solve,
+    _psd_rcond,
+    _solve_gated,
+    level_weights,
+    local_wls,
+)
+from .model import ReturnSeries, canonical_matrix
 
 __all__ = [
     "BandwidthGrid",
@@ -102,41 +110,77 @@ def cv_bandwidth_semiparametric(
     if p < 1:
         raise InputError("semiparametric cross-validation needs p >= 1")
     series.require_length(p)
+    return _cv_semiparametric([series], p, grid)[0]
+
+
+def _cv_semiparametric(chunk, p: int, grid: BandwidthGrid | None = None) -> list:
+    """:func:`cv_bandwidth_semiparametric` of every series of ``chunk`` (equal lengths), stacked.
+
+    Per bandwidth, one local_sums call smooths every member's columns [W | W
+    x^2 | W N] as rows of one (R (2 + p), n_t) block, and one rcond gate
+    covers the (R, p, p) stack of residual designs.  Failures stay per
+    member: an empty leave-out window or a singular design skips only that
+    (member, bandwidth) pair, and the lowest-index member whose bandwidths
+    all fail raises AllSingularError.
+    """
     grid = grid or BandwidthGrid()
-    partition = CoefficientPartition.semiparametric(p)
-    _, N = regressor_matrices(series, partition)
-    W = level_weights(series, p)
-    x2t = series.values[p:] ** 2
-    bs = grid.bandwidths(series.T)
+    T = chunk[0].T
+    R = len(chunk)
+    n_t = T - p
+    x_sq = np.stack([s.values for s in chunk]) ** 2
+    x2t = x_sq[:, p:]
+    # N[r, j - 1] = x^2_{t-j} over t = p+1..T, a view of x_sq.
+    N = np.lib.stride_tricks.sliding_window_view(x_sq, n_t, axis=1)[:, p - 1 :: -1]
+    W = np.stack([level_weights(s, p) for s in chunk])
+    g = np.empty((R, 2 + p, n_t))
+    g[:, 0] = W
+    np.multiply(W, x2t, out=g[:, 1])
+    np.multiply(W[:, None], N, out=g[:, 2:])
+    g = g.reshape(R * (2 + p), n_t)
+    bs = grid.bandwidths(T)
 
-    # The smoothed columns [W | W x^2 | W N], as rows of one (2 + n, n_t) block.
-    g = np.concatenate([W[None, :], (W * x2t)[None, :], W * N.T])
-
-    scores = np.full(bs.shape[0], np.inf)
-    betas = [None] * bs.shape[0]
-    last = None
+    scores = np.full((R, bs.shape[0]), np.inf)
+    betas = np.zeros((R, bs.shape[0], p))
+    last = [None] * R
     for i, b in enumerate(bs):
-        s = kernels.local_sums(g.T, kernels.leave_out_window(kernels.kernel_window(series.T, b), p))
-        s3, s1, s2 = s[:, 0], s[:, 1], s[:, 2:]
-        empty = s3 <= 0.0
-        if np.any(empty):
-            last = SingularMomentError(t=p + 1 + int(np.argmax(empty)), rcond=0.0)
+        s = kernels.local_sums(g.T, kernels.leave_out_window(kernels.kernel_window(T, b), p))
+        s = s.T.reshape(R, 2 + p, n_t)
+        empty = s[:, 0] <= 0.0
+        for r in np.flatnonzero(empty.any(axis=1)):
+            last[r] = SingularMomentError(t=p + 1 + int(np.argmax(empty[r])), rcond=0.0)
+        live = np.flatnonzero(~empty.any(axis=1))
+        if not live.size:
             continue
-        y = x2t - s1 / s3
-        Z = N - s2 / s3[:, None]
-        gram = np.einsum("t,tm,tn->mn", W, Z, Z)
-        try:
-            beta = _solve_design(gram, np.einsum("t,tm,t->m", W, Z, y), "residual design")
-        except SingularDesignError as err:
-            last = err
-            continue
-        resid = y - Z @ beta
-        scores[i] = float(np.sum(W * resid**2))
-        betas[i] = beta
-    if not np.any(np.isfinite(scores)):
-        raise _all_singular("every grid bandwidth failed cross-validation", last) from last
-    best = int(np.nanargmin(scores))
-    return CvResult(bandwidth=float(bs[best]), bandwidths=bs, scores=scores, beta=betas[best])
+        rows = live if live.size < R else slice(None)  # a slice copies nothing
+        s = s[rows]
+        # In place: s[:, 1] becomes y = x^2 - s1 / s3 and s[:, 2:] becomes Z = N - s2 / s3.
+        s[:, 1:] /= s[:, :1]
+        y = np.subtract(x2t[rows], s[:, 1], out=s[:, 1])
+        Z = np.subtract(N[rows], s[:, 2:], out=s[:, 2:])  # (k, p, n_t)
+        Wl = W[rows]
+        WZ = Wl[:, None] * Z
+        gram = WZ @ Z.transpose(0, 2, 1)
+        rhs = WZ @ y[..., None]
+        del WZ
+        rc = _psd_rcond(gram)
+        ok = rc >= _RCOND_GATE
+        for k in np.flatnonzero(~ok):
+            last[live[k]] = SingularDesignError(f"residual design is singular (rcond={rc[k]:.3e})")
+        if not ok.all():
+            live, gram, rhs, y, Z, Wl = live[ok], gram[ok], rhs[ok], y[ok], Z[ok], Wl[ok]
+            if not live.size:
+                continue
+        beta = np.linalg.solve(gram, rhs)[..., 0]
+        resid = np.subtract(y, np.einsum("rm,rmt->rt", beta, Z), out=y)
+        scores[live, i] = np.sum(Wl * resid**2, axis=1)
+        betas[live, i] = beta
+    out = []
+    for r in range(R):
+        if not np.any(np.isfinite(scores[r])):
+            raise _all_singular("every grid bandwidth failed cross-validation", last[r]) from last[r]
+        best = int(np.nanargmin(scores[r]))
+        out.append(CvResult(bandwidth=float(bs[best]), bandwidths=bs, scores=scores[r], beta=betas[r, best]))
+    return out
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,16 @@ def simulate_path(model: TvArchModel, config: SimulationConfig) -> ReturnSeries:
     # One coefficient row per step: the stationary prefix at frozen rescaled
     # time 0, then a_j(t/T) for t = 1..T.
     u = np.arange(1, T + 1) / T
-    table = np.concatenate([np.broadcast_to(frozen, (n_pre, p + 1)), model.coefficient_values(u).T]).tolist()
+    table = np.concatenate([np.broadcast_to(frozen, (n_pre, p + 1)), model.coefficient_values(u).T])
+    if p == 0:
+        # No lags, no feedback: sigma_t^2 = a_0 at every step, one vector op.
+        a0 = table[:, 0]
+        bad = np.flatnonzero(a0 <= 0.0)
+        if bad.size:
+            s = int(bad[0])
+            raise NonPositiveVolatilityError(f"sigma_t^2 = {a0[s]:.3g} at t={s - n_pre + 1}")
+        return ReturnSeries(xi[n_pre:] * np.sqrt(a0[n_pre:]))
+    table = table.tolist()
 
     lags = range(1, p + 1)
     x = []

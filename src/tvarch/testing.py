@@ -29,7 +29,7 @@ from .estimate import (
     LEVEL,
     SmoothedMoments,
     _local_sandwich,
-    _solve_design,
+    _psd_rcond,
     _solve_gated,
     covariance_beta,
     estimate_beta,
@@ -195,38 +195,64 @@ def second_order_statistic(series: ReturnSeries, p: int, b: float) -> SecondOrde
     the centered squares on their own lags, and standardizes the truncated
     sum of squares by the variance-drift correction factor.
     """
+    a_hat, psi, sigma_sq_hat, errors = _second_order_psi(series.values[None], p, b)
+    if errors[0] is not None:
+        raise errors[0]
+    return SecondOrderStatistic(a_hat=a_hat[0], psi=float(psi[0]), sigma_sq_hat=float(sigma_sq_hat[0]))
+
+
+def _second_order_psi(values: np.ndarray, p: int, b: float):
+    """:func:`second_order_statistic` of every row of a (R, T) array, stacked.
+
+    One local_sums call smooths the mask row (zero on the first p indices)
+    with the R rows of x^2 mask, and one rcond gate covers the (R, p, p)
+    stack of lag designs.  Returns (a_hat, psi, sigma_sq_hat, errors):
+    errors[r] is the NumericalError row r raises, or None, and the other
+    outputs are 0 for such a row.
+    """
     if p < 1:
         raise InputError("second-order test needs p >= 1")
-    series.require_length(p)
-    T = series.T
-    x_sq = series.values**2
+    ReturnSeries(values[0]).require_length(p)
+    R, T = values.shape
+    x_sq = values**2
+    a_hat = np.zeros((R, p))
+    psi = np.zeros(R)
+    sigma_sq_hat = np.zeros(R)
 
     # d_hat over all centers 1..T, averaging the in-range indices i >= p+1.
-    win = kernels.kernel_window(T, b)
-    g = np.ones((2, T))  # the smoothed columns [mask | x^2 mask], as rows
+    g = np.empty((R + 1, T))  # the smoothed columns [mask | x^2 mask], as rows
+    g[0] = 1.0
+    g[1:] = x_sq
     g[:, :p] = 0.0
-    g[1] *= x_sq
-    s = kernels.local_sums(g.T, win)
-    den = s[:, 0]
+    s = kernels.local_sums(g.T, kernels.kernel_window(T, b)).T
+    den = s[0]
     if np.any(den <= 0.0):
-        raise SingularDesignError("kernel window misses the estimation range; enlarge b")
-    d_hat = s[:, 1] / den
+        err = SingularDesignError("kernel window misses the estimation range; enlarge b")
+        return a_hat, psi, sigma_sq_hat, [err] * R
+    d_hat = s[1:] / den
 
     h_resid = x_sq - d_hat
-    y = h_resid[p:]
-    X = np.column_stack([h_resid[p - j : T - j] for j in range(1, p + 1)])
-    a_hat = _solve_design(X.T @ X, X.T @ y, "lag design")
-
-    d_max = float(d_hat.max())
-    if d_max <= 0.0:
-        raise DegenerateSeriesError("smoothed squares are identically zero")
+    X = np.stack([h_resid[:, p - j : T - j] for j in range(1, p + 1)], axis=1)  # (R, p, T - p)
+    gram = X @ X.transpose(0, 2, 1)
+    rc = _psd_rcond(gram)
+    errors = [None if c >= _RCOND_GATE else SingularDesignError(f"lag design is singular (rcond={c:.3e})") for c in rc]
+    d_max = d_hat.max(axis=1)
+    for r in np.flatnonzero(d_max <= 0.0):
+        errors[r] = errors[r] or DegenerateSeriesError("smoothed squares are identically zero")
+    live = np.flatnonzero([err is None for err in errors])
+    if not live.size:
+        return a_hat, psi, sigma_sq_hat, errors
+    rows = live if live.size < R else slice(None)  # a slice copies nothing
+    a_hat[rows] = np.linalg.solve(gram[rows], X[rows] @ h_resid[rows, p:, None])[..., 0]
     # sigma^2 is scale-free in d_hat: d_hat / max(d_hat) keeps its powers finite.
-    d_rel = d_hat / d_max
-    sigma_sq_hat = float(T * (d_rel**4).sum() / (d_rel**2).sum() ** 2)
-    psi = float(T * np.sum(np.maximum(a_hat, 0.0) ** 2) / sigma_sq_hat)
-    if not (np.isfinite(psi) and np.isfinite(sigma_sq_hat)):
-        raise NumericalError(f"second-order statistic is not finite (psi={psi}, sigma^2={sigma_sq_hat})")
-    return SecondOrderStatistic(a_hat=a_hat, psi=psi, sigma_sq_hat=sigma_sq_hat)
+    d_rel = d_hat[rows] / d_max[rows, None]
+    sigma_sq_hat[rows] = T * (d_rel**4).sum(axis=1) / (d_rel**2).sum(axis=1) ** 2
+    psi[rows] = T * np.sum(np.maximum(a_hat[rows], 0.0) ** 2, axis=1) / sigma_sq_hat[rows]
+    for r in live[~(np.isfinite(psi[live]) & np.isfinite(sigma_sq_hat[live]))]:
+        errors[r] = NumericalError(
+            f"second-order statistic is not finite (psi={psi[r]}, sigma^2={sigma_sq_hat[r]})"
+        )
+    return a_hat, psi, sigma_sq_hat, errors
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +262,28 @@ def second_order_statistic(series: ReturnSeries, p: int, b: float) -> SecondOrde
 _MAX_RETRIES = 5
 
 
-def _pivotal_statistic(name, series, p, partition, b, gamma) -> float:
-    if name == "constancy":
-        return constancy_statistic(series, partition, LEVEL, b, gamma).e_t
-    if name == "wald-zero":
-        return _wald_statistic(series, partition, b)[0]
+def _pivotal_values(name, draws, p, partition, b, gamma) -> list:
+    """The statistic of every draw, or the NumericalError it raised.
+
+    Second-order draws run stacked through :func:`_second_order_psi`; the
+    others one at a time.
+    """
     if name == "second-order":
-        return second_order_statistic(series, p, b).psi
-    raise InputError(f"unknown pivotal statistic {name!r}")
+        _, psi, _, errors = _second_order_psi(np.stack(draws), p, b)
+        return [float(v) if err is None else err for v, err in zip(psi, errors)]
+    if name not in ("constancy", "wald-zero"):
+        raise InputError(f"unknown pivotal statistic {name!r}")
+    out = []
+    for draw in draws:
+        series = ReturnSeries(draw)
+        try:
+            if name == "constancy":
+                out.append(constancy_statistic(series, partition, LEVEL, b, gamma).e_t)
+            else:
+                out.append(_wald_statistic(series, partition, b)[0])
+        except NumericalError as err:
+            out.append(err)
+    return out
 
 
 def _require_replicates(B: int) -> None:
@@ -278,6 +318,18 @@ def _map_ordered(fn, n: int, workers: int) -> list:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, range(n)))
     return [fn(r) for r in range(n)]
+
+
+# Replicates per stacked evaluation.  Fixed, so that which replicates share a
+# stack, and hence every output bit, never depends on ``workers``.
+_CHUNK = 16
+
+
+def _map_chunks(fn, n: int, workers: int) -> list:
+    """The lists fn(range) returns for the consecutive chunks of _CHUNK indices of 0..n-1, concatenated."""
+    starts = range(0, n, _CHUNK)
+    parts = _map_ordered(lambda c: fn(range(starts[c], min(starts[c] + _CHUNK, n))), len(starts), workers)
+    return [v for part in parts for v in part]
 
 
 def mc_quantile(sorted_sample: np.ndarray, alpha: float) -> float:
@@ -328,22 +380,27 @@ def mc_pivotal_quantiles(
     statistic pipeline, level-weighted, at the pre-selected bandwidth.
     Replicates hitting a numerical degeneracy are redrawn (up to
     ``_MAX_RETRIES`` draws in all) so the quantile sample size stays exactly B.
+    Replicates run in fixed chunks of _CHUNK; second-order ones are stacked.
     """
     _require_replicates(B)
     _require_workers(workers)
     _require_levels(levels)
 
-    def one(r: int) -> tuple[float, int]:
+    def chunk(rs: range) -> list:
+        # Each replicate keeps its own generator per attempt; only the ones
+        # that raised at attempt a are redrawn, at a + 1.
+        done = {}
+        pending = list(rs)
         for attempt in range(_MAX_RETRIES):
-            s = derive_seed(seed, r, attempt)
-            series = ReturnSeries(generator(s).standard_normal(T))
-            try:
-                return _pivotal_statistic(statistic, series, p, partition, b, gamma), attempt
-            except NumericalError:
-                continue
-        raise NumericalError(f"MC replicate {r} failed after {_MAX_RETRIES} redraws")
+            draws = [generator(derive_seed(seed, r, attempt)).standard_normal(T) for r in pending]
+            values = _pivotal_values(statistic, draws, p, partition, b, gamma)
+            done.update((r, (v, attempt)) for r, v in zip(pending, values) if not isinstance(v, NumericalError))
+            pending = [r for r in pending if r not in done]
+            if not pending:
+                return [done[r] for r in rs]
+        raise NumericalError(f"MC replicate {pending[0]} failed after {_MAX_RETRIES} redraws")
 
-    results = _map_ordered(one, B, workers)
+    results = _map_chunks(chunk, B, workers)
     values = np.array([v for v, _ in results])
     retried = int(sum(a for _, a in results))
     sample = np.sort(values)

@@ -1,0 +1,228 @@
+"""Replicates evaluated in stacks: the p = 0 simulation route, the batched
+semiparametric cross-validation core, the stacked second-order core and the
+chunked Monte-Carlo calibration.  Each stacked member must match the same
+computation run alone, the dense oracle, and, for redraws, a per-replicate
+reference loop."""
+
+import re
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tvarch import (
+    BandwidthGrid,
+    CoefficientFunction,
+    CoefficientPartition,
+    NoiseSpec,
+    ReturnSeries,
+    SimulationConfig,
+    TvArchModel,
+    cv_bandwidth_semiparametric,
+    select,
+    simulate_path,
+    testing,
+)
+from tvarch.errors import AllSingularError, NonPositiveVolatilityError, NumericalError, SingularDesignError
+from tvarch.experiments import _COVERAGE_SETUPS
+from tvarch.simulate import derive_seed
+from tvarch.testing import _CHUNK, _MAX_RETRIES, _second_order_psi, constancy_statistic, second_order_statistic
+
+import reference
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _rel(got, want) -> float:
+    return float(np.max(np.abs(np.asarray(got) - want) / np.abs(want)))
+
+
+# ---------------------------------------------------------------------------
+# Simulation without lags.
+
+
+@pytest.mark.parametrize("setup", sorted(_COVERAGE_SETUPS))
+@pytest.mark.parametrize("df", [None, 5])
+@pytest.mark.parametrize("burn_in", [0, 500])
+def test_simulate_path_without_lags_matches_recursion_bit_for_bit(setup, df, burn_in):
+    a0 = _COVERAGE_SETUPS[setup]
+    noise = NoiseSpec.gaussian() if df is None else NoiseSpec.student_t(df)
+    model = TvArchModel(p=0, coeffs=(a0,), noise=noise)
+    for seed in range(20):
+        got = simulate_path(model, SimulationConfig(T=500, seed=seed, burn_in=burn_in)).values
+        np.testing.assert_array_equal(got, reference.simulate_recursion([a0], 500, seed, burn_in=burn_in, df=df))
+
+
+def test_simulate_path_without_lags_names_the_first_nonpositive_step():
+    # Negative only at u = 3/7 and 5/7, which validation's grid misses.
+    spike = CoefficientFunction(lambda u: np.where(np.abs(u - 3 / 7) * np.abs(u - 5 / 7) < 1e-12, -1.0, 1.0))
+    with pytest.raises(NonPositiveVolatilityError, match=r"sigma_t\^2 = -1 at t=3$"):
+        simulate_path(TvArchModel(p=0, coeffs=(spike,)), SimulationConfig(T=7, seed=1))
+
+
+# ---------------------------------------------------------------------------
+# The batched semiparametric cross-validation core.
+
+# At T <= 40, 0.1 leaves the first center no tap of its holed window, so that
+# bandwidth is empty for every member.
+_CV_GRID = BandwidthGrid(multipliers=(0.1, 1.0, 1.5, 2.0))
+
+
+def _cv_in_chunks(series, p, grid):
+    """The core over the fixed chunks of the replicate index, as the coverage design runs it."""
+    return testing._map_chunks(lambda rs: select._cv_semiparametric([series[r] for r in rs], p, grid), len(series), 1)
+
+
+@settings(max_examples=8)
+@given(
+    seed=seeds, T=st.integers(30, 40), p=st.integers(1, 3), R=st.sampled_from([1, _CHUNK, _CHUNK + 3]), data=st.data()
+)
+def test_batched_cv_matches_single_replicate_and_dense(seed, T, p, R, data):
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(R, T))
+    series = [ReturnSeries(x) for x in xs]
+    # One (member, bandwidth) pair fails the design gate: its rcond is zeroed
+    # on the gate call for that bandwidth.  Bandwidth 0 is empty and gated by
+    # no call, so call k gates bandwidth k + 1.
+    forced_r = data.draw(st.integers(0, R - 1))
+    forced_i = data.draw(st.integers(1, 3))
+    member = forced_r % _CHUNK
+    chunk_of_forced = forced_r // _CHUNK
+    psd_rcond = select._psd_rcond
+    calls = []
+
+    def gate(stack):
+        rc = psd_rcond(stack)
+        calls.append(rc.shape[0])
+        if len(calls) == 3 * chunk_of_forced + forced_i:
+            rc[member] = 0.0
+        return rc
+
+    with mock.patch.object(select, "_psd_rcond", gate):
+        got = _cv_in_chunks(series, p, _CV_GRID)
+    assert sum(calls) == 3 * R  # every live member of every chunk is gated once per bandwidth
+
+    for r, (s, x, cv) in enumerate(zip(series, xs, got)):
+        alone = cv_bandwidth_semiparametric(s, p, grid=_CV_GRID)
+        want = alone.scores.copy()
+        if r == forced_r:
+            want[forced_i] = np.inf
+        finite = np.isfinite(want)
+        assert not finite[0] and finite[1:].sum() == 3 - (r == forced_r)
+        np.testing.assert_array_equal(np.isfinite(cv.scores), finite)
+        assert cv.bandwidth == float(_CV_GRID.bandwidths(T)[int(np.argmin(want))])
+        assert _rel(cv.scores[finite], want[finite]) <= 1e-12
+        if r != forced_r:
+            assert _rel(cv.beta, alone.beta) <= 1e-10
+        for i in np.flatnonzero(finite):
+            beta, score = reference.dense_cv_semiparametric(x, p, float(cv.bandwidths[i]))
+            assert abs(cv.scores[i] - score) <= 1e-12 * score
+        beta, _ = reference.dense_cv_semiparametric(x, p, cv.bandwidth)
+        assert float(np.max(np.abs(cv.beta - beta)) / np.max(np.abs(beta))) <= 1e-10
+
+
+def test_batched_cv_raises_for_the_lowest_member_whose_bandwidths_all_fail():
+    rng = np.random.default_rng(3)
+    singular = np.where(np.arange(60) % 2, 1.0, -1.0)  # every residual design is 0
+    tiny = 1e100 * rng.normal(size=60)  # level weights underflow to 0: every window is empty
+    grid = BandwidthGrid(multipliers=(1.0, 1.5))
+    for first, second, message in ((singular, tiny, "residual design is singular"), (tiny, singular, "at t=3")):
+        chunk = [ReturnSeries(x) for x in (rng.normal(size=60), first, rng.normal(size=60), second)]
+        with pytest.raises(AllSingularError, match=message) as err:
+            select._cv_semiparametric(chunk, 2, grid)
+        with pytest.raises(AllSingularError) as alone:
+            cv_bandwidth_semiparametric(chunk[1], 2, grid=grid)
+        assert str(err.value) == str(alone.value)
+
+
+# ---------------------------------------------------------------------------
+# The stacked second-order core.
+
+
+@settings(max_examples=10)
+@given(
+    seed=seeds, T=st.integers(30, 60), p=st.integers(1, 3), b=st.floats(0.2, 0.5), R=st.integers(1, 5), data=st.data()
+)
+def test_stacked_second_order_matches_single_and_dense(seed, T, p, b, R, data):
+    xs = np.random.default_rng(seed).normal(size=(R, T))
+    bad = data.draw(st.integers(-1, R - 1))  # an all-zero row, whose lag design is 0, or none
+    if bad >= 0:
+        xs[bad] = 0.0
+    a_hat, psi, sigma_sq, errors = _second_order_psi(xs, p, b)
+    for r, x in enumerate(xs):
+        if r == bad:
+            assert isinstance(errors[r], SingularDesignError) and "lag design" in str(errors[r])
+            with pytest.raises(SingularDesignError, match=re.escape(str(errors[r]))):
+                second_order_statistic(ReturnSeries(x), p, b)
+            continue
+        assert errors[r] is None
+        alone = second_order_statistic(ReturnSeries(x), p, b)
+        assert abs(psi[r] - alone.psi) <= 1e-12 * abs(alone.psi)
+        assert abs(sigma_sq[r] - alone.sigma_sq_hat) <= 1e-12 * alone.sigma_sq_hat
+        a_ref, psi_ref, sig_ref = reference.dense_second_order(x, p, b)
+        np.testing.assert_allclose(a_hat[r], a_ref, atol=1e-10)
+        assert psi[r] == pytest.approx(psi_ref, rel=1e-10, abs=1e-12)
+        assert sigma_sq[r] == pytest.approx(sig_ref, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Chunked Monte-Carlo calibration and its redraws.
+
+
+class _Zeros:
+    def standard_normal(self, n):
+        return np.zeros(n)
+
+
+def _zero_draws(seed: int, zeroed: dict):
+    """A generator factory giving all-zero draws for replicate r at attempts 0..zeroed[r]-1."""
+    real = testing.generator
+    zero_seeds = {derive_seed(seed, r, a) for r, n in zeroed.items() for a in range(n)}
+    return lambda s: _Zeros() if s in zero_seeds else real(s)
+
+
+def _per_replicate_calibration(gen, T, p, partition, b, B, seed, statistic):
+    """Sorted sample and redraw count by one replicate at a time, each redrawn until it evaluates."""
+    values, retried = [], 0
+    for r in range(B):
+        for attempt in range(_MAX_RETRIES):
+            series = ReturnSeries(gen(derive_seed(seed, r, attempt)).standard_normal(T))
+            try:
+                if statistic == "second-order":
+                    values.append(second_order_statistic(series, p, b).psi)
+                else:
+                    values.append(constancy_statistic(series, partition, "level", b).e_t)
+            except NumericalError:
+                continue
+            retried += attempt
+            break
+    return np.sort(values), retried
+
+
+@pytest.mark.parametrize("statistic", ["second-order", "constancy"])
+def test_chunked_calibration_redraws_as_a_per_replicate_loop(statistic):
+    T, p, b, B, seed = 120, 1, 0.3, 100, 9
+    partition = None if statistic == "second-order" else CoefficientPartition(p=1, varying=(0,), constant=(1,))
+    # All-zero draws fail both statistics (a zero lag design; a zero series).
+    # Replicates 16 and 17 share a chunk; 17 fails twice.
+    zeroed = {0: 1, 5: 1, _CHUNK: 1, _CHUNK + 1: 2, 2 * _CHUNK + 8: 1, B - 1: 3}
+    gen = _zero_draws(seed, zeroed)
+    with mock.patch.object(testing, "generator", gen):
+        cal = testing.mc_pivotal_quantiles(T, p, partition, b, B, (0.1,), seed, statistic)
+    want, retried = _per_replicate_calibration(gen, T, p, partition, b, B, seed, statistic)
+    assert cal.retried == retried == sum(zeroed.values())
+    assert cal.sample.shape == (B,)
+    if statistic == "constancy":
+        np.testing.assert_array_equal(cal.sample, want)  # members run alone, with the same arithmetic
+    else:
+        np.testing.assert_allclose(cal.sample, want, rtol=1e-12, atol=1e-300)
+
+
+def test_chunked_calibration_names_the_lowest_replicate_out_of_redraws():
+    seed = 4
+    gen = _zero_draws(seed, {_CHUNK + 5: _MAX_RETRIES, 3 * _CHUNK: _MAX_RETRIES, 2: 2})
+    with mock.patch.object(testing, "generator", gen):
+        with pytest.raises(NumericalError, match=rf"^MC replicate {_CHUNK + 5} failed after {_MAX_RETRIES} redraws$"):
+            testing.mc_pivotal_quantiles(120, 1, None, 0.3, 100, (0.1,), seed, "second-order")

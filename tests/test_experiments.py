@@ -8,6 +8,7 @@ import pytest
 
 import tvarch.errors
 import tvarch.experiments
+import tvarch.testing
 from tvarch import (
     CoefficientFunction,
     ReturnSeries,
@@ -171,6 +172,17 @@ def test_pipeline_json_identical_across_workers_on_both_smoothers(sptv2_model, m
     one = run_pipeline(series, q_max=4, B=100, seed=3, workers=1)
     assert "error" not in one and calls["_gemm_sums"] and calls["_chunk_sums"]
     two = run_pipeline(series, q_max=4, B=100, seed=3, workers=2)
+    assert json.dumps(two, sort_keys=True) == json.dumps(one, sort_keys=True)
+
+
+@pytest.mark.parametrize("calibration", ["monte-carlo", "asymptotic"])
+def test_coverage_json_identical_across_workers(calibration):
+    # 37 replicates are two full chunks and a partial one; the chunks are
+    # fixed, so two worker threads must give the same bytes as one.
+    assert 37 % tvarch.testing._CHUNK
+    spec = dict(design="dynamic-coverage", T_list=(200,), replications=37, seed=6, B=100, calibration=calibration)
+    one = run_experiment(ExperimentSpec(**spec, workers=1))
+    two = run_experiment(ExperimentSpec(**spec, workers=2))
     assert json.dumps(two, sort_keys=True) == json.dumps(one, sort_keys=True)
 
 

@@ -258,13 +258,16 @@ def test_local_sums_keep_the_gemm_for_a_long_window_off_the_quadratic(defect):
     _assert_matches_dense(got, values, window)
 
 
-def test_local_sums_keep_the_gemm_for_an_even_length_window():
-    # The chunk path reads taps -half..half; a window with one more tap
-    # takes the GEMM, as it did before the chunk path existed.
+def test_local_sums_rejects_an_even_length_window():
+    # Every smoother centers the window at index half of 2 half + 1 taps; an
+    # even length has no center tap, so it is refused rather than weighted
+    # one tap off the dense convention.
     n = 704
     values = np.random.default_rng(6).normal(size=n)
-    got, calls = _smooth_counting_paths(values, kernel_window(n, 0.9)[:-1])
-    assert calls == {"gemm": 1, "chunk": 0, "check": 1} and got.shape == values.shape
+    with pytest.raises(InputError, match="odd length, got 1266"):
+        local_sums(values, kernel_window(n, 0.9)[:-1])
+    with pytest.raises(InputError, match="odd length, got 2"):
+        local_sums(values[:5], np.ones(2))
 
 
 def test_local_sums_keep_the_gemm_on_study_sized_windows_without_the_quadratic_check():

@@ -95,24 +95,23 @@ def test_cv_semiparametric_names_the_center_a_bandwidth_leaves_empty():
 def test_cv_semiparametric_skips_singular_residual_design(monkeypatch):
     # x^2 = 1 everywhere: each lag equals its leave-out local mean, so at every
     # bandwidth the residual design is exactly 0 and fails the design gate.
-    raised = []
+    gated = []
 
-    def spy(*args):
-        try:
-            return solve_design(*args)
-        except SingularDesignError as exc:
-            raised.append(exc)
-            raise
+    def spy(stack):
+        rc = psd_rcond(stack)
+        gated.append(rc)
+        return rc
 
-    solve_design = select._solve_design
-    monkeypatch.setattr(select, "_solve_design", spy)
+    psd_rcond = select._psd_rcond
+    monkeypatch.setattr(select, "_psd_rcond", spy)
     s = ReturnSeries(np.where(np.arange(80) % 2, 1.0, -1.0))
     with pytest.raises(AllSingularError) as err:
         cv_bandwidth_semiparametric(s, 2, grid=BandwidthGrid(multipliers=(1.0, 1.5)))
-    assert len(raised) == 2
+    assert len(gated) == 2 and all(rc.shape == (1,) and rc[0] < select._RCOND_GATE for rc in gated)
     # The error names the last singular design and chains it.
-    assert err.value.__cause__ is raised[-1]
-    assert str(raised[-1]) in str(err.value) and "rcond=" in str(err.value)
+    cause = err.value.__cause__
+    assert isinstance(cause, SingularDesignError) and f"rcond={gated[-1][0]:.3e}" in str(cause)
+    assert str(cause) in str(err.value) and "rcond=" in str(err.value)
 
 
 def test_cv_semiparametric_inner_beta_close_to_estimator(sptv2_model):
