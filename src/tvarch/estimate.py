@@ -121,28 +121,31 @@ def local_wls(
     The smoothed columns are rows of one C-contiguous (columns, n) block, so
     :func:`kernels.local_sums` reads them in place, and the gram is written
     into the (k, k, n) layout :func:`_cholesky` factors; both results are
-    (n, ...) views of those arrays.
+    (n, ...) views of those arrays.  Leading axes of X, Y and W stack series
+    into the same block and call, with the gram laid out (k, k, ..., n).
     """
-    n, k = X.shape
-    c = Y.shape[1]
+    *lead, n, k = X.shape
+    c = Y.shape[-1]
     a, b = np.triu_indices(k)
-    XT = X.T
+    last = len(lead) + 1
+    XT = X.transpose(last, *range(last))
     WXT = W * XT
-    g = np.empty((a.shape[0] + k * c, n))
+    g = np.empty((a.shape[0] + k * c, *lead, n))
     row = 0
     for i in range(k):  # the triangle row by row: columns (i, i..k-1)
         np.multiply(WXT[i], XT[i:], out=g[row : row + k - i])
         row += k - i
-    np.multiply(WXT[:, None, :], Y.T[None, :, :], out=g[row:].reshape(k, c, n))
+    np.multiply(WXT[:, None], Y.transpose(last, *range(last))[None], out=g[row:].reshape(k, c, *lead, n))
     if leave_out is None:
-        s = kernels.local_sums(g.T, window)
+        s = kernels.local_sums(g.reshape(-1, n).T, window)
         s /= kernels.window_counts(n, window)[:, None]
     else:
-        s = kernels.local_sums(g.T, kernels.leave_out_window(window, leave_out))
-    sT = s.T
-    gram = np.empty((k, k, n))
+        s = kernels.local_sums(g.reshape(-1, n).T, kernels.leave_out_window(window, leave_out))
+    sT = s.T.reshape(g.shape)
+    gram = np.empty((k, k, *lead, n))
     gram[a, b] = gram[b, a] = sT[:row]
-    return gram.transpose(2, 0, 1), sT[row:].reshape(k, c, n).transpose(2, 0, 1)
+    centers_first = (*range(2, last + 2), 0, 1)
+    return gram.transpose(centers_first), sT[row:].reshape(k, c, *lead, n).transpose(centers_first)
 
 
 # lambda_max <= tr G and lambda_min >= 1 / tr G^-1, so rcond >= 1 / (tr G tr G^-1).
@@ -252,8 +255,10 @@ def _solve_design(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
 
 
 def _local_sandwich(Z: np.ndarray, X: np.ndarray, w_mid: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Per-center Z' S Z, S the local mean of w_mid X X': with Z = G^-1[:, c], block cc of G^-1 S G^-1."""
-    return Z.transpose(0, 2, 1) @ local_wls(X, X[:, :0], w_mid, window)[0] @ Z
+    """Per-center Z' S Z, S the local mean of w_mid X X': with Z = G^-1[:, c], block cc of G^-1 S G^-1.
+
+    Leading axes stack series."""
+    return np.swapaxes(Z, -1, -2) @ local_wls(X, X[..., :0], w_mid, window)[0] @ Z
 
 
 @dataclass(frozen=True)
@@ -320,6 +325,17 @@ class BetaFit:
         return float(_psd_rcond(self.local_gram).min())
 
 
+def _residual_design(M, N, x2t, W, q1, q2):
+    """(v_resid, o_resid, gram, rhs): x^2 and N residualized on the M block, beta's design sum_t W o o'
+    and sum_t W o v_resid; leading axes stack series."""
+    v_resid = x2t - np.einsum("...tm,...tm->...t", M, q1)
+    o_resid = N - np.einsum("...tmn,...tm->...tn", q2, M)
+    w_o = W[..., None] * o_resid
+    gram = np.swapaxes(w_o, -1, -2) @ o_resid
+    rhs = np.einsum("...tm,...t->...m", w_o, v_resid)
+    return v_resid, o_resid, gram, rhs
+
+
 def estimate_beta(
     series: ReturnSeries,
     partition: CoefficientPartition,
@@ -342,11 +358,7 @@ def estimate_beta(
     W = resolve_weights(series, partition.p, weights)
     x2t = series.values[partition.p :] ** 2
 
-    v_resid = x2t - np.einsum("tm,tm->t", M, q1)
-    o_resid = N - np.einsum("tmn,tm->tn", q2, M)
-    gram = np.einsum("t,tm,tn->mn", W, o_resid, o_resid)
-    rhs = np.einsum("t,tm,t->m", W, o_resid, v_resid)
-
+    v_resid, o_resid, gram, rhs = _residual_design(M, N, x2t, W, q1, q2)
     beta = _solve_design(gram, rhs, "residual design")
 
     return BetaFit(

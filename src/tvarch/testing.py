@@ -28,8 +28,11 @@ from .estimate import (
     _RCOND_GATE,
     LEVEL,
     SmoothedMoments,
+    _certify,
+    _cholesky_solve,
     _local_sandwich,
     _psd_rcond,
+    _residual_design,
     _solve_gated,
     covariance_beta,
     estimate_beta,
@@ -112,10 +115,9 @@ def constancy_statistic(
     passed the trace-bound certificate, so does G[v, v]: tr G_vv <= tr G, and
     tr G_vv^-1 <= tr (G^-1)_vv <= tr G^-1 (a Schur complement).
     One more smoothing gives the fit covariance block O_cc = Z' S Z, Z =
-    G^-1[:, c].  ``gamma`` is None (identity) or a positive definite n x n matrix.
+    G^-1[:, c].  ``gamma`` is None (identity) or a symmetric positive definite n x n matrix.
     """
-    if partition.n == 0:
-        raise InputError("constancy test needs a nonempty constant block")
+    gam = _require_gamma(gamma, partition)
     p = partition.p
     T = series.T
     v = np.asarray(partition.varying, dtype=int)
@@ -135,38 +137,107 @@ def constancy_statistic(
     sig_tilde = np.einsum("tk,tk->t", X, npfit.a_tilde)
     win = kernels.kernel_window(T, b)
     o_cc = _local_sandwich(npfit.gram_inv[:, :, c], X, W**2 * (x2t - sig_tilde) ** 2, win)
+    s_t, varpi1, varpi2, e_t = map(float, _pivotal_e_t(diff, o_cc, gam, T, b))
+    return ConstancyStatistic(s_t=s_t, varpi1=varpi1, varpi2=varpi2, e_t=e_t, beta_hat=bfit.beta)
 
+
+def _require_gamma(gamma, partition: CoefficientPartition):
+    """Gamma as a float array or None; InputError unless n >= 1 and Gamma is symmetric (1e-12 relative) and PD."""
+    if partition.n == 0:
+        raise InputError("constancy test needs a nonempty constant block")
     if gamma is None:
+        return None
+    n = partition.n
+    try:
+        gam = np.asarray(gamma, dtype=float)
+    except (TypeError, ValueError):
+        gam = np.empty(0)
+    # eigvalsh reads one triangle only, so symmetry is checked before it.
+    if not (
+        gam.shape == (n, n)
+        and np.isfinite(gam).all()
+        and np.abs(gam - gam.T).max() <= 1e-12 * np.abs(gam).max()
+        and np.linalg.eigvalsh(gam)[0] > 0.0
+    ):
+        raise InputError(f"gamma must be None or a symmetric positive definite {n}x{n} matrix")
+    return gam
+
+
+def _pivotal_e_t(diff: np.ndarray, o_cc: np.ndarray, gam, T: int, b: float):
+    """(S_T, varpi1, varpi2, E_T) of a_tilde_c - beta (..., n_t, n) and O_cc (..., n_t, n, n); raises at varpi2 <= 0."""
+    if gam is None:
         g_mat = o_cc
-        quad = np.einsum("tn,tn->t", diff, diff)
+        quad = np.einsum("...tn,...tn->...t", diff, diff)
     else:
-        try:
-            gam = np.asarray(gamma, dtype=float)
-        except (TypeError, ValueError):
-            raise InputError("gamma must be None or a positive definite matrix") from None
-        if gam.shape != (partition.n, partition.n) or not np.linalg.eigvalsh(gam)[0] > 0.0:
-            raise InputError(f"gamma must be a positive definite {partition.n}x{partition.n} matrix")
-        quad = np.einsum("tn,nk,tk->t", diff, gam, diff)
+        quad = np.einsum("...tn,nk,...tk->...t", diff, gam, diff)
         # Gamma O_cc has the traces of its first two powers in common with
         # Gamma^1/2 O_cc Gamma^1/2, and they are all varpi1 and varpi2 read.
         g_mat = gam @ o_cc
-
-    s_t = float(quad.sum() / T)
-    varpi1 = float(np.trace(g_mat, axis1=1, axis2=2).sum() / T)
-    varpi2 = float((g_mat * g_mat.transpose(0, 2, 1)).sum() / T)
-    if varpi2 <= 0.0:
+    s_t = quad.sum(axis=-1) / T
+    varpi1 = np.trace(g_mat, axis1=-2, axis2=-1).sum(axis=-1) / T
+    varpi2 = (g_mat * np.swapaxes(g_mat, -1, -2)).sum(axis=(-3, -2, -1)) / T
+    if np.any(varpi2 <= 0.0):
         raise DegenerateSeriesError("variance functional of the constancy statistic vanished")
-
     k2 = kernels.k_l2_norm_sq()
     kstar = np.sqrt(kernels.k_star_l2_norm_sq())
     e_t = T * np.sqrt(b) * (s_t - k2 * varpi1 / (T * b)) / (2.0 * kstar * np.sqrt(varpi2))
-    return ConstancyStatistic(
-        s_t=s_t,
-        varpi1=varpi1,
-        varpi2=varpi2,
-        e_t=float(e_t),
-        beta_hat=bfit.beta,
-    )
+    return s_t, varpi1, varpi2, e_t
+
+
+def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float, gam) -> np.ndarray | None:
+    """E_T of :func:`constancy_statistic`, level-weighted, for every row of a (R, T) array, stacked.
+
+    One local_sums call smooths the R full-fit designs; one certified solve
+    over all R n_t centers against [cross | e_c] gives a_tilde and Z =
+    G^-1[:, c] (no other column of G^-1), one of G[v, v] gives q1 and q2,
+    one gate the residual designs, and one more local_sums call the
+    sandwich.  None where a row could take another path alone (a zero row,
+    a failed certificate or gate); a varpi2 <= 0 raises.  ``gam`` has passed
+    :func:`_require_gamma`.
+    """
+    R, T = values.shape
+    p = partition.p
+    k, n_t, n = p + 1, T - p, partition.n
+    ReturnSeries(values[0]).require_length(p)
+    x_sq = values**2
+    v_hat = x_sq.mean(axis=1, keepdims=True)
+    if not np.all(v_hat > 0.0):
+        return None
+    lags = [x_sq[:, p - j : T - j] for j in range(1, k)]
+    W = functools.reduce(np.add, lags, np.repeat(v_hat, n_t, axis=1)) ** -2.0  # level_weights' sum, in its order
+    X = np.moveaxis(np.stack([np.ones((R, n_t)), *lags]), 0, -1)  # (R, n_t, k) over a (k, R, n_t) block
+    x2t = x_sq[:, p:]
+    win = kernels.kernel_window(T, b)
+
+    gram, cross = local_wls(X, x2t[..., None], W, win)
+    # The (k, k, R, n_t) block local_wls wrote: every entry a column over all R n_t centers.
+    G = np.moveaxis(gram, (-2, -1), (0, 1)).reshape(k, k, R * n_t)
+    factor = _certify(G.transpose(2, 0, 1))
+    if factor is None:
+        return None
+    c = np.asarray(partition.constant, dtype=int)
+    v = np.asarray(partition.varying, dtype=int)
+    rhs = np.zeros((k, 1 + n, R * n_t))
+    rhs[:, 0] = np.moveaxis(cross, (-2, -1), (0, 1)).reshape(k, R * n_t)
+    rhs[c, np.arange(1, 1 + n)] = 1.0
+    del gram, cross  # cross keeps the whole smoothed block alive (page faults: see _STACK_CENTERS)
+    sol = _cholesky_solve(factor, rhs.transpose(2, 0, 1)).reshape(R, n_t, k, 1 + n)
+    a_tilde, Z = sol[..., 0], sol[..., 1:]
+
+    factor = _certify(G[v[:, None], v].transpose(2, 0, 1))
+    if factor is None:
+        return None
+    q = _cholesky_solve(factor, np.concatenate([rhs[v, :1], G[v[:, None], c]], axis=1).transpose(2, 0, 1))
+    q = q.reshape(R, n_t, v.shape[0], 1 + n)
+    _, _, design, beta_rhs = _residual_design(X[..., v], X[..., c], x2t, W, q[..., 0], q[..., 1:])
+    if np.any(_psd_rcond(design) < _RCOND_GATE):
+        return None
+    beta = np.linalg.solve(design, beta_rhs[..., None])
+    del G, rhs, q  # the full fit's buffers go before the sandwich's are made
+
+    sig_tilde = np.einsum("rtk,rtk->rt", X, a_tilde)
+    o_cc = _local_sandwich(Z, X, W**2 * (x2t - sig_tilde) ** 2, win)
+    return _pivotal_e_t(a_tilde[..., c] - np.swapaxes(beta, -1, -2), o_cc, gam, T, b)[3]
 
 
 def _wald_statistic(series, partition, b):
@@ -262,27 +333,50 @@ def _second_order_psi(values: np.ndarray, p: int, b: float):
 _MAX_RETRIES = 5
 
 
+# Centers per stacked constancy evaluation (4 draws at T = 2000), never sized
+# by ``workers``.  A stack's arrays peak near 3 MB at any T; larger peaks cost
+# page faults: 7.1k minor faults per T = 2000 pipeline op here, 88k at twice
+# the size, 29k with the full fit's smoothed block kept through the solves.
+_STACK_CENTERS = 8192
+
+
+def _each(fn, draws) -> list:
+    """fn(ReturnSeries(draw)) for every draw, or the NumericalError it raised."""
+    out = []
+    for draw in draws:
+        try:
+            out.append(fn(ReturnSeries(draw)))
+        except NumericalError as err:
+            out.append(err)
+    return out
+
+
 def _pivotal_values(name, draws, p, partition, b, gamma) -> list:
     """The statistic of every draw, or the NumericalError it raised.
 
-    Second-order draws run stacked through :func:`_second_order_psi`; the
-    others one at a time.
+    Second-order draws run stacked through :func:`_second_order_psi`;
+    constancy draws through :func:`_constancy_e_t` in stacks of
+    _STACK_CENTERS centers, or one at a time where it returns None or
+    raises; Wald draws one at a time.
     """
     if name == "second-order":
         _, psi, _, errors = _second_order_psi(np.stack(draws), p, b)
         return [float(v) if err is None else err for v, err in zip(psi, errors)]
-    if name not in ("constancy", "wald-zero"):
-        raise InputError(f"unknown pivotal statistic {name!r}")
+    if name == "wald-zero":
+        return _each(lambda s: _wald_statistic(s, partition, b)[0], draws)
+
+    def single(series):
+        return constancy_statistic(series, partition, LEVEL, b, gamma).e_t
+
+    per = max(1, _STACK_CENTERS // (draws[0].shape[0] - p))
     out = []
-    for draw in draws:
-        series = ReturnSeries(draw)
+    for lo in range(0, len(draws), per):
+        stack = draws[lo : lo + per]
         try:
-            if name == "constancy":
-                out.append(constancy_statistic(series, partition, LEVEL, b, gamma).e_t)
-            else:
-                out.append(_wald_statistic(series, partition, b)[0])
-        except NumericalError as err:
-            out.append(err)
+            e_t = _constancy_e_t(np.stack(stack), partition, b, gamma)
+        except NumericalError:  # a varpi2 <= 0, or an empty window
+            e_t = None
+        out += _each(single, stack) if e_t is None else [float(v) for v in e_t]
     return out
 
 
@@ -380,11 +474,20 @@ def mc_pivotal_quantiles(
     statistic pipeline, level-weighted, at the pre-selected bandwidth.
     Replicates hitting a numerical degeneracy are redrawn (up to
     ``_MAX_RETRIES`` draws in all) so the quantile sample size stays exactly B.
-    Replicates run in fixed chunks of _CHUNK; second-order ones are stacked.
+    Replicates run in fixed chunks of _CHUNK; second-order and constancy
+    ones are stacked.  Every input is checked before the first draw.
     """
     _require_replicates(B)
     _require_workers(workers)
     _require_levels(levels)
+    if statistic not in ("constancy", "wald-zero", "second-order"):
+        raise InputError(f"unknown pivotal statistic {statistic!r}")
+    if statistic != "second-order" and partition is None:
+        raise InputError(f"the {statistic} statistic needs a coefficient partition")
+    if partition is not None and partition.p != p:
+        raise InputError(f"partition has p={partition.p}, but the calibration has p={p}")
+    if statistic == "constancy":
+        gamma = _require_gamma(gamma, partition)
 
     def chunk(rs: range) -> list:
         # Each replicate keeps its own generator per attempt; only the ones

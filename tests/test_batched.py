@@ -1,9 +1,10 @@
 """Replicates evaluated in stacks: the p = 0 simulation route, the batched
-semiparametric cross-validation core, the stacked second-order core and the
-chunked Monte-Carlo calibration.  Each stacked member must match the same
-computation run alone, the dense oracle, and, for redraws, a per-replicate
-reference loop."""
+semiparametric cross-validation core, the stacked second-order and constancy
+cores and the chunked Monte-Carlo calibration.  Each stacked member must
+match the same computation run alone, the dense oracle, and, for redraws, a
+per-replicate reference loop."""
 
+import collections
 import re
 from unittest import mock
 
@@ -25,10 +26,25 @@ from tvarch import (
     simulate_path,
     testing,
 )
-from tvarch.errors import AllSingularError, NonPositiveVolatilityError, NumericalError, SingularDesignError
+from tvarch.errors import (
+    AllSingularError,
+    DegenerateSeriesError,
+    NonPositiveVolatilityError,
+    NumericalError,
+    SingularDesignError,
+    SingularMomentError,
+)
+from tvarch.estimate import _psd_rcond
 from tvarch.experiments import _COVERAGE_SETUPS
 from tvarch.simulate import derive_seed
-from tvarch.testing import _CHUNK, _MAX_RETRIES, _second_order_psi, constancy_statistic, second_order_statistic
+from tvarch.testing import (
+    _CHUNK,
+    _MAX_RETRIES,
+    _second_order_psi,
+    constancy_statistic,
+    nonparametric_fit,
+    second_order_statistic,
+)
 
 import reference
 
@@ -168,6 +184,92 @@ def test_stacked_second_order_matches_single_and_dense(seed, T, p, b, R, data):
 
 
 # ---------------------------------------------------------------------------
+# The stacked constancy core.
+
+
+def _constancy_partitions(p: int) -> list:
+    """Each coefficient constant on its own, then all lags jointly (p >= 2)."""
+    consts = [(j,) for j in range(p + 1)] + ([tuple(range(1, p + 1))] if p >= 2 else [])
+    return [CoefficientPartition(p=p, varying=tuple(k for k in range(p + 1) if k not in c), constant=c) for c in consts]
+
+
+def _e_t_scale(stat, T: int, b: float) -> float:
+    """The size of E_T's terms, T sqrt(b) (S_T + ||K||^2 varpi1 / (T b)) / (2 ||K*|| sqrt(varpi2))."""
+    return T * np.sqrt(b) * (stat.s_t + 0.6 * stat.varpi1 / (T * b)) / (2.0 * np.sqrt(167 / 770 * stat.varpi2))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=seeds,
+    T=st.integers(30, 60),
+    p=st.integers(1, 3),
+    b=st.floats(0.2, 0.5),
+    R=st.sampled_from([1, 3, 5]),  # with stacks of 3 draws: a stack of 1, a full one, a full and a partial one
+    spd=st.booleans(),
+)
+def test_stacked_constancy_matches_single_and_dense(seed, T, p, b, R, spd):
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(R, T))
+    for part in _constancy_partitions(p):
+        gamma = None
+        if spd:
+            a = rng.normal(size=(part.n, part.n))
+            gamma = 0.5 * (a @ a.T + (a @ a.T).T) + part.n * np.eye(part.n)
+        try:
+            alone = [constancy_statistic(ReturnSeries(x), part, "level", b, gamma) for x in xs]
+        except NumericalError:
+            continue
+        with mock.patch.object(testing, "_STACK_CENTERS", 3 * (T - p)):
+            with mock.patch.object(testing, "constancy_statistic", side_effect=AssertionError("fell back")):
+                got = testing._pivotal_values("constancy", list(xs), p, part, b, gamma)
+        for r, (x, e_t, stat) in enumerate(zip(xs, got, alone)):
+            assert abs(e_t - stat.e_t) <= 1e-12 * _e_t_scale(stat, T, b), (part, r)
+            if gamma is None and _psd_rcond(nonparametric_fit(ReturnSeries(x), p, "level", b).gram).min() > 1e-6:
+                want = reference.dense_constancy(x, part.varying, part.constant, reference.level_weights(x, p), b)
+                assert abs(e_t - want["e_t"]) <= 1e-10 * abs(want["e_t"]), (part, r)
+
+
+def _quiet(x: np.ndarray) -> np.ndarray:
+    """x with returns 80..139 scaled by 1e-5: at b = 0.1 the full fit's local Gram fails the gate there."""
+    x = x.copy()
+    x[80:140] *= 1e-5
+    return x
+
+
+@pytest.mark.parametrize("bad", ["zero", "singular"])
+def test_stacked_constancy_falls_back_to_the_single_statistic(bad):
+    T, p, b = 200, 2, 0.1
+    xs = np.random.default_rng(44).normal(size=(4, T))
+    xs[2] = 0.0 if bad == "zero" else _quiet(xs[2])
+    part = CoefficientPartition(p=2, varying=(0,), constant=(1, 2))
+    assert testing._constancy_e_t(xs, part, b, None) is None
+    got = testing._pivotal_values("constancy", list(xs), p, part, b, None)
+    assert isinstance(got[2], DegenerateSeriesError if bad == "zero" else SingularMomentError)
+    for x, value in zip(xs, got):
+        try:
+            want = constancy_statistic(ReturnSeries(x), part, "level", b).e_t
+        except NumericalError as err:
+            assert type(value) is type(err) and str(value) == str(err)
+        else:
+            assert value == want
+
+
+def test_constancy_calibration_identical_across_workers_on_the_chunk_smoother(monkeypatch):
+    # T = 2000 takes the chunk-moment smoother, and stacks of 4 draws.  102
+    # replicates leave a partial chunk of 6, so a partial stack of 2.
+    T, p, b, B = 2000, 1, 0.159, 102
+    assert B % _CHUNK == 6 and testing._STACK_CENTERS // (T - p) == 4
+    calls = collections.Counter()
+    chunk_sums = testing.kernels._chunk_sums
+    monkeypatch.setattr(testing.kernels, "_chunk_sums", lambda *args: calls.update(["chunk"]) or chunk_sums(*args))
+    part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
+    one = testing.mc_pivotal_quantiles(T, p, part, b, B, (0.1,), 5, "constancy", workers=1)
+    assert calls["chunk"]
+    two = testing.mc_pivotal_quantiles(T, p, part, b, B, (0.1,), 5, "constancy", workers=2)
+    assert one.sample.tobytes() == two.sample.tobytes() and one.retried == two.retried == 0
+
+
+# ---------------------------------------------------------------------------
 # Chunked Monte-Carlo calibration and its redraws.
 
 
@@ -214,10 +316,7 @@ def test_chunked_calibration_redraws_as_a_per_replicate_loop(statistic):
     want, retried = _per_replicate_calibration(gen, T, p, partition, b, B, seed, statistic)
     assert cal.retried == retried == sum(zeroed.values())
     assert cal.sample.shape == (B,)
-    if statistic == "constancy":
-        np.testing.assert_array_equal(cal.sample, want)  # members run alone, with the same arithmetic
-    else:
-        np.testing.assert_allclose(cal.sample, want, rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(cal.sample, want, rtol=1e-12, atol=1e-300)
 
 
 def test_chunked_calibration_names_the_lowest_replicate_out_of_redraws():

@@ -18,7 +18,7 @@ from tvarch import (
 from tvarch import test_constancy as run_constancy_test
 from tvarch import test_second_order as run_second_order_test
 from tvarch import test_zero_wald as run_zero_wald_test
-from tvarch import estimate
+from tvarch import estimate, testing
 from tvarch.errors import InputError, NumericalError, SingularDesignError, SingularMomentError
 from tvarch.estimate import _certify, _solve_gated, estimate_beta, local_wls, resolve_weights
 from tvarch.kernels import k_l2_norm_sq, k_star_l2_norm_sq, kernel_window
@@ -222,6 +222,17 @@ def test_constancy_rejects_a_gamma_that_is_not_a_matrix(series_mid):
         constancy_statistic(series_mid, CoefficientPartition.semiparametric(2), "level", 0.2, gamma="fit-variance")
 
 
+@pytest.mark.parametrize("gamma", [[[1.0, 5.0], [0.0, 1.0]], [[1.0, 0.0], [5.0, 1.0]]])
+def test_constancy_rejects_an_asymmetric_gamma_in_both_orientations(series_mid, gamma):
+    # eigvalsh reads one triangle only: the upper-triangular Gamma used to
+    # pass as the identity and fail later as a vanished variance functional.
+    part = CoefficientPartition.semiparametric(2)
+    with pytest.raises(InputError, match="symmetric positive definite"):
+        constancy_statistic(series_mid, part, "level", 0.2, gamma=gamma)
+    with pytest.raises(InputError, match="symmetric positive definite"):
+        mc_pivotal_quantiles(series_mid.T, 2, part, 0.2, 100, (0.1,), 1, "constancy", gamma)
+
+
 def test_constancy_needs_constant_block(series_small):
     with pytest.raises(InputError):
         constancy_statistic(series_small, CoefficientPartition.fully_varying(2), "level", 0.3)
@@ -308,6 +319,26 @@ def test_mc_requires_b_at_least_100():
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
     with pytest.raises(InputError):
         mc_pivotal_quantiles(100, 1, part, 0.2, 50, (0.10,), 1, "constancy")
+
+
+def _no_draws(seed):
+    raise AssertionError("an input check ran after a draw")
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((1, None, "constancy"), "needs a coefficient partition"),
+        ((1, None, "wald-zero"), "needs a coefficient partition"),
+        ((2, CoefficientPartition(p=1, varying=(0,), constant=(1,)), "constancy"), "partition has p=1"),
+        ((1, CoefficientPartition(p=1, varying=(0,), constant=(1,)), "kolmogorov"), "unknown pivotal statistic"),
+    ],
+)
+def test_mc_rejects_bad_statistic_inputs_before_any_draw(monkeypatch, args, match):
+    p, part, statistic = args
+    monkeypatch.setattr(testing, "generator", _no_draws)
+    with pytest.raises(InputError, match=match):
+        mc_pivotal_quantiles(200, p, part, 0.3, 100, (0.1,), 1, statistic)
 
 
 def test_mc_gives_up_after_retries():
