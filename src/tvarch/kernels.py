@@ -29,12 +29,12 @@ or one chunk.
   per call.  It serves any window.
 - The chunk-moment smoother, for long windows that are a quadratic a + c d^2
   in the tap offset d off a zeroed run at the center: every
-  :func:`kernel_window` and :func:`leave_out_window`.  Each chunk of _CHUNK
-  inputs lying _CHUNK taps or more inside every window of a block enters
-  through three moments, sum v, sum u v and sum u^2 v about its midpoint, so
-  it costs three rows instead of _CHUNK; only the ragged edges and the
-  hole's chunks keep slab rows.  It costs O(n (L / _CHUNK + _BLOCK)) in
-  place of O(n L).
+  :func:`kernel_window` and :func:`leave_out_window`.  The centers go
+  _CHUNK at a time; each chunk of _CHUNK inputs lying _CHUNK taps or more
+  inside every window of such a block enters through three moments, sum v,
+  sum u v and sum u^2 v about its midpoint, so it costs three rows instead
+  of _CHUNK; only the ragged edges and the hole's chunks keep slab rows.  It
+  costs O(n (L / _CHUNK + _CHUNK)) in place of O(n L).
 
 :func:`local_sums` decides in O(1), from L, the hole's length and n, whether
 the chunk path would save a third of the slab's rows and enough work to
@@ -144,15 +144,15 @@ def _conv_centered(a: np.ndarray, window: np.ndarray) -> np.ndarray:
 
 # Centers per block of the GEMM smoother.
 _BLOCK = 64
-# Inputs per chunk of the chunk-moment smoother.  A block spans two chunks,
-# so every block meets the chunks at the same offsets from its first center.
+# Inputs per chunk of the chunk-moment smoother, and its centers per block:
+# every block meets the chunks at the same offsets from its first center.
 _CHUNK = 32
 # [1, u, u^2] for the offsets u of a chunk's inputs from its midpoint.
 _MOMENT_BASIS = np.vander(np.arange(_CHUNK) - (_CHUNK - 1) / 2.0, 3, increasing=True)
 # Output entries (columns x centers) per group of blocks, 512 KiB.
 _GROUP_ENTRIES = 1 << 16
-# Slab rows times centers the chunk path must save to repay its fixed cost
-# (about 0.1 ms; measured at 1 to 77 columns on one core).
+# Slab rows, at a block of _CHUNK centers, times centers the chunk path must
+# save to repay its fixed cost (about 0.1 ms at 1 to 77 columns, one core).
 _CHUNK_MIN_SAVED = 1 << 19
 
 
@@ -199,20 +199,20 @@ def _gemm_sums(columns: np.ndarray, window: np.ndarray) -> np.ndarray:
 def _chunk_layout(n: int, half: int, hole: int):
     """Chunks (qlo, qend, qhole) of the chunk-moment smoother, or None where it would not pay.
 
-    Offsets are relative to a block's first center, in chunks of _CHUNK
-    inputs.  Chunks qlo..qend-1 lie _CHUNK taps or more inside the window of
-    every center of the block (the guard chunk); of those, chunks 0..qhole-1
-    meet the zeroed run of some center's holed window.  The inputs outside
-    those chunks, and inside the hole's chunks, are the slab bands.  O(1):
-    the bands plus three rows per chunk must save a third of the slab's
-    rows, and _CHUNK_MIN_SAVED rows times centers.
+    Offsets are from the first of a block of _CHUNK centers, in chunks of
+    _CHUNK inputs.  Chunks qlo..qend-1 lie _CHUNK taps or more inside the
+    window of every center of the block (the guard chunk); of those, chunks
+    0..qhole-1 meet the zeroed run of some center's holed window.  The
+    inputs outside those chunks, and inside the hole's chunks, are the slab
+    bands.  O(1): the bands plus three rows per chunk must save a third of
+    the slab's rows, and _CHUNK_MIN_SAVED rows times centers.
     """
-    B, C = _BLOCK, _CHUNK
-    qlo = -((half + 1 - B - C) // C)
+    C = _CHUNK
+    qlo = -((half + 1 - 2 * C) // C)
     qend = (half + 1 - C) // C
-    qhole = (B + hole - 2) // C + 1 if hole else 0
-    rows = (C * qlo + half) + (B + half - C * qend) + C * qhole + 3 * (qend - qlo)
-    slab = B + 2 * half
+    qhole = (C + hole - 2) // C + 1 if hole else 0
+    rows = (C * qlo + half) + (C + half - C * qend) + C * qhole + 3 * (qend - qlo)
+    slab = C + 2 * half
     if qlo > 0 or qhole > qend or 3 * rows > 2 * slab or n * (slab - rows) < _CHUNK_MIN_SAVED:
         return None
     return qlo, qend, qhole
@@ -270,44 +270,44 @@ def _chunk_sums(columns: np.ndarray, window: np.ndarray, layout: tuple, a: float
     Chunk q of _CHUNK inputs has the moments M0 = sum v, M1 = sum u v and
     M2 = sum u^2 v, u the offset from its midpoint m, one matmul against the
     basis [1, u, u^2].  Where the chunk lies inside every window of a block
-    it adds (a + c delta^2) M0 - 2 c delta M1 + c M2 to center t, delta =
-    t - m: one batched matmul of each block's moments, a strided view, with
-    a (3 chunks, _BLOCK) coefficient matrix that every block shares.  The
-    bands (the two ragged edges, widened by the guard chunk, and the
+    (_CHUNK centers) it adds (a + c delta^2) M0 - 2 c delta M1 + c M2 to t,
+    delta = t - m: one batched matmul of each block's moments, a strided
+    view, with a (3 chunks, _CHUNK) coefficient matrix all blocks share.
+    The bands (the two ragged edges, widened by the guard chunk, and the
     hole's chunks) add their rows of the Toeplitz slab, in window order.
     """
-    B, C = _BLOCK, _CHUNK
+    C = _CHUNK
     qlo, qend, qhole = layout
     k, n = columns.shape
     half = (window.shape[0] - 1) // 2
-    nb = -(-n // B)
-    out = np.empty((k, nb * B))
-    blocks = _view(out, 0, (nb, k, B), (B, nb * B, 1))
+    nb = -(-n // C)
+    out = np.empty((k, nb * C))
+    blocks = _view(out, 0, (nb, k, C), (C, nb * C, 1))
 
-    # Block j reads chunks 2j + qlo .. 2j + qend - 1; chunks outside 0..n-1 are zero.
-    chunks = -qlo + max(-(-n // C), (B // C) * (nb - 1) + qend)
+    # Block j reads chunks j + qlo .. j + qend - 1; chunks outside 0..n-1 are zero.
+    chunks = nb - 1 + qend - qlo
     moments = np.zeros((k, chunks, 3))
     full = n // C
     np.matmul(columns[:, : C * full].reshape(k, full, C), _MOMENT_BASIS, out=moments[:, -qlo : full - qlo])
     if n > C * full:
         moments[:, full - qlo] = columns[:, C * full :] @ _MOMENT_BASIS[: n - C * full]
-    delta = np.arange(B) - (C * np.arange(qlo, qend)[:, None] + (C - 1) / 2.0)
+    delta = np.arange(C) - (C * np.arange(qlo, qend)[:, None] + (C - 1) / 2.0)
     coef = np.stack([a + c * delta * delta, -2.0 * c * delta, np.full_like(delta, c)], axis=1)
     coef[-qlo : qhole - qlo] = 0.0
-    per_block = _view(moments, 0, (nb, k, 3 * (qend - qlo)), (3 * (B // C), 3 * chunks, 1))
-    coef = coef.reshape(-1, B)
+    per_block = _view(moments, 0, (nb, k, 3 * (qend - qlo)), (3, 3 * chunks, 1))
+    coef = coef.reshape(-1, C)
 
-    slab = _slab(window, B)
-    bands = [(-half, C * qlo), (C * qend, B + half)] + ([(0, C * qhole)] if qhole else [])
+    slab = _slab(window, C)
+    bands = [(-half, C * qlo), (C * qend, C + half)] + ([(0, C * qhole)] if qhole else [])
     bands = [(r0, np.ascontiguousarray(slab[half + r0 : half + r1])) for r0, r1 in bands]
     # Groups of blocks small enough that each band's product and the sum it
     # is added to stay in cache.
-    group = max(1, _GROUP_ENTRIES // (k * B))
+    group = max(1, _GROUP_ENTRIES // (k * C))
     for g0 in range(0, nb, group):
         g = blocks[g0 : g0 + group]
         np.matmul(per_block[g0 : g0 + group], coef, out=g)
         for r0, rows in bands:
-            _add_band(g, columns, rows, r0 + B * g0)
+            _add_band(g, columns, rows, r0 + C * g0)
     return out[:, :n]
 
 
@@ -328,6 +328,8 @@ def local_sums(values: np.ndarray, window: np.ndarray) -> np.ndarray:
     if window.shape[0] % 2 == 0:
         raise InputError(f"smoothing window must have odd length, got {window.shape[0]}")
     v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        return np.empty(v.shape)
     n = v.shape[0]
     window = _trim_window(window, n)
     flat = v.reshape(n, -1)

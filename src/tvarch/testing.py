@@ -29,6 +29,7 @@ from .estimate import (
     LEVEL,
     SmoothedMoments,
     _certify,
+    _cholesky,
     _cholesky_solve,
     _local_sandwich,
     _psd_rcond,
@@ -189,11 +190,12 @@ def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float
 
     One local_sums call smooths the R full-fit designs; one certified solve
     over all R n_t centers against [cross | e_c] gives a_tilde and Z =
-    G^-1[:, c] (no other column of G^-1), one of G[v, v] gives q1 and q2,
-    one gate the residual designs, and one more local_sums call the
-    sandwich.  None where a row could take another path alone (a zero row,
-    a failed certificate or gate); a varpi2 <= 0 raises.  ``gam`` has passed
-    :func:`_require_gamma`.
+    G^-1[:, c] (no other column of G^-1), one of G[v, v] gives q1 and q2
+    (G's certificate covers G[v, v], as :func:`constancy_statistic` shows,
+    so it is only factored), one gate the residual designs, and one more
+    local_sums call the sandwich.  None where a row could take another path
+    alone (a zero row, a failed certificate, pivot or gate); a varpi2 <= 0
+    raises.  ``gam`` has passed :func:`_require_gamma`.
     """
     R, T = values.shape
     p = partition.p
@@ -224,7 +226,7 @@ def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float
     sol = _cholesky_solve(factor, rhs.transpose(2, 0, 1)).reshape(R, n_t, k, 1 + n)
     a_tilde, Z = sol[..., 0], sol[..., 1:]
 
-    factor = _certify(G[v[:, None], v].transpose(2, 0, 1))
+    factor = _cholesky(G[v[:, None], v])
     if factor is None:
         return None
     q = _cholesky_solve(factor, np.concatenate([rhs[v, :1], G[v[:, None], c]], axis=1).transpose(2, 0, 1))

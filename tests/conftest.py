@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -7,9 +8,12 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 # Property tests draw the same examples on every run and have no deadline, so
-# a slow shared host neither changes nor fails them.
+# a slow shared host neither changes nor fails them.  HYPOTHESIS_PROFILE=fuzz
+# draws 100 fresh examples a test (fewer where a test sets its own count)
+# and prints the blob that replays a failure.
 settings.register_profile("tvarch", derandomize=True, database=None, deadline=None, max_examples=25)
-settings.load_profile("tvarch")
+settings.register_profile("fuzz", database=None, deadline=None, max_examples=100, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tvarch"))
 
 from tvarch import CoefficientFunction, NoiseSpec, SimulationConfig, TvArchModel, simulate_path
 

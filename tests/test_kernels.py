@@ -282,6 +282,26 @@ def test_local_sums_keep_the_gemm_on_study_sized_windows_without_the_quadratic_c
             _assert_matches_dense(got, values, window)
 
 
+def test_local_sums_take_the_chunk_path_on_the_benchmark_windows():
+    # The pipeline's T = 2000 window at b = 0.159 and the T = 8000 grid from
+    # its second bandwidth up, plain and holed for every order to q_max = 10.
+    grid = [(8000, b) for b in BandwidthGrid().bandwidths(8000)[1:]]
+    for T, b in [(2000, 0.159), *grid]:
+        for p in range(-1, 11):
+            window = kernel_window(T, b) if p < 0 else leave_out_window(kernel_window(T, b), p)
+            values = np.random.default_rng(p + 1).normal(size=T - max(p, 0))
+            assert _smooth_counting_paths(values, window)[1] == {"gemm": 0, "chunk": 1, "check": 1}, (T, b, p)
+
+
+@pytest.mark.parametrize("T, b", [(2000, 0.159), (500, 0.1)], ids=["chunk", "gemm"])
+@pytest.mark.parametrize("shape", [(1998, 0), (1998, 0, 3), (0,), (0, 4), (0, 2, 2)])
+def test_local_sums_of_empty_input_are_empty(T, b, shape):
+    # No columns, or no centers, on a window that takes either path with a
+    # column: an empty array of the input's shape, as window_counts(0, w).
+    out = local_sums(np.zeros(shape), kernel_window(T, b))
+    assert out.shape == shape and out.dtype == float
+
+
 def test_window_counts_match_convolution():
     for T, b in ((10, 0.3), (60, 0.05), (60, 0.9), (500, 0.1), (2000, 0.07), (8000, 0.05)):
         win = kernel_window(T, b)

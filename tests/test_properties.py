@@ -1,10 +1,11 @@
 """Property tests: the smoother matches an explicit double loop on each of its
-paths, the chunk-moment one on long kernel windows; the fits routed through
-the local weighted-least-squares core, the constancy statistic and the
-semiparametric cross-validation match the dense oracles on small random
-series; the plug-in alpha sweep matches its oracle across chunk edges and
-gates the whole grid once; and the certified rcond gate decides exactly as
-the eigenvalue gate and certifies only what that gate passes."""
+paths, the chunk-moment one on long kernel windows, and every chunk layout
+it accepts covers each input once; the fits routed through the local
+weighted-least-squares core, the constancy statistic and the semiparametric
+cross-validation match the dense oracles on small random series; the
+plug-in alpha sweep matches its oracle across chunk edges and gates the
+whole grid once; and the certified rcond gate decides exactly as the
+eigenvalue gate and certifies only what that gate passes."""
 
 import itertools
 import warnings
@@ -78,7 +79,7 @@ def test_local_sums_match_dense_loop(n, seed, trailing, column_major, data):
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
-@settings(max_examples=12)
+@settings(max_examples=settings.default.max_examples // 2)  # 12, or 50 under HYPOTHESIS_PROFILE=fuzz
 @given(
     n=st.sampled_from([700, 703, 704, 736, 768, 799, 832]),
     tb=st.integers(18, 21).map(lambda m: m * kernels._CHUNK - 1) | st.floats(560.0, 690.0),
@@ -89,33 +90,61 @@ def test_local_sums_match_dense_loop(n, seed, trailing, column_major, data):
 )
 def test_chunk_path_matches_dense_loop(n, tb, p, group, seed, data):
     # Long Epanechnikov windows, plain (p = -1) or holed as for
-    # leave-(p+1)-out, on series on and off multiples of the chunk (32) and
-    # the block (64), with one block per group or all blocks in one.  Column
-    # 0 is signed.  Column 1 is a single spike on the edge tap of a block's
-    # first or last center.  With T b = 32 m - 1 that tap weighs exactly 0
-    # and a chunk boundary lies right on it, so a chunk reaching it (no guard
-    # chunk) leaves rounding where the dense loop has exactly 0.
+    # leave-(p+1)-out, on series on and off multiples of the chunk (32),
+    # with one block (a chunk of centers) per group or all blocks in one.
+    # Column 0 is signed.  Columns 1 and 2 are single spikes on the right
+    # edge tap of a block's first center and the left edge tap of a block's
+    # last center.  With T b = 32 m - 1 such a tap weighs exactly 0 and a
+    # chunk boundary lies right on it, so a chunk reaching it (no guard
+    # chunk on that side) leaves rounding where the dense loop has exactly 0.
     window = kernels.kernel_window(n, tb / n)
     if p >= 0:
         window = kernels.leave_out_window(window, p)
     half = (window.shape[0] - 1) // 2
-    B = kernels._BLOCK
-    edge_taps = [t + half for t in range(0, n - half, B)]
-    edge_taps += [t + B - 1 - half for t in range(0, n, B) if t + B > half]
+    C = kernels._CHUNK
+    right_taps = [t + half for t in range(0, n - half, C)]
+    left_taps = [t + C - 1 - half for t in range(0, n, C) if t + C > half]
     rng = np.random.default_rng(seed)
-    values = np.zeros((n, 2))
+    values = np.zeros((n, 3))
     values[:, 0] = rng.normal(size=n) * np.exp(rng.normal(size=n))
-    values[data.draw(st.sampled_from(edge_taps)), 1] = rng.normal()
+    values[data.draw(st.sampled_from(right_taps)), 1] = rng.normal()
+    values[data.draw(st.sampled_from(left_taps)), 2] = rng.normal()
     with (
         mock.patch.object(kernels, "_GROUP_ENTRIES", group),
         mock.patch.object(kernels, "_chunk_sums", wraps=kernels._chunk_sums) as chunk_sums,
     ):
         got = kernels.local_sums(values, window)
     assert chunk_sums.called
-    for j in range(2):
+    for j in range(3):
         want = reference.dense_local_sums(values[:, j], window)
         scale = reference.dense_local_sums(np.abs(values[:, j]), window)
         assert np.all(np.abs(got[:, j] - want) <= 1e-13 * scale)
+
+
+@given(half=st.integers(0, 3000), data=st.data())
+def test_chunk_layout_covers_each_input_once(half, data):
+    # Every layout the O(1) rule accepts, for a block of _CHUNK centers at
+    # offsets 0.._CHUNK-1: the two edge bands, the hole band and the chunks
+    # off the hole cover the inputs -half.._CHUNK+half-1 once each; every
+    # chunk lies _CHUNK taps or more inside every center's window; and the
+    # hole's chunks cover every center's zeroed run, s..s+hole-1.
+    hole = data.draw(st.integers(0, min(half + 1, 40)) | st.integers(0, half + 1))
+    n = data.draw(st.integers(half + 1, 20_000))
+    layout = kernels._chunk_layout(n, half, hole)
+    assume(layout is not None)
+    qlo, qend, qhole = layout
+    C = kernels._CHUNK
+    pieces = [(-half, C * qlo), (C * qend, C + half), (0, C * qhole)]
+    pieces += [(C * q, C * q + C) for q in range(qlo, qend) if not 0 <= q < qhole]
+    cover = np.zeros(C + 2 * half, dtype=int)
+    for lo, hi in pieces:
+        assert -half <= lo <= hi <= C + half
+        cover[half + lo : half + hi] += 1
+    assert np.all(cover == 1)
+    centers = np.arange(C)
+    for q in range(qlo, qend):
+        assert np.all(C * q - (centers - half) >= C) and np.all(centers + half - (C * q + C - 1) >= C)
+    assert C * qhole >= (C - 1 + hole if hole else 0)
 
 
 @given(seed=seeds, T=lengths, p=orders, b=bandwidths)
