@@ -510,7 +510,7 @@ def estimate_beta_plugin(
 
 
 # Centers per chunk of the plug-in moment pass times the window length: bounds
-# its (centers, window) buffers to half a MB each at any T and b'.  Only the
+# its one (centers, window) buffer to half a MB at any T and b'.  Only the
 # (n_t, q) moments outlive the pass.
 _SWEEP_CELLS = 1 << 16
 
@@ -531,28 +531,44 @@ def _plugin_moments(M, n_beta, x2t, win, alpha_init, mu: float, floor: float) ->
     cols = np.vstack([M.T, n_beta, np.ones(n_t), M.T[a] * M.T[b], M.T * (x2t - n_beta)])
     padded = np.pad(cols, [(0, 0), (half, half)])
     windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=1)
-    Mw, nbw, inside, prods = windows[:m], windows[m], windows[m + 1], windows[m + 2 :]
+    inside, prods = windows[m + 1], windows[m + 2 :].transpose(1, 0, 2)
+    # sigma^2 of center r's window is [alpha_init[r], 1] times the rows [M', N'beta].
+    coef = np.hstack([alpha_init, np.ones((n_t, 1))])[:, None, :]
+    design = windows[: m + 1].transpose(1, 0, 2)
 
-    s = np.empty((n_t, prods.shape[0]))
+    def sigma_sq(rows, out):
+        np.matmul(coef[rows], design[rows], out=out[:, None])
+        return out
+
+    s = np.empty((n_t, prods.shape[1]))
     floored = 0
+    floor_sq = floor * floor
     chunk = max(1, _SWEEP_CELLS // L)
     sig_buf = np.empty((min(chunk, n_t), L))
-    tmp_buf = np.empty_like(sig_buf)
     for lo in range(0, n_t, chunk):
         hi = min(lo + chunk, n_t)
         rows = slice(lo, hi)
-        sig, tmp = sig_buf[: hi - lo], tmp_buf[: hi - lo]
-        np.copyto(sig, nbw[rows])
-        for j in range(m):
-            np.multiply(Mw[j, rows], alpha_init[rows, j, None], out=tmp)
-            sig += tmp
-        floored += int(np.count_nonzero((np.abs(sig, out=tmp) < floor) & (inside[rows] > 0.0)))
-        np.square(sig, out=sig)
-        if mu == 0.0:
-            np.maximum(sig, floor * floor, out=sig)
+        sig = sigma_sq(rows, sig_buf[: hi - lo])
+        if lo < half or hi > n_t - half:
+            # An edge chunk: its off-range cells (sigma^2 exactly 0) are masked
+            # out of the count.
+            floored += int(np.count_nonzero((np.abs(sig) < floor) & (inside[rows] > 0.0)))
+            np.square(sig, out=sig)
+            can_floor = True
         else:
+            # An interior chunk: |sigma^2| < floor implies fl(sigma^4) <=
+            # fl(floor^2), so the exact count is taken only when its least
+            # sigma^4 is that small.
+            np.square(sig, out=sig)
+            can_floor = sig.min() <= floor_sq
+            if can_floor:
+                floored += int(np.count_nonzero(np.abs(sigma_sq(rows, np.empty_like(sig))) < floor))
+        if mu != 0.0:
             sig += mu
-        np.einsum("cl,qcl->cq", np.divide(win, sig, out=sig), prods[:, rows], out=s[rows])
+        elif can_floor:
+            np.maximum(sig, floor_sq, out=sig)
+        np.divide(win, sig, out=sig)
+        np.matmul(prods[rows], sig[:, :, None], out=s[rows, :, None])
     return s, floored
 
 
@@ -573,10 +589,15 @@ def estimate_alpha_plugin(
     m(m+1)/2 + m local moments [M_a M_b, a <= b | M_a (x^2 - N'beta)] of
     every center against the weights K / (sigma^4 + mu), as one (n_t, q)
     array; one gated solve of all of them yields alpha and the inverse
-    behind its standard errors.  Volatilities with |sigma_{t,i}^2| below
-    1e-12 * mean(x^2) are counted; with mu = 0 their sigma^4 is floored
-    there.  Standard errors use the optimal asymptotic variance
-    Var(xi^2) ||K||_2^2 E^-1(MM'/sigma^4) / (T b').
+    behind its standard errors.  Each chunk makes one buffer of its
+    windows' sigma^2 with one batched matmul, squares it in place, adds mu
+    or floors it, divides K by it, and takes its moments with a second
+    batched matmul.  Volatilities with |sigma_{t,i}^2| below 1e-12 *
+    mean(x^2) are counted; with mu = 0 their sigma^4 is floored there.  A
+    chunk whose windows all lie inside the series is counted, and floored,
+    only when its least sigma^4 reaches the squared floor.  Standard errors
+    use the optimal asymptotic variance Var(xi^2) ||K||_2^2
+    E^-1(MM'/sigma^4) / (T b').
 
     Returns alpha (n_t, m), its standard errors (n_t, m) and the floored count.
     """

@@ -113,6 +113,8 @@ def k_star_l2_norm_sq(kernel=epanechnikov) -> float:
 
 def kernel_window(T: int, b: float) -> np.ndarray:
     """Un-normalized window [K(d/(T b))] for integer offsets |d| <= floor(T b)."""
+    if not isinstance(T, (int, np.integer)) or T < 1:
+        raise InputError(f"series length must be an integer >= 1, got {T!r}")
     if not (0.0 < b <= 1.0):
         raise InputError(f"bandwidth must lie in (0, 1], got {b}")
     halfwidth = int(np.floor(T * b))

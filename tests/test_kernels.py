@@ -196,6 +196,9 @@ def test_weights_validation():
         kernel_window(100, 1.5)
     with pytest.raises(InputError):
         kernel_window(100, 0.0)
+    for T in (0, -5, 2.5):
+        with pytest.raises(InputError):
+            kernel_window(T, 0.5)
 
 
 def test_local_sums_match_direct():

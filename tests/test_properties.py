@@ -3,8 +3,8 @@ paths, the chunk-moment one on long kernel windows, and every chunk layout
 it accepts covers each input once; the fits routed through the local
 weighted-least-squares core, the constancy statistic and the semiparametric
 cross-validation match the dense oracles on small random series; the
-plug-in alpha sweep matches its oracle across chunk edges and gates the
-whole grid once; and the certified rcond gate decides exactly as the
+plug-in alpha sweep matches its oracle across chunk edges, counts a
+floored cell inside an interior chunk, and gates the whole grid once; and the certified rcond gate decides exactly as the
 eigenvalue gate and certifies only what that gate passes."""
 
 import itertools
@@ -30,6 +30,7 @@ from tvarch import (
 )
 from tvarch.errors import NumericalError, SingularMomentError
 from tvarch.estimate import _certify, _psd_rcond, _solve_gated
+from tvarch.model import regressor_matrices
 from tvarch.testing import constancy_statistic, nonparametric_fit
 
 import reference
@@ -208,6 +209,36 @@ def test_plugin_alpha_matches_dense_across_chunk_edges(seed, T, m, mu, b, center
         alpha, se, floored = estimate_alpha_plugin(ReturnSeries(x), part, beta, b, alpha_init, 1.7, mu)
     ref_alpha, ref_se, ref_floored = reference.dense_alpha_plugin(x, varying, constant, beta, b, alpha_init, 1.7, mu)
     assert floored == ref_floored == (centers * L if zeroed else 0)
+    assert _max_rel(alpha, ref_alpha) <= 1e-10
+    assert _max_rel(se, ref_se) <= 1e-10
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_plugin_alpha_counts_one_floored_cell_inside_an_interior_chunk(mu):
+    # With an intercept-only alpha block, sigma^2 of center t at index i is
+    # alpha_init[t] + N_i'beta.  One center of an interior chunk gets one
+    # negative sigma^2 of half the floor, and a center of a later interior
+    # chunk one sigma^2 of 1.5 floors: the first chunk's least sigma^4 reaches
+    # the squared floor and is counted exactly, the second's does not.
+    T, b, centers, p = 120, 0.1, 4, 3
+    x = _series(5, T)
+    varying, constant = (0,), (1, 2, 3)
+    part = CoefficientPartition(p=p, varying=varying, constant=constant)
+    n_t, L = T - p, kernels.kernel_window(T, b).shape[0]
+    half = (L - 1) // 2
+    beta = np.array([0.3, 0.2, 0.1])
+    n_beta = regressor_matrices(ReturnSeries(x), part)[1] @ beta
+    floor = estimate._FLOOR_REL * float((x**2).mean())
+    alpha_init = np.random.default_rng(6).uniform(0.5, 2.0, (n_t, 1))
+    t_low, t_high = 30, 61
+    assert half <= t_low // centers * centers and t_high // centers * centers + centers + half <= n_t
+    assert t_low // centers != t_high // centers
+    alpha_init[t_low] = -n_beta[t_low + 5] - 0.5 * floor
+    alpha_init[t_high] = -n_beta[t_high - 3] + 1.5 * floor
+    with mock.patch.object(estimate, "_SWEEP_CELLS", centers * L):
+        alpha, se, floored = estimate_alpha_plugin(ReturnSeries(x), part, beta, b, alpha_init, 1.7, mu)
+    ref_alpha, ref_se, ref_floored = reference.dense_alpha_plugin(x, varying, constant, beta, b, alpha_init, 1.7, mu)
+    assert floored == ref_floored == 1
     assert _max_rel(alpha, ref_alpha) <= 1e-10
     assert _max_rel(se, ref_se) <= 1e-10
 
