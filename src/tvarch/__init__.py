@@ -26,7 +26,6 @@ from .errors import (
 )
 from .estimate import (
     LEVEL,
-    UNIT,
     BetaFit,
     SemiparametricFit,
     covariance_beta,

@@ -24,7 +24,7 @@ from .experiments import DESIGNS, SCHEMA_VERSION, ExperimentSpec, run_experiment
 from .model import CoefficientPartition, NoiseSpec, TvArchModel
 from .select import BandwidthGrid, cv_bandwidth_semiparametric, cv_bandwidth_tvarch, select_lag_order
 from .simulate import SimulationConfig, simulate_path
-from .testing import _require_levels, test_constancy, test_second_order, test_zero_wald
+from .testing import _require_levels, _require_replicates, test_constancy, test_second_order, test_zero_wald
 
 __all__ = ["main"]
 
@@ -235,6 +235,7 @@ def _test_command(args, runner, name: str) -> int:
 
 def _cmd_test_constancy(args) -> int:
     def runner(series, levels):
+        _require_replicates(args.B)  # before the bandwidth's CV grid
         partition = _parse_partition(args.partition, args.p)
         b = _bandwidth_for(args, series, args.p, "tv")
         return test_constancy(
@@ -246,6 +247,7 @@ def _cmd_test_constancy(args) -> int:
 
 def _cmd_test_zero(args) -> int:
     def runner(series, levels):
+        _require_replicates(args.B)  # before the bandwidth's CV grid
         partition = _parse_partition(args.partition, args.p)
         b = _bandwidth_for(args, series, args.p, "sptv" if partition.n == args.p else "tv")
         return test_zero_wald(

@@ -30,7 +30,6 @@ from .errors import (
 from .model import CoefficientPartition, ReturnSeries, regressor_matrices
 
 __all__ = [
-    "UNIT",
     "LEVEL",
     "level_weights",
     "resolve_weights",
@@ -51,7 +50,6 @@ __all__ = [
     "fit_semiparametric",
 ]
 
-UNIT = "unit"
 LEVEL = "level"
 
 _RCOND_GATE = 1e-12
@@ -72,10 +70,8 @@ def level_weights(series: ReturnSeries, p: int) -> np.ndarray:
 
 
 def resolve_weights(series: ReturnSeries, p: int, weights) -> np.ndarray:
-    """The weights over t = p+1..T of a scheme name ('unit' | 'level') or an explicit weight array."""
+    """The weights over t = p+1..T of the scheme 'level' or an explicit weight array."""
     if isinstance(weights, str):
-        if weights == UNIT:
-            return np.ones(series.T - p)
         if weights == LEVEL:
             return level_weights(series, p)
         raise InputError(f"unknown weight scheme {weights!r}")
@@ -246,12 +242,17 @@ def _solve_gated(gram: np.ndarray, rhs: np.ndarray, first_t: int) -> np.ndarray:
     return np.linalg.solve(gram, rhs)
 
 
-def _solve_design(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """gram^-1 rhs for one symmetric design; raises SingularDesignError below the rcond gate."""
-    rc = _psd_rcond(gram[None, ...])[0]
-    if rc < _RCOND_GATE:
-        raise SingularDesignError(f"{what} is singular (rcond={rc:.3e})")
-    return np.linalg.solve(gram, rhs)
+def _solve_design(gram: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndarray, list]:
+    """gram^-1 rhs for an (R, k, k) stack of symmetric designs, and per member None or the
+    SingularDesignError of an rcond below the gate; only passing members are solved, the rest get 0."""
+    rc = _psd_rcond(gram)
+    ok = rc >= _RCOND_GATE
+    errors = [None if c >= _RCOND_GATE else SingularDesignError(f"{what} is singular (rcond={c:.3e})") for c in rc]
+    if ok.all():
+        return np.linalg.solve(gram, rhs), errors
+    sol = np.zeros(rhs.shape)
+    sol[ok] = np.linalg.solve(gram[ok], rhs[ok])
+    return sol, errors
 
 
 def _local_sandwich(Z: np.ndarray, X: np.ndarray, w_mid: np.ndarray, window: np.ndarray) -> np.ndarray:
@@ -359,10 +360,12 @@ def estimate_beta(
     x2t = series.values[partition.p :] ** 2
 
     v_resid, o_resid, gram, rhs = _residual_design(M, N, x2t, W, q1, q2)
-    beta = _solve_design(gram, rhs, "residual design")
+    beta, errors = _solve_design(gram[None], rhs[None, :, None], "residual design")
+    if errors[0] is not None:
+        raise errors[0]
 
     return BetaFit(
-        beta=beta,
+        beta=beta[0, :, 0],
         o_resid=o_resid,
         v_resid=v_resid,
         weights=W,

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import AllSingularError, InputError, SingularDesignError, SingularMomentError
+from .errors import AllSingularError, InputError, SingularMomentError
 from .estimate import (
-    _RCOND_GATE,
     _certify,
     _cholesky_solve,
-    _psd_rcond,
+    _solve_design,
     _solve_gated,
     level_weights,
     local_wls,
@@ -159,18 +158,16 @@ def _cv_semiparametric(chunk, p: int, grid: BandwidthGrid | None = None) -> list
         Z = np.subtract(N[rows], s[:, 2:], out=s[:, 2:])  # (k, p, n_t)
         Wl = W[rows]
         WZ = Wl[:, None] * Z
-        gram = WZ @ Z.transpose(0, 2, 1)
-        rhs = WZ @ y[..., None]
+        beta, errors = _solve_design(WZ @ Z.transpose(0, 2, 1), WZ @ y[..., None], "residual design")
         del WZ
-        rc = _psd_rcond(gram)
-        ok = rc >= _RCOND_GATE
-        for k in np.flatnonzero(~ok):
-            last[live[k]] = SingularDesignError(f"residual design is singular (rcond={rc[k]:.3e})")
-        if not ok.all():
-            live, gram, rhs, y, Z, Wl = live[ok], gram[ok], rhs[ok], y[ok], Z[ok], Wl[ok]
+        if any(errors):
+            ok = np.array([err is None for err in errors])
+            for k in np.flatnonzero(~ok):
+                last[live[k]] = errors[k]
+            live, beta, y, Z, Wl = live[ok], beta[ok], y[ok], Z[ok], Wl[ok]
             if not live.size:
                 continue
-        beta = np.linalg.solve(gram, rhs)[..., 0]
+        beta = beta[..., 0]
         resid = np.subtract(y, np.einsum("rm,rmt->rt", beta, Z), out=y)
         scores[live, i] = np.sum(Wl * resid**2, axis=1)
         betas[live, i] = beta

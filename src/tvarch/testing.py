@@ -32,8 +32,8 @@ from .estimate import (
     _cholesky,
     _cholesky_solve,
     _local_sandwich,
-    _psd_rcond,
     _residual_design,
+    _solve_design,
     _solve_gated,
     covariance_beta,
     estimate_beta,
@@ -104,7 +104,6 @@ def constancy_statistic(
     partition: CoefficientPartition,
     weights,
     b: float,
-    gamma=None,
 ) -> ConstancyStatistic:
     """L2 distance statistic between the full kernel fit and the constant fit.
 
@@ -116,9 +115,9 @@ def constancy_statistic(
     passed the trace-bound certificate, so does G[v, v]: tr G_vv <= tr G, and
     tr G_vv^-1 <= tr (G^-1)_vv <= tr G^-1 (a Schur complement).
     One more smoothing gives the fit covariance block O_cc = Z' S Z, Z =
-    G^-1[:, c].  ``gamma`` is None (identity) or a symmetric positive definite n x n matrix.
+    G^-1[:, c].
     """
-    gam = _require_gamma(gamma, partition)
+    _require_constant_block(partition)
     p = partition.p
     T = series.T
     v = np.asarray(partition.varying, dtype=int)
@@ -138,45 +137,21 @@ def constancy_statistic(
     sig_tilde = np.einsum("tk,tk->t", X, npfit.a_tilde)
     win = kernels.kernel_window(T, b)
     o_cc = _local_sandwich(npfit.gram_inv[:, :, c], X, W**2 * (x2t - sig_tilde) ** 2, win)
-    s_t, varpi1, varpi2, e_t = map(float, _pivotal_e_t(diff, o_cc, gam, T, b))
+    s_t, varpi1, varpi2, e_t = map(float, _pivotal_e_t(diff, o_cc, T, b))
     return ConstancyStatistic(s_t=s_t, varpi1=varpi1, varpi2=varpi2, e_t=e_t, beta_hat=bfit.beta)
 
 
-def _require_gamma(gamma, partition: CoefficientPartition):
-    """Gamma as a float array or None; InputError unless n >= 1 and Gamma is symmetric (1e-12 relative) and PD."""
+def _require_constant_block(partition: CoefficientPartition) -> None:
+    """Raise InputError unless the partition has a nonempty constant block."""
     if partition.n == 0:
         raise InputError("constancy test needs a nonempty constant block")
-    if gamma is None:
-        return None
-    n = partition.n
-    try:
-        gam = np.asarray(gamma, dtype=float)
-    except (TypeError, ValueError):
-        gam = np.empty(0)
-    # eigvalsh reads one triangle only, so symmetry is checked before it.
-    if not (
-        gam.shape == (n, n)
-        and np.isfinite(gam).all()
-        and np.abs(gam - gam.T).max() <= 1e-12 * np.abs(gam).max()
-        and np.linalg.eigvalsh(gam)[0] > 0.0
-    ):
-        raise InputError(f"gamma must be None or a symmetric positive definite {n}x{n} matrix")
-    return gam
 
 
-def _pivotal_e_t(diff: np.ndarray, o_cc: np.ndarray, gam, T: int, b: float):
+def _pivotal_e_t(diff: np.ndarray, o_cc: np.ndarray, T: int, b: float):
     """(S_T, varpi1, varpi2, E_T) of a_tilde_c - beta (..., n_t, n) and O_cc (..., n_t, n, n); raises at varpi2 <= 0."""
-    if gam is None:
-        g_mat = o_cc
-        quad = np.einsum("...tn,...tn->...t", diff, diff)
-    else:
-        quad = np.einsum("...tn,nk,...tk->...t", diff, gam, diff)
-        # Gamma O_cc has the traces of its first two powers in common with
-        # Gamma^1/2 O_cc Gamma^1/2, and they are all varpi1 and varpi2 read.
-        g_mat = gam @ o_cc
-    s_t = quad.sum(axis=-1) / T
-    varpi1 = np.trace(g_mat, axis1=-2, axis2=-1).sum(axis=-1) / T
-    varpi2 = (g_mat * np.swapaxes(g_mat, -1, -2)).sum(axis=(-3, -2, -1)) / T
+    s_t = np.einsum("...tn,...tn->...t", diff, diff).sum(axis=-1) / T
+    varpi1 = np.trace(o_cc, axis1=-2, axis2=-1).sum(axis=-1) / T
+    varpi2 = (o_cc * np.swapaxes(o_cc, -1, -2)).sum(axis=(-3, -2, -1)) / T
     if np.any(varpi2 <= 0.0):
         raise DegenerateSeriesError("variance functional of the constancy statistic vanished")
     k2 = kernels.k_l2_norm_sq()
@@ -185,7 +160,7 @@ def _pivotal_e_t(diff: np.ndarray, o_cc: np.ndarray, gam, T: int, b: float):
     return s_t, varpi1, varpi2, e_t
 
 
-def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float, gam) -> np.ndarray | None:
+def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float) -> np.ndarray | None:
     """E_T of :func:`constancy_statistic`, level-weighted, for every row of a (R, T) array, stacked.
 
     One local_sums call smooths the R full-fit designs; one certified solve
@@ -195,7 +170,7 @@ def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float
     so it is only factored), one gate the residual designs, and one more
     local_sums call the sandwich.  None where a row could take another path
     alone (a zero row, a failed certificate, pivot or gate); a varpi2 <= 0
-    raises.  ``gam`` has passed :func:`_require_gamma`.
+    raises.
     """
     R, T = values.shape
     p = partition.p
@@ -232,14 +207,14 @@ def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float
     q = _cholesky_solve(factor, np.concatenate([rhs[v, :1], G[v[:, None], c]], axis=1).transpose(2, 0, 1))
     q = q.reshape(R, n_t, v.shape[0], 1 + n)
     _, _, design, beta_rhs = _residual_design(X[..., v], X[..., c], x2t, W, q[..., 0], q[..., 1:])
-    if np.any(_psd_rcond(design) < _RCOND_GATE):
+    beta, errors = _solve_design(design, beta_rhs[..., None], "residual design")
+    if any(errors):
         return None
-    beta = np.linalg.solve(design, beta_rhs[..., None])
     del G, rhs, q  # the full fit's buffers go before the sandwich's are made
 
     sig_tilde = np.einsum("rtk,rtk->rt", X, a_tilde)
     o_cc = _local_sandwich(Z, X, W**2 * (x2t - sig_tilde) ** 2, win)
-    return _pivotal_e_t(a_tilde[..., c] - np.swapaxes(beta, -1, -2), o_cc, gam, T, b)[3]
+    return _pivotal_e_t(a_tilde[..., c] - np.swapaxes(beta, -1, -2), o_cc, T, b)[3]
 
 
 def _wald_statistic(series, partition, b):
@@ -306,9 +281,7 @@ def _second_order_psi(values: np.ndarray, p: int, b: float):
 
     h_resid = x_sq - d_hat
     X = np.stack([h_resid[:, p - j : T - j] for j in range(1, p + 1)], axis=1)  # (R, p, T - p)
-    gram = X @ X.transpose(0, 2, 1)
-    rc = _psd_rcond(gram)
-    errors = [None if c >= _RCOND_GATE else SingularDesignError(f"lag design is singular (rcond={c:.3e})") for c in rc]
+    sol, errors = _solve_design(X @ X.transpose(0, 2, 1), X @ h_resid[:, p:, None], "lag design")
     d_max = d_hat.max(axis=1)
     for r in np.flatnonzero(d_max <= 0.0):
         errors[r] = errors[r] or DegenerateSeriesError("smoothed squares are identically zero")
@@ -316,7 +289,7 @@ def _second_order_psi(values: np.ndarray, p: int, b: float):
     if not live.size:
         return a_hat, psi, sigma_sq_hat, errors
     rows = live if live.size < R else slice(None)  # a slice copies nothing
-    a_hat[rows] = np.linalg.solve(gram[rows], X[rows] @ h_resid[rows, p:, None])[..., 0]
+    a_hat[rows] = sol[rows, :, 0]
     # sigma^2 is scale-free in d_hat: d_hat / max(d_hat) keeps its powers finite.
     d_rel = d_hat[rows] / d_max[rows, None]
     sigma_sq_hat[rows] = T * (d_rel**4).sum(axis=1) / (d_rel**2).sum(axis=1) ** 2
@@ -353,7 +326,7 @@ def _each(fn, draws) -> list:
     return out
 
 
-def _pivotal_values(name, draws, p, partition, b, gamma) -> list:
+def _pivotal_values(name, draws, p, partition, b) -> list:
     """The statistic of every draw, or the NumericalError it raised.
 
     Second-order draws run stacked through :func:`_second_order_psi`;
@@ -368,14 +341,14 @@ def _pivotal_values(name, draws, p, partition, b, gamma) -> list:
         return _each(lambda s: _wald_statistic(s, partition, b)[0], draws)
 
     def single(series):
-        return constancy_statistic(series, partition, LEVEL, b, gamma).e_t
+        return constancy_statistic(series, partition, LEVEL, b).e_t
 
     per = max(1, _STACK_CENTERS // (draws[0].shape[0] - p))
     out = []
     for lo in range(0, len(draws), per):
         stack = draws[lo : lo + per]
         try:
-            e_t = _constancy_e_t(np.stack(stack), partition, b, gamma)
+            e_t = _constancy_e_t(np.stack(stack), partition, b)
         except NumericalError:  # a varpi2 <= 0, or an empty window
             e_t = None
         out += _each(single, stack) if e_t is None else [float(v) for v in e_t]
@@ -386,6 +359,13 @@ def _require_replicates(B: int) -> None:
     """Raise InputError unless a Monte-Carlo calibration has at least 100 replicates."""
     if B < 100:
         raise InputError(f"Monte-Carlo calibration needs B >= 100, got {B}")
+
+
+def _require_calibration(B: int, levels, workers: int) -> None:
+    """Raise InputError unless B, ``levels`` and ``workers`` suit a Monte-Carlo calibration."""
+    _require_replicates(B)
+    _require_workers(workers)
+    _require_levels(levels)
 
 
 def _require_workers(workers: int) -> None:
@@ -467,7 +447,6 @@ def mc_pivotal_quantiles(
     levels,
     seed: int,
     statistic: str,
-    gamma=None,
     workers: int = 1,
 ) -> McCalibration:
     """Simulate the null distribution of a pivotal statistic.
@@ -479,9 +458,7 @@ def mc_pivotal_quantiles(
     Replicates run in fixed chunks of _CHUNK; second-order and constancy
     ones are stacked.  Every input is checked before the first draw.
     """
-    _require_replicates(B)
-    _require_workers(workers)
-    _require_levels(levels)
+    _require_calibration(B, levels, workers)
     if statistic not in ("constancy", "wald-zero", "second-order"):
         raise InputError(f"unknown pivotal statistic {statistic!r}")
     if statistic != "second-order" and partition is None:
@@ -489,7 +466,7 @@ def mc_pivotal_quantiles(
     if partition is not None and partition.p != p:
         raise InputError(f"partition has p={partition.p}, but the calibration has p={p}")
     if statistic == "constancy":
-        gamma = _require_gamma(gamma, partition)
+        _require_constant_block(partition)
 
     def chunk(rs: range) -> list:
         # Each replicate keeps its own generator per attempt; only the ones
@@ -498,7 +475,7 @@ def mc_pivotal_quantiles(
         pending = list(rs)
         for attempt in range(_MAX_RETRIES):
             draws = [generator(derive_seed(seed, r, attempt)).standard_normal(T) for r in pending]
-            values = _pivotal_values(statistic, draws, p, partition, b, gamma)
+            values = _pivotal_values(statistic, draws, p, partition, b)
             done.update((r, (v, attempt)) for r, v in zip(pending, values) if not isinstance(v, NumericalError))
             pending = [r for r in pending if r not in done]
             if not pending:
@@ -557,12 +534,12 @@ def test_constancy(
     B: int = 2000,
     levels=(0.05, 0.10),
     seed: int = 0,
-    gamma=None,
     workers: int = 1,
 ) -> TestReport:
     """Test that the constant-block coefficients are non time-varying (level-weighted)."""
-    stat = constancy_statistic(series, partition, LEVEL, b, gamma)
-    cal = mc_pivotal_quantiles(series.T, partition.p, partition, b, B, levels, seed, "constancy", gamma, workers)
+    _require_calibration(B, levels, workers)
+    stat = constancy_statistic(series, partition, LEVEL, b)
+    cal = mc_pivotal_quantiles(series.T, partition.p, partition, b, B, levels, seed, "constancy", workers)
     return TestReport(
         name=f"constancy(constant={list(partition.constant)})",
         statistic=stat.e_t,
@@ -591,8 +568,9 @@ def test_zero_wald(
     workers: int = 1,
 ) -> TestReport:
     """Wald test of H0: constant block equals zero, level-weighted and Monte-Carlo calibrated."""
+    _require_calibration(B, levels, workers)
     stat, cov, fit = _wald_statistic(series, partition, b)
-    cal = mc_pivotal_quantiles(series.T, partition.p, partition, b, B, levels, seed, "wald-zero", None, workers)
+    cal = mc_pivotal_quantiles(series.T, partition.p, partition, b, B, levels, seed, "wald-zero", workers)
     n = partition.n
     return TestReport(
         name=f"zero-wald(constant={list(partition.constant)})",
@@ -677,7 +655,7 @@ def test_second_order(
         B_used = 0
         retried = 0
     elif calibration == "monte-carlo":
-        cal = mc_pivotal_quantiles(series.T, p, None, b, B, levels, seed, "second-order", None, workers)
+        cal = mc_pivotal_quantiles(series.T, p, None, b, B, levels, seed, "second-order", workers)
         quantiles = cal.quantiles
         p_value = cal.p_value(stat.psi)
         B_used = B

@@ -22,6 +22,7 @@ from tvarch import (
     SimulationConfig,
     TvArchModel,
     cv_bandwidth_semiparametric,
+    estimate,
     select,
     simulate_path,
     testing,
@@ -106,7 +107,7 @@ def test_batched_cv_matches_single_replicate_and_dense(seed, T, p, R, data):
     forced_i = data.draw(st.integers(1, 3))
     member = forced_r % _CHUNK
     chunk_of_forced = forced_r // _CHUNK
-    psd_rcond = select._psd_rcond
+    psd_rcond = estimate._psd_rcond
     calls = []
 
     def gate(stack):
@@ -116,7 +117,7 @@ def test_batched_cv_matches_single_replicate_and_dense(seed, T, p, R, data):
             rc[member] = 0.0
         return rc
 
-    with mock.patch.object(select, "_psd_rcond", gate):
+    with mock.patch.object(estimate, "_psd_rcond", gate):
         got = _cv_in_chunks(series, p, _CV_GRID)
     assert sum(calls) == 3 * R  # every live member of every chunk is gated once per bandwidth
 
@@ -205,26 +206,20 @@ def _e_t_scale(stat, T: int, b: float) -> float:
     p=st.integers(1, 3),
     b=st.floats(0.2, 0.5),
     R=st.sampled_from([1, 3, 5]),  # with stacks of 3 draws: a stack of 1, a full one, a full and a partial one
-    spd=st.booleans(),
 )
-def test_stacked_constancy_matches_single_and_dense(seed, T, p, b, R, spd):
-    rng = np.random.default_rng(seed)
-    xs = rng.normal(size=(R, T))
+def test_stacked_constancy_matches_single_and_dense(seed, T, p, b, R):
+    xs = np.random.default_rng(seed).normal(size=(R, T))
     for part in _constancy_partitions(p):
-        gamma = None
-        if spd:
-            a = rng.normal(size=(part.n, part.n))
-            gamma = 0.5 * (a @ a.T + (a @ a.T).T) + part.n * np.eye(part.n)
         try:
-            alone = [constancy_statistic(ReturnSeries(x), part, "level", b, gamma) for x in xs]
+            alone = [constancy_statistic(ReturnSeries(x), part, "level", b) for x in xs]
         except NumericalError:
             continue
         with mock.patch.object(testing, "_STACK_CENTERS", 3 * (T - p)):
             with mock.patch.object(testing, "constancy_statistic", side_effect=AssertionError("fell back")):
-                got = testing._pivotal_values("constancy", list(xs), p, part, b, gamma)
+                got = testing._pivotal_values("constancy", list(xs), p, part, b)
         for r, (x, e_t, stat) in enumerate(zip(xs, got, alone)):
             assert abs(e_t - stat.e_t) <= 1e-12 * _e_t_scale(stat, T, b), (part, r)
-            if gamma is None and _psd_rcond(nonparametric_fit(ReturnSeries(x), p, "level", b).gram).min() > 1e-6:
+            if _psd_rcond(nonparametric_fit(ReturnSeries(x), p, "level", b).gram).min() > 1e-6:
                 want = reference.dense_constancy(x, part.varying, part.constant, reference.level_weights(x, p), b)
                 assert abs(e_t - want["e_t"]) <= 1e-10 * abs(want["e_t"]), (part, r)
 
@@ -242,8 +237,8 @@ def test_stacked_constancy_falls_back_to_the_single_statistic(bad):
     xs = np.random.default_rng(44).normal(size=(4, T))
     xs[2] = 0.0 if bad == "zero" else _quiet(xs[2])
     part = CoefficientPartition(p=2, varying=(0,), constant=(1, 2))
-    assert testing._constancy_e_t(xs, part, b, None) is None
-    got = testing._pivotal_values("constancy", list(xs), p, part, b, None)
+    assert testing._constancy_e_t(xs, part, b) is None
+    got = testing._pivotal_values("constancy", list(xs), p, part, b)
     assert isinstance(got[2], DegenerateSeriesError if bad == "zero" else SingularMomentError)
     for x, value in zip(xs, got):
         try:

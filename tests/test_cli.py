@@ -217,6 +217,17 @@ def test_exit_code_numerical_error(sim_csv, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["test-constancy", "test-zero"])
+def test_too_few_replicates_exit_2_before_the_bandwidth_grid(sim_csv, capsys, monkeypatch, command):
+    def no_cv(*args, **kwargs):
+        raise AssertionError("the CV grid ran before the B check")
+
+    monkeypatch.setattr(tvarch.cli, "cv_bandwidth_tvarch", no_cv)
+    monkeypatch.setattr(tvarch.cli, "cv_bandwidth_semiparametric", no_cv)
+    assert main([command, "--input", str(sim_csv), "--p", "1", "--B", "50"]) == 2
+    assert "B >= 100" in capsys.readouterr().err
+
+
 def test_invalid_partition(sim_csv, capsys):
     rc = main(
         ["fit", "--input", str(sim_csv), "--p", "1", "--bandwidth", "0.2",

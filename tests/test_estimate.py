@@ -21,7 +21,7 @@ from tvarch import (
     smoothed_moments,
 )
 from tvarch.errors import DegenerateSeriesError, InputError, SingularDesignError, SingularMomentError
-from tvarch.estimate import _certify, _local_sandwich, _solve_gated, fitted_sigma_sq, local_wls
+from tvarch.estimate import _certify, _local_sandwich, _solve_gated, fitted_sigma_sq, local_wls, resolve_weights
 from tvarch.kernels import kernel_window
 from tvarch.model import canonical_matrix, regressor_matrices
 from tvarch.simulate import derive_seed
@@ -61,11 +61,19 @@ def test_level_weights_degenerate():
         level_weights(ReturnSeries(np.zeros(30)), 1)
 
 
+@pytest.mark.parametrize("weights", ["unit", "Level", ""])
+def test_resolve_weights_rejects_an_unknown_scheme(weights):
+    # 'level' is the one scheme name; unit weights are the explicit np.ones(T - p).
+    with pytest.raises(InputError, match="unknown weight scheme"):
+        resolve_weights(ReturnSeries(np.ones(30)), 1, weights)
+    np.testing.assert_array_equal(resolve_weights(ReturnSeries(np.ones(30)), 1, np.ones(29)), np.ones(29))
+
+
 def test_smoothed_moments_unit_intercept():
     rng = np.random.default_rng(2)
     s = ReturnSeries(rng.normal(size=40))
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
-    mom = smoothed_moments(s, part, "unit", 0.2)
+    mom = smoothed_moments(s, part, np.ones(s.T - 1), 0.2)
     np.testing.assert_allclose(mom.s3[:, 0, 0], 1.0, atol=1e-12)
 
 
@@ -74,7 +82,7 @@ def test_smoothed_moments_nadaraya_watson_oracle():
     x = rng.normal(size=40)
     s = ReturnSeries(x)
     part = CoefficientPartition(p=0, varying=(0,), constant=())
-    mom = smoothed_moments(s, part, "unit", 0.25)
+    mom = smoothed_moments(s, part, np.ones(s.T), 0.25)
     x2 = x**2
     for r, t in enumerate(range(1, 41)):
         k = reference.norm_weights(t, 0.25, 40, 0)
@@ -131,7 +139,7 @@ def test_projection_singular_mass_at_zero():
     s = ReturnSeries(np.concatenate([np.zeros(15), np.ones(15)]))
     part = CoefficientPartition(p=1, varying=(0, 1), constant=())
     with pytest.raises(SingularMomentError):
-        projection_ratios(smoothed_moments(s, part, "unit", 0.05))
+        projection_ratios(smoothed_moments(s, part, np.ones(s.T - 1), 0.05))
 
 
 def test_estimate_beta_dense_oracle(series_small):
@@ -274,7 +282,7 @@ def test_plugin_weight_injection_equivalence(series_mid):
     n_t = series_mid.T - 2
     w_oracle = np.full(n_t, 1.0 / 2.3**4)
     a = estimate_beta(series_mid, part, w_oracle, 0.2)
-    b = estimate_beta(series_mid, part, "unit", 0.2)
+    b = estimate_beta(series_mid, part, np.ones(n_t), 0.2)
     np.testing.assert_allclose(a.beta, b.beta, atol=1e-10)
 
 

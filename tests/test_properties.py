@@ -279,18 +279,19 @@ def _constancy_partitions(p: int) -> list:
     return [CoefficientPartition(p=p, varying=tuple(k for k in range(p + 1) if k not in c), constant=c) for c in consts]
 
 
-@pytest.mark.parametrize("weights", ["level", "unit"])
+@pytest.mark.parametrize("unit", [False, True], ids=["level", "unit"])
 @given(seed=seeds, T=lengths, p=orders, b=bandwidths)
-def test_constancy_statistic_matches_dense(weights, seed, T, p, b):
+def test_constancy_statistic_matches_dense(unit, seed, T, p, b):
     x = _series(seed, T)
     s = ReturnSeries(x)
+    weights = np.ones(T - p) if unit else "level"
     try:
         fit = nonparametric_fit(s, p, weights, b)
         stats = [constancy_statistic(s, part, weights, b) for part in _constancy_partitions(p)]
     except NumericalError:
         assume(False)
     assume(_psd_rcond(fit.gram).min() > _RCOND_MIN)
-    W = reference.level_weights(x, p) if weights == "level" else np.ones(T - p)
+    W = np.ones(T - p) if unit else reference.level_weights(x, p)
     for part, got in zip(_constancy_partitions(p), stats):
         want = reference.dense_constancy(x, part.varying, part.constant, W, b)
         for name in ("s_t", "varpi1", "varpi2", "e_t"):

@@ -16,7 +16,7 @@ from tvarch import (
     select_lag_order,
     simulate_path,
 )
-from tvarch import kernels, select
+from tvarch import estimate, kernels, select
 from tvarch.errors import AllSingularError, InputError, SingularDesignError, SingularMomentError
 from tvarch.estimate import LEVEL, _certify, _solve_gated, local_wls, resolve_weights
 from tvarch.model import canonical_matrix
@@ -102,12 +102,12 @@ def test_cv_semiparametric_skips_singular_residual_design(monkeypatch):
         gated.append(rc)
         return rc
 
-    psd_rcond = select._psd_rcond
-    monkeypatch.setattr(select, "_psd_rcond", spy)
+    psd_rcond = estimate._psd_rcond
+    monkeypatch.setattr(estimate, "_psd_rcond", spy)
     s = ReturnSeries(np.where(np.arange(80) % 2, 1.0, -1.0))
     with pytest.raises(AllSingularError) as err:
         cv_bandwidth_semiparametric(s, 2, grid=BandwidthGrid(multipliers=(1.0, 1.5)))
-    assert len(gated) == 2 and all(rc.shape == (1,) and rc[0] < select._RCOND_GATE for rc in gated)
+    assert len(gated) == 2 and all(rc.shape == (1,) and rc[0] < estimate._RCOND_GATE for rc in gated)
     # The error names the last singular design and chains it.
     cause = err.value.__cause__
     assert isinstance(cause, SingularDesignError) and f"rcond={gated[-1][0]:.3e}" in str(cause)

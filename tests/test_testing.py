@@ -217,36 +217,12 @@ def test_nonparametric_fit_factors_its_gram_once(series_mid, monkeypatch):
     assert np.all(np.abs(fit.gram_inv - want).max(axis=(1, 2)) <= 1e-10 * np.abs(want).max(axis=(1, 2)))
 
 
-def test_constancy_rejects_a_gamma_that_is_not_a_matrix(series_mid):
-    with pytest.raises(InputError, match="gamma"):
-        constancy_statistic(series_mid, CoefficientPartition.semiparametric(2), "level", 0.2, gamma="fit-variance")
-
-
-@pytest.mark.parametrize("gamma", [[[1.0, 5.0], [0.0, 1.0]], [[1.0, 0.0], [5.0, 1.0]]])
-def test_constancy_rejects_an_asymmetric_gamma_in_both_orientations(series_mid, gamma):
-    # eigvalsh reads one triangle only: the upper-triangular Gamma used to
-    # pass as the identity and fail later as a vanished variance functional.
-    part = CoefficientPartition.semiparametric(2)
-    with pytest.raises(InputError, match="symmetric positive definite"):
-        constancy_statistic(series_mid, part, "level", 0.2, gamma=gamma)
-    with pytest.raises(InputError, match="symmetric positive definite"):
-        mc_pivotal_quantiles(series_mid.T, 2, part, 0.2, 100, (0.1,), 1, "constancy", gamma)
-
-
 def test_constancy_needs_constant_block(series_small):
-    with pytest.raises(InputError):
-        constancy_statistic(series_small, CoefficientPartition.fully_varying(2), "level", 0.3)
-
-
-def test_constancy_gamma_matrix(series_mid):
-    part = CoefficientPartition.semiparametric(2)
-    st_id = constancy_statistic(series_mid, part, "level", 0.2, gamma=np.eye(2))
-    st_none = constancy_statistic(series_mid, part, "level", 0.2)
-    assert st_id.e_t == pytest.approx(st_none.e_t, rel=1e-12)
-    st_scaled = constancy_statistic(series_mid, part, "level", 0.2, gamma=4.0 * np.eye(2))
-    assert st_scaled.s_t == pytest.approx(4.0 * st_id.s_t, rel=1e-10)
-    # E_T is invariant to rescaling Gamma (scale cancels between moments).
-    assert st_scaled.e_t == pytest.approx(st_id.e_t, rel=1e-8)
+    part = CoefficientPartition.fully_varying(2)
+    with pytest.raises(InputError, match="nonempty constant block"):
+        constancy_statistic(series_small, part, "level", 0.3)
+    with pytest.raises(InputError, match="nonempty constant block"):
+        mc_pivotal_quantiles(series_small.T, 2, part, 0.3, 100, (0.1,), 1, "constancy")
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +295,21 @@ def test_mc_requires_b_at_least_100():
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
     with pytest.raises(InputError):
         mc_pivotal_quantiles(100, 1, part, 0.2, 50, (0.10,), 1, "constancy")
+
+
+def _no_statistic(*args, **kwargs):
+    raise AssertionError("the observed statistic ran before the input checks")
+
+
+@pytest.mark.parametrize("bad, match", [({"B": 50}, "B >= 100"), ({"levels": (1.5,)}, "levels"), ({"workers": 0}, "workers")])
+def test_calibrated_tests_check_inputs_before_the_observed_statistic(monkeypatch, bad, match):
+    s = ReturnSeries(np.random.default_rng(2).normal(size=150))
+    part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
+    monkeypatch.setattr(testing, "constancy_statistic", _no_statistic)
+    monkeypatch.setattr(testing, "_wald_statistic", _no_statistic)
+    for run in (run_constancy_test, run_zero_wald_test):
+        with pytest.raises(InputError, match=match):
+            run(s, part, 0.25, **{"B": 100, **bad})
 
 
 def _no_draws(seed):
