@@ -60,7 +60,7 @@ from .select import (
     cv_bandwidth_tvarch,
     select_lag_order,
 )
-from .simulate import SimulationConfig, derive_seed, draw_noise, generator, simulate_path
+from .simulate import SimulationConfig, derive_seed, draw_noise, generator, simulate_path, simulate_paths
 from .testing import (
     McCalibration,
     NonparametricFit,

@@ -24,7 +24,14 @@ from .experiments import DESIGNS, SCHEMA_VERSION, ExperimentSpec, run_experiment
 from .model import CoefficientPartition, NoiseSpec, TvArchModel
 from .select import BandwidthGrid, cv_bandwidth_semiparametric, cv_bandwidth_tvarch, select_lag_order
 from .simulate import SimulationConfig, simulate_path
-from .testing import _require_levels, _require_replicates, test_constancy, test_second_order, test_zero_wald
+from .testing import (
+    _require_levels,
+    _require_psi_calibration,
+    _require_replicates,
+    test_constancy,
+    test_second_order,
+    test_zero_wald,
+)
 
 __all__ = ["main"]
 
@@ -259,6 +266,7 @@ def _cmd_test_zero(args) -> int:
 
 def _cmd_test_dynamic(args) -> int:
     def runner(series, levels):
+        _require_psi_calibration(args.calibration, args.B)  # before the bandwidth's CV grid
         b = _bandwidth_for(args, series, args.p, "sptv")
         return test_second_order(
             series,

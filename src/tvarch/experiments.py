@@ -38,7 +38,7 @@ from .select import (
     cv_bandwidth_tvarch,
     select_lag_order,
 )
-from .simulate import SimulationConfig, derive_seed, simulate_path
+from .simulate import SimulationConfig, derive_seed, simulate_path, simulate_paths
 from .testing import (
     _map_chunks,
     _map_ordered,
@@ -260,8 +260,11 @@ def _rmse_design(spec: ExperimentSpec) -> list:
     partition = CoefficientPartition.semiparametric(2)
     rows = []
     for T in spec.T_list:
+        paths = simulate_paths(model, T, [derive_seed(spec.seed, "rmse", T, r) for r in range(spec.replications)])
+        a0_true = model.coeffs[0](np.arange(3, T + 1) / T)
+
         def one(r: int):
-            s = simulate_path(model, SimulationConfig(T=T, seed=derive_seed(spec.seed, "rmse", T, r)))
+            s = paths[r]
             b = cv_bandwidth_semiparametric(s, 2).bandwidth
             base = estimate_beta(s, partition, LEVEL, b)
             plug, _ = estimate_beta_plugin(s, partition, b, base=base)
@@ -270,8 +273,6 @@ def _rmse_design(spec: ExperimentSpec) -> list:
             alpha_star, _, _ = estimate_alpha_plugin(
                 s, partition, plug.beta, b, alpha_init=_plug_back(base.q1, base.q2, plug.beta), var_xi_sq=1.0
             )
-            u = np.arange(3, T + 1) / T
-            a0_true = model.coeffs[0](u)
             return (
                 (base.beta - truth_beta) ** 2,
                 (plug.beta - truth_beta) ** 2,
@@ -321,10 +322,12 @@ def _constancy_design(spec: ExperimentSpec) -> list:
     for setup, make in _CONSTANCY_SETUPS.items():
         model = make(spec.noise)
         for T in spec.T_list:
+            paths = simulate_paths(
+                model, T, [derive_seed(spec.seed, "const", setup, T, r) for r in range(spec.replications)]
+            )
+
             def one(r: int):
-                s = simulate_path(
-                    model, SimulationConfig(T=T, seed=derive_seed(spec.seed, "const", setup, T, r))
-                )
+                s = paths[r]
                 b = cv_bandwidth_tvarch(s, 1).bandwidth
                 out = {}
                 for label, const in (("a0", (0,)), ("a1", (1,))):
@@ -410,12 +413,12 @@ def _order_design(spec: ExperimentSpec) -> list:
     rows = []
     for (setup, p_true), model in _order_setups(spec.noise).items():
         for T in spec.T_list:
+            paths = simulate_paths(
+                model, T, [derive_seed(spec.seed, "order", setup, p_true, T, r) for r in range(spec.replications)]
+            )
+
             def one(r: int):
-                s = simulate_path(
-                    model,
-                    SimulationConfig(T=T, seed=derive_seed(spec.seed, "order", setup, p_true, T, r)),
-                )
-                return select_lag_order(s, q_max=spec.q_max).p_hat
+                return select_lag_order(paths[r], q_max=spec.q_max).p_hat
 
             p_hats = np.array(_map_ordered(one, spec.replications, spec.workers))
             rows.append(

@@ -82,7 +82,7 @@ def k_l2_norm_sq(kernel=epanechnikov) -> float:
 
     ``kernel`` takes only :func:`epanechnikov`; any other value raises
     InputError.  It stays because ``bench/workloads.py`` passes the kernel
-    positionally, and goes with ROADMAP items 6(a) and 6(c).
+    positionally, and goes with ROADMAP items 4(a) and 4(c).
     """
     _require_epanechnikov(kernel)
     return 3.0 / 5.0

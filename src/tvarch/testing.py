@@ -361,6 +361,14 @@ def _require_replicates(B: int) -> None:
         raise InputError(f"Monte-Carlo calibration needs B >= 100, got {B}")
 
 
+def _require_psi_calibration(calibration: str, B: int) -> None:
+    """Raise InputError unless ``calibration`` is known and, under Monte-Carlo, B >= 100."""
+    if calibration == "monte-carlo":
+        _require_replicates(B)
+    elif calibration != "asymptotic":
+        raise InputError(f"unknown calibration {calibration!r}")
+
+
 def _require_calibration(B: int, levels, workers: int) -> None:
     """Raise InputError unless B, ``levels`` and ``workers`` suit a Monte-Carlo calibration."""
     _require_replicates(B)
@@ -648,20 +656,19 @@ def test_second_order(
     """Test H0: no second-order dynamic (all lag coefficients zero)."""
     _require_workers(workers)
     _require_levels(levels)
+    _require_psi_calibration(calibration, B)
     stat = second_order_statistic(series, p, b)
     if calibration == "asymptotic":
         quantiles = {float(lvl): asymptotic_psi_quantile(p, float(lvl)) for lvl in levels}
         p_value = _psi_upper_tail(p, stat.psi)
         B_used = 0
         retried = 0
-    elif calibration == "monte-carlo":
+    else:
         cal = mc_pivotal_quantiles(series.T, p, None, b, B, levels, seed, "second-order", workers)
         quantiles = cal.quantiles
         p_value = cal.p_value(stat.psi)
         B_used = B
         retried = cal.retried
-    else:
-        raise InputError(f"unknown calibration {calibration!r}")
     return TestReport(
         name=f"second-order(p={p})",
         statistic=stat.psi,

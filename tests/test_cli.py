@@ -217,7 +217,7 @@ def test_exit_code_numerical_error(sim_csv, capsys):
     assert "numerical" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["test-constancy", "test-zero"])
+@pytest.mark.parametrize("command", ["test-constancy", "test-zero", "test-dynamic"])
 def test_too_few_replicates_exit_2_before_the_bandwidth_grid(sim_csv, capsys, monkeypatch, command):
     def no_cv(*args, **kwargs):
         raise AssertionError("the CV grid ran before the B check")

@@ -312,6 +312,16 @@ def test_calibrated_tests_check_inputs_before_the_observed_statistic(monkeypatch
             run(s, part, 0.25, **{"B": 100, **bad})
 
 
+@pytest.mark.parametrize(
+    "bad, match", [({"B": 50}, "B >= 100"), ({"calibration": "bootstrap"}, "calibration")], ids=["B-below-100", "unknown"]
+)
+def test_second_order_checks_calibration_before_the_observed_statistic(monkeypatch, bad, match):
+    s = ReturnSeries(np.random.default_rng(2).normal(size=150))
+    monkeypatch.setattr(testing, "second_order_statistic", _no_statistic)
+    with pytest.raises(InputError, match=match):
+        run_second_order_test(s, 1, 0.25, **{"B": 100, "calibration": "monte-carlo", **bad})
+
+
 def _no_draws(seed):
     raise AssertionError("an input check ran after a draw")
 
