@@ -211,5 +211,6 @@ def simulate_paths(model: TvArchModel, T: int, seeds, burn_in: int = 500) -> lis
             x[n_pre:] *= np.sqrt(table[n_pre:, :1])
         else:
             _recurse_lanes(x, table, n_pre, mean_sq0)
-        paths.extend(ReturnSeries(v) for v in x[n_pre:].T.copy())
+        # Lane by lane: one transposed (R, T) copy read 0.5 MB more peak RSS over a study op.
+        paths.extend(ReturnSeries(x[n_pre:, i].copy()) for i in range(len(block)))
     return paths
