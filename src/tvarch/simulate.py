@@ -5,9 +5,11 @@ frozen coefficients a_j(0), then the time-varying recursion
 
     sigma_t^2 = a_0(t/T) + sum_j a_j(t/T) x_{t-j}^2,   x_t = xi_t sigma_t
 
-runs for t = 1..T, indices t <= 0 being supplied by the burn-in tail.  The
-generator is Philox (counter-based, platform-stable); replication r of a
-Monte-Carlo run uses :func:`derive_seed` so parallel streams never overlap.
+runs for t = 1..T, indices t <= 0 being supplied by the burn-in tail.
+:func:`simulate_path` runs it for one seed, :func:`simulate_paths` for many
+seeds at once, path for path the same bits.  The generator is Philox
+(counter-based, platform-stable); replication r of a Monte-Carlo run uses
+:func:`derive_seed` so parallel streams never overlap.
 """
 
 from __future__ import annotations
