@@ -94,6 +94,8 @@ def _psd_rcond(stack: np.ndarray) -> np.ndarray:
     lam = np.linalg.eigvalsh(stack)
     lmin = lam[..., 0]
     lmax = lam[..., -1]
+    if ((lmax > 0.0) & (lmax < np.inf)).all():  # the usual case: no 0/0 or inf/inf to mask
+        return np.maximum(lmin / lmax, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         rc = np.where(lmax > 0.0, lmin / lmax, 0.0)
     return np.clip(rc, 0.0, None)
@@ -242,14 +244,22 @@ def _solve_gated(gram: np.ndarray, rhs: np.ndarray, first_t: int) -> np.ndarray:
     return np.linalg.solve(gram, rhs)
 
 
+# Centers per stacked evaluation: the constancy draws of a stack (4 at T =
+# 2000) and the (bandwidth, member) pairs of one semiparametric CV gate, never
+# sized by ``workers``.  A stack's arrays peak near 3 MB at any T; larger peaks
+# cost page faults: 7.1k minor faults per T = 2000 pipeline op here, 88k at
+# twice the size, 29k with the full fit's smoothed block kept through the solves.
+_STACK_CENTERS = 8192
+
+
 def _solve_design(gram: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndarray, list]:
     """gram^-1 rhs for an (R, k, k) stack of symmetric designs, and per member None or the
     SingularDesignError of an rcond below the gate; only passing members are solved, the rest get 0."""
     rc = _psd_rcond(gram)
     ok = rc >= _RCOND_GATE
-    errors = [None if c >= _RCOND_GATE else SingularDesignError(f"{what} is singular (rcond={c:.3e})") for c in rc]
     if ok.all():
-        return np.linalg.solve(gram, rhs), errors
+        return np.linalg.solve(gram, rhs), [None] * rc.shape[0]
+    errors = [None if c >= _RCOND_GATE else SingularDesignError(f"{what} is singular (rcond={c:.3e})") for c in rc]
     sol = np.zeros(rhs.shape)
     sol[ok] = np.linalg.solve(gram[ok], rhs[ok])
     return sol, errors

@@ -18,6 +18,8 @@ prefix sums; the local sums set the total cost of smoothing every center,
 O(T^2 b).  The leave-(p+1)-out cross-validation sums are the same
 convolution with a holed window, :func:`leave_out_window`, whose entries
 for indices t..t+p are zero, so they are exact and cost no second pass.
+Each window is built once per (T, b) and cached; :func:`kernel_window`
+hands every caller its own copy.
 
 :func:`local_sums` has two paths for finite input.  Neither keeps a running
 sum across the series, which loses digits: no sum spans more than one window,
@@ -48,6 +50,8 @@ setting, whatever the package's own ``workers``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -112,14 +116,25 @@ def k_star_l2_norm_sq(kernel=epanechnikov) -> float:
 
 
 def kernel_window(T: int, b: float) -> np.ndarray:
-    """Un-normalized window [K(d/(T b))] for integer offsets |d| <= floor(T b)."""
+    """Un-normalized window [K(d/(T b))] for integer offsets |d| <= floor(T b).
+
+    Each (T, b) window is built once and cached; every call returns a fresh,
+    writable copy, so a caller may change its window in place.
+    """
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise InputError(f"series length must be an integer >= 1, got {T!r}")
     if not (0.0 < b <= 1.0):
         raise InputError(f"bandwidth must lie in (0, 1], got {b}")
+    return _built_window(int(T), float(b)).copy()
+
+
+@functools.lru_cache(maxsize=64)
+def _built_window(T: int, b: float) -> np.ndarray:
     halfwidth = int(np.floor(T * b))
     d = np.arange(-halfwidth, halfwidth + 1)
-    return np.asarray(epanechnikov(d / (T * b)), dtype=float)
+    window = np.asarray(epanechnikov(d / (T * b)), dtype=float)
+    window.flags.writeable = False
+    return window
 
 
 def leave_out_window(window: np.ndarray, p: int) -> np.ndarray:

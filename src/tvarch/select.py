@@ -14,6 +14,7 @@ import numpy as np
 from . import kernels
 from .errors import AllSingularError, InputError, SingularMomentError
 from .estimate import (
+    _STACK_CENTERS,
     _certify,
     _cholesky_solve,
     _solve_design,
@@ -116,11 +117,14 @@ def _cv_semiparametric(chunk, p: int, grid: BandwidthGrid | None = None) -> list
     """:func:`cv_bandwidth_semiparametric` of every series of ``chunk`` (equal lengths), stacked.
 
     Per bandwidth, one local_sums call smooths every member's columns [W | W
-    x^2 | W N] as rows of one (R (2 + p), n_t) block, and one rcond gate
-    covers the (R, p, p) stack of residual designs.  Failures stay per
-    member: an empty leave-out window or a singular design skips only that
-    (member, bandwidth) pair, and the lowest-index member whose bandwidths
-    all fail raises AllSingularError.
+    x^2 | W N] as rows of one (R (2 + p), n_t) block.  The bandwidths go in
+    groups of at most _STACK_CENTERS centers (all of one T = 500 series, one
+    at a time for a chunk of 16): the (bandwidth, member) pairs of a group
+    are post-processed as one stack and one rcond gate covers their (p, p)
+    residual designs.  Failures stay per pair: an empty leave-out window or a
+    singular design skips only that (member, bandwidth) pair, and the
+    lowest-index member whose bandwidths all fail raises AllSingularError
+    naming its last failure in grid order.
     """
     grid = grid or BandwidthGrid()
     T = chunk[0].T
@@ -137,25 +141,35 @@ def _cv_semiparametric(chunk, p: int, grid: BandwidthGrid | None = None) -> list
     np.multiply(W[:, None], N, out=g[:, 2:])
     g = g.reshape(R * (2 + p), n_t)
     bs = grid.bandwidths(T)
+    nb = bs.shape[0]
 
-    scores = np.full((R, bs.shape[0]), np.inf)
-    betas = np.zeros((R, bs.shape[0], p))
-    last = [None] * R
-    for i, b in enumerate(bs):
-        s = kernels.local_sums(g.T, kernels.leave_out_window(kernels.kernel_window(T, b), p))
-        s = s.T.reshape(R, 2 + p, n_t)
-        empty = s[:, 0] <= 0.0
-        for r in np.flatnonzero(empty.any(axis=1)):
-            last[r] = SingularMomentError(t=p + 1 + int(np.argmax(empty[r])), rcond=0.0)
-        live = np.flatnonzero(~empty.any(axis=1))
-        if not live.size:
+    scores = np.full((R, nb), np.inf)
+    betas = np.zeros((R, nb, p))
+    failed = [[None] * nb for _ in range(R)]  # the error of each failing (member, bandwidth) pair
+    per = max(1, _STACK_CENTERS // (R * n_t))
+    for g0 in range(0, nb, per):
+        parts, members, at = [], [], []
+        for i in range(g0, min(g0 + per, nb)):
+            s = kernels.local_sums(g.T, kernels.leave_out_window(kernels.kernel_window(T, bs[i]), p))
+            s = s.T.reshape(R, 2 + p, n_t)
+            empty = s[:, 0] <= 0.0
+            for r in np.flatnonzero(empty.any(axis=1)):
+                failed[r][i] = SingularMomentError(t=p + 1 + int(np.argmax(empty[r])), rcond=0.0)
+            live = np.flatnonzero(~empty.any(axis=1))
+            if live.size:
+                parts.append(s if live.size == R else s[live])
+                members.append(live)
+                at.append(np.full(live.size, i))
+        if not parts:
             continue
-        rows = live if live.size < R else slice(None)  # a slice copies nothing
-        s = s[rows]
+        live, at = np.concatenate(members), np.concatenate(at)
+        rows = slice(None) if len(parts) == 1 and live.size == R else live  # a slice copies nothing
+        s = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        del parts
         # In place: s[:, 1] becomes y = x^2 - s1 / s3 and s[:, 2:] becomes Z = N - s2 / s3.
         s[:, 1:] /= s[:, :1]
         y = np.subtract(x2t[rows], s[:, 1], out=s[:, 1])
-        Z = np.subtract(N[rows], s[:, 2:], out=s[:, 2:])  # (k, p, n_t)
+        Z = np.subtract(N[rows], s[:, 2:], out=s[:, 2:])  # (pairs, p, n_t)
         Wl = W[rows]
         WZ = Wl[:, None] * Z
         beta, errors = _solve_design(WZ @ Z.transpose(0, 2, 1), WZ @ y[..., None], "residual design")
@@ -163,18 +177,19 @@ def _cv_semiparametric(chunk, p: int, grid: BandwidthGrid | None = None) -> list
         if any(errors):
             ok = np.array([err is None for err in errors])
             for k in np.flatnonzero(~ok):
-                last[live[k]] = errors[k]
-            live, beta, y, Z, Wl = live[ok], beta[ok], y[ok], Z[ok], Wl[ok]
+                failed[live[k]][at[k]] = errors[k]
+            live, at, beta, y, Z, Wl = live[ok], at[ok], beta[ok], y[ok], Z[ok], Wl[ok]
             if not live.size:
                 continue
         beta = beta[..., 0]
         resid = np.subtract(y, np.einsum("rm,rmt->rt", beta, Z), out=y)
-        scores[live, i] = np.sum(Wl * resid**2, axis=1)
-        betas[live, i] = beta
+        scores[live, at] = np.sum(Wl * resid**2, axis=1)
+        betas[live, at] = beta
     out = []
     for r in range(R):
         if not np.any(np.isfinite(scores[r])):
-            raise _all_singular("every grid bandwidth failed cross-validation", last[r]) from last[r]
+            last = next((err for err in reversed(failed[r]) if err is not None), None)
+            raise _all_singular("every grid bandwidth failed cross-validation", last) from last
         best = int(np.nanargmin(scores[r]))
         out.append(CvResult(bandwidth=float(bs[best]), bandwidths=bs, scores=scores[r], beta=betas[r, best]))
     return out

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .estimate import (
     _RCOND_GATE,
+    _STACK_CENTERS,
     LEVEL,
     SmoothedMoments,
     _certify,
@@ -306,13 +307,6 @@ def _second_order_psi(values: np.ndarray, p: int, b: float):
 
 # Draws per replicate before a numerical degeneracy fails the calibration.
 _MAX_RETRIES = 5
-
-
-# Centers per stacked constancy evaluation (4 draws at T = 2000), never sized
-# by ``workers``.  A stack's arrays peak near 3 MB at any T; larger peaks cost
-# page faults: 7.1k minor faults per T = 2000 pipeline op here, 88k at twice
-# the size, 29k with the full fit's smoothed block kept through the solves.
-_STACK_CENTERS = 8192
 
 
 def _each(fn, draws) -> list:

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvarch import (
@@ -101,25 +101,28 @@ def test_batched_cv_matches_single_replicate_and_dense(seed, T, p, R, data):
     xs = rng.normal(size=(R, T))
     series = [ReturnSeries(x) for x in xs]
     # One (member, bandwidth) pair fails the design gate: its rcond is zeroed
-    # on the gate call for that bandwidth.  Bandwidth 0 is empty and gated by
-    # no call, so call k gates bandwidth k + 1.
+    # in the gate call of its chunk.  The whole grid of a chunk is one group
+    # (at most 4 x 16 x 39 centers), gated by one call over its (bandwidth,
+    # member) pairs, bandwidth-major.  Bandwidth 0 is empty and left out of
+    # the stack, so bandwidth i of chunk member m sits at (i - 1) n + m, n
+    # the chunk's size.
     forced_r = data.draw(st.integers(0, R - 1))
     forced_i = data.draw(st.integers(1, 3))
-    member = forced_r % _CHUNK
-    chunk_of_forced = forced_r // _CHUNK
+    sizes = [min(_CHUNK, R - lo) for lo in range(0, R, _CHUNK)]
+    chunk_of_forced, member = divmod(forced_r, _CHUNK)
     psd_rcond = estimate._psd_rcond
     calls = []
 
     def gate(stack):
         rc = psd_rcond(stack)
         calls.append(rc.shape[0])
-        if len(calls) == 3 * chunk_of_forced + forced_i:
-            rc[member] = 0.0
+        if len(calls) == chunk_of_forced + 1:
+            rc[(forced_i - 1) * sizes[chunk_of_forced] + member] = 0.0
         return rc
 
     with mock.patch.object(estimate, "_psd_rcond", gate):
         got = _cv_in_chunks(series, p, _CV_GRID)
-    assert sum(calls) == 3 * R  # every live member of every chunk is gated once per bandwidth
+    assert calls == [3 * n for n in sizes]  # one gate per chunk: every live member at every live bandwidth
 
     for r, (s, x, cv) in enumerate(zip(series, xs, got)):
         alone = cv_bandwidth_semiparametric(s, p, grid=_CV_GRID)
@@ -152,6 +155,59 @@ def test_batched_cv_raises_for_the_lowest_member_whose_bandwidths_all_fail():
         with pytest.raises(AllSingularError) as alone:
             cv_bandwidth_semiparametric(chunk[1], 2, grid=grid)
         assert str(err.value) == str(alone.value)
+
+
+@settings(max_examples=20)
+@given(
+    seed=seeds,
+    R=st.sampled_from([1, 2]),
+    # One bandwidth of the first group of either size, one of the second half.
+    fails=st.tuples(st.integers(0, 1), st.integers(4, 7), st.sets(st.integers(0, 7))).map(lambda t: {t[0], t[1], *t[2]}),
+)
+@example(seed=1, R=1, fails=frozenset(range(8)))
+@example(seed=2, R=2, fails=frozenset(range(8)))
+def test_cv_pairs_failing_in_two_groups_match_the_per_bandwidth_loop(seed, R, fails):
+    # At T = 2000 a group holds 8192 // (R 1998) of the 8 grid bandwidths (4
+    # for one series, 2 for two), gated by one call, bandwidth-major.  Member 0
+    # fails the gate at the bandwidths in ``fails``, which span two groups,
+    # each with its own rcond so the error named can be told apart.
+    T, p = 2000, 2
+    per = 4 // R
+    grid = BandwidthGrid()
+    chunk = [ReturnSeries(x) for x in np.random.default_rng(seed).standard_normal((R, T))]
+    psd_rcond = estimate._psd_rcond
+    calls = []
+
+    def gate(stack):
+        rc = psd_rcond(stack)
+        g0 = per * len(calls)
+        calls.append(rc.shape[0])
+        for i in fails:
+            if g0 <= i < g0 + per:
+                rc[(i - g0) * R] = 1e-20 * (i + 1)
+        return rc
+
+    with mock.patch.object(estimate, "_psd_rcond", gate):
+        if len(fails) == 8:
+            with pytest.raises(AllSingularError, match=r"; last: residual design is singular \(rcond=8\.000e-20\)$") as err:
+                select._cv_semiparametric(chunk, p, grid)
+            assert isinstance(err.value.__cause__, SingularDesignError)
+        else:
+            got = select._cv_semiparametric(chunk, p, grid)
+    assert calls == [per * R] * (8 // per)
+
+    if len(fails) == 8:
+        return
+    # The per-bandwidth loop: each bandwidth alone, the failing ones skipped.
+    for r, (s, cv) in enumerate(zip(chunk, got)):
+        alone = [cv_bandwidth_semiparametric(s, p, grid=BandwidthGrid((m,))) for m in grid.multipliers]
+        want = np.array([a.scores[0] for a in alone])
+        if r == 0:
+            want[sorted(fails)] = np.inf
+        np.testing.assert_array_equal(cv.scores, want)
+        best = int(np.argmin(want))
+        assert cv.bandwidth == alone[best].bandwidth
+        np.testing.assert_array_equal(cv.beta, alone[best].beta)
 
 
 # ---------------------------------------------------------------------------

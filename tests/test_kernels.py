@@ -201,6 +201,25 @@ def test_weights_validation():
             kernel_window(T, 0.5)
 
 
+def test_kernel_window_returns_a_fresh_writable_copy():
+    # Windows are cached per (T, b); a caller that edits its window in place,
+    # as test_local_sums_keep_the_gemm_for_a_long_window_off_the_quadratic
+    # does, must not change the next caller's.
+    first = kernel_window(704, 0.9)
+    want = first.copy()
+    assert first.flags.writeable and first.flags.owndata
+    first[:] = -1.0
+    second = kernel_window(704, 0.9)
+    assert second is not first and second.flags.writeable
+    np.testing.assert_array_equal(second, want)
+    # Equal (T, b) in numpy types give the same window; a different b does not.
+    np.testing.assert_array_equal(kernel_window(np.int64(704), np.float64(0.9)), want)
+    assert kernel_window(704, 0.45).shape[0] < want.shape[0]
+    # The window is [K(d / (T b))] for |d| <= floor(T b).
+    x = np.arange(-633, 634) / (704 * 0.9)
+    np.testing.assert_array_equal(want, 0.75 * (1.0 - x * x))
+
+
 def test_local_sums_match_direct():
     rng = np.random.default_rng(2)
     vals = rng.uniform(size=30)

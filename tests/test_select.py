@@ -95,6 +95,8 @@ def test_cv_semiparametric_names_the_center_a_bandwidth_leaves_empty():
 def test_cv_semiparametric_skips_singular_residual_design(monkeypatch):
     # x^2 = 1 everywhere: each lag equals its leave-out local mean, so at every
     # bandwidth the residual design is exactly 0 and fails the design gate.
+    # Both bandwidths fit in one group (2 x 78 centers): one gate call covers
+    # the (bandwidth, member) pairs in grid order.
     gated = []
 
     def spy(stack):
@@ -107,10 +109,10 @@ def test_cv_semiparametric_skips_singular_residual_design(monkeypatch):
     s = ReturnSeries(np.where(np.arange(80) % 2, 1.0, -1.0))
     with pytest.raises(AllSingularError) as err:
         cv_bandwidth_semiparametric(s, 2, grid=BandwidthGrid(multipliers=(1.0, 1.5)))
-    assert len(gated) == 2 and all(rc.shape == (1,) and rc[0] < estimate._RCOND_GATE for rc in gated)
-    # The error names the last singular design and chains it.
+    assert len(gated) == 1 and gated[0].shape == (2,) and (gated[0] < estimate._RCOND_GATE).all()
+    # The error names the last singular design (the last bandwidth's) and chains it.
     cause = err.value.__cause__
-    assert isinstance(cause, SingularDesignError) and f"rcond={gated[-1][0]:.3e}" in str(cause)
+    assert isinstance(cause, SingularDesignError) and f"rcond={gated[0][-1]:.3e}" in str(cause)
     assert str(cause) in str(err.value) and "rcond=" in str(err.value)
 
 

@@ -174,12 +174,8 @@ def test_simulate_path_matches_recursion(p, df, seed, T, burn_in, offset, amplit
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the short-burn-in warning
         got = simulate_path(model, SimulationConfig(T=T, seed=seed, burn_in=burn_in)).values
-    want = reference.simulate_recursion(coeffs, T, seed, burn_in=burn_in, df=df)
-    if p <= 1:
-        np.testing.assert_array_equal(got, want)
-    else:
-        # Only the association of the lag sum may differ.
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    # Both sum a_0 + a_1 x^2_{t-1} + ... + a_p x^2_{t-p} in the same order.
+    np.testing.assert_array_equal(got, reference.simulate_recursion(coeffs, T, seed, burn_in=burn_in, df=df))
 
 
 def test_simulate_path_long_paths_match_recursion():
