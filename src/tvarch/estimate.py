@@ -59,13 +59,21 @@ _FLOOR_REL = 1e-12
 def level_weights(series: ReturnSeries, p: int) -> np.ndarray:
     """Scale-free weights W_t = (v_hat + sum_j x^2_{t-j})^-2 over t = p+1..T."""
     series.require_length(p)
-    x_sq = series.values**2
-    v_hat = float(x_sq.mean())
-    if v_hat <= 0.0:
+    return _level_weights(series.values**2, p)
+
+
+def _level_weights(x_sq: np.ndarray, p: int) -> np.ndarray:
+    """:func:`level_weights` of the squares x_sq (..., T), each row on its own; leading axes stack series.
+
+    A row of zeros raises DegenerateSeriesError.
+    """
+    T = x_sq.shape[-1]
+    v_hat = x_sq.mean(axis=-1, keepdims=True)
+    if np.any(v_hat <= 0.0):
         raise DegenerateSeriesError("series is identically zero")
-    total = np.full(series.T - p, v_hat)
+    total = np.repeat(v_hat, T - p, axis=-1)
     for j in range(1, p + 1):
-        total += x_sq[p - j : series.T - j]
+        total += x_sq[..., p - j : T - j]
     return total**-2.0
 
 
@@ -352,19 +360,12 @@ def estimate_beta(
     partition: CoefficientPartition,
     weights,
     b: float,
-    moments: SmoothedMoments | None = None,
 ) -> BetaFit:
-    """Weighted least squares on the residualized regression, eq. of the two-step fit.
-
-    ``moments`` are the partition's smoothed moments when the caller has them
-    already (the constancy statistic reads them off the full fit's Gram);
-    by default they are smoothed here.
-    """
+    """Weighted least squares on the residualized regression, eq. of the two-step fit."""
     if partition.n == 0:
         raise InputError("estimate_beta needs a nonempty constant block")
     M, N = regressor_matrices(series, partition)
-    if moments is None:
-        moments = smoothed_moments(series, partition, weights, b)
+    moments = smoothed_moments(series, partition, weights, b)
     q1, q2 = projection_ratios(moments)
     W = resolve_weights(series, partition.p, weights)
     x2t = series.values[partition.p :] ** 2
@@ -456,12 +457,11 @@ def estimate_alpha(
     series: ReturnSeries,
     partition: CoefficientPartition,
     beta: np.ndarray,
-    weights,
     b_prime: float,
 ) -> AlphaFit:
-    """Time-varying block on the grid u_t = t/T: alpha_t = q1 - q2 beta."""
+    """Time-varying block on the grid u_t = t/T: alpha_t = q1 - q2 beta, level-weighted."""
     beta = _require_beta(beta, partition)
-    moments = smoothed_moments(series, partition, weights, b_prime)
+    moments = smoothed_moments(series, partition, LEVEL, b_prime)
     q1, q2 = projection_ratios(moments)
     alpha = _plug_back(q1, q2, beta) if partition.n else q1
     u = np.arange(partition.p + 1, series.T + 1) / series.T
@@ -477,7 +477,6 @@ def _var_xi_sq(x_sq: np.ndarray, sigma_sq: np.ndarray) -> float:
 def alpha_standard_errors(
     series: ReturnSeries,
     partition: CoefficientPartition,
-    weights,
     fit: AlphaFit,
     sigma_sq: np.ndarray,
     var_xi_sq: float,
@@ -485,11 +484,11 @@ def alpha_standard_errors(
     """Pointwise standard errors of alpha_hat from its asymptotic variance.
 
     V(u) = Var(xi^2) ||K||_2^2 E^-1(WMM') E(W^2 sigma^4 MM') E^-1(WMM'),
-    with kernel-smoothed empirical counterparts; SE = sqrt(diag(V)/(T b')).
-    E(WMM') is the gram ``fit`` was solved with.
+    with kernel-smoothed empirical counterparts and the level weights W;
+    SE = sqrt(diag(V)/(T b')).  E(WMM') is the gram ``fit`` was solved with.
     """
     M, _ = regressor_matrices(series, partition)
-    W = resolve_weights(series, partition.p, weights)
+    W = level_weights(series, partition.p)
     win = kernels.kernel_window(series.T, fit.bandwidth)
     eye = np.broadcast_to(np.eye(partition.m), fit.gram.shape)
     sandwich = _local_sandwich(_solve_gated(fit.gram, eye, partition.p + 1), M, W**2 * sigma_sq**2, win)
@@ -710,7 +709,7 @@ def fit_semiparametric(
     else:
         fit = base
 
-    alpha0 = estimate_alpha(series, partition, fit.beta, LEVEL, b_prime)
+    alpha0 = estimate_alpha(series, partition, fit.beta, b_prime)
     sigma_final, floored_alpha = _floored_sigma_sq(series, M, N, alpha0.alpha, fit.beta)
     var_xi = _var_xi_sq(fit.x_sq, sigma_final)
 
@@ -727,7 +726,7 @@ def fit_semiparametric(
         sigma_final, _ = _floored_sigma_sq(series, M, N, alpha, fit.beta)
     else:
         alpha = alpha0.alpha
-        alpha_se = alpha_standard_errors(series, partition, LEVEL, alpha0, sigma_final, var_xi)
+        alpha_se = alpha_standard_errors(series, partition, alpha0, sigma_final, var_xi)
         floored_mu = 0
 
     sigma_for_cov, floored_cov = fitted_sigma_sq(series, partition, fit)

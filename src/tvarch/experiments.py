@@ -198,6 +198,8 @@ class ExperimentSpec:
             raise InputError("statistical acceptance runs need at least 30 replications")
         if self.calibration not in ("monte-carlo", "asymptotic"):
             raise InputError(f"unknown calibration {self.calibration!r}; pick monte-carlo or asymptotic")
+        if self.design == "constancy-power" or (self.design == "dynamic-coverage" and self.calibration == "monte-carlo"):
+            _require_replicates(self.B)
         _require_levels(self.levels)
         _require_workers(self.workers)
         T_list = tuple(int(t) for t in self.T_list) or DESIGNS[self.design][1]

@@ -42,11 +42,12 @@ or one chunk.
 the chunk path would save a third of the slab's rows and enough work to
 repay its fixed cost; the short windows of T = 500 series never get past this
 test.  Only then does an O(L) check confirm the quadratic to a few ulps; a
-window that fails it keeps the GEMM.  An input with a non-finite value takes
-one np.convolve per column.  A GEMM sum is a dot product of the same terms in
-BLAS's order, so it can differ from the convolution, and between BLAS thread
-counts, in the last bits: outputs are byte-identical at a fixed BLAS thread
-setting, whatever the package's own ``workers``.
+window that fails it keeps the GEMM.  Both paths take finite input only: in
+a GEMM block one NaN or inf would reach every center of the block, so a
+non-finite value raises NumericalError.  A GEMM sum is a dot product of the
+same terms in BLAS's order, so it can differ between BLAS thread counts in
+the last bits: outputs are byte-identical at a fixed BLAS thread setting,
+whatever the package's own ``workers``.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import functools
 
 import numpy as np
 
-from .errors import EmptyWindowError, InputError
+from .errors import EmptyWindowError, InputError, NumericalError
 
 __all__ = [
     "epanechnikov",
@@ -151,12 +152,6 @@ def _trim_window(window: np.ndarray, n: int) -> np.ndarray:
     if half <= n - 1:
         return window
     return window[half - (n - 1) : half + n]
-
-
-def _conv_centered(a: np.ndarray, window: np.ndarray) -> np.ndarray:
-    # out[t] = sum_j a[j] * window[half + t - j], valid for any window length.
-    half = (window.shape[0] - 1) // 2
-    return np.convolve(a, window, mode="full")[half : half + a.shape[0]]
 
 
 # Centers per block of the GEMM smoother.
@@ -337,10 +332,10 @@ def local_sums(values: np.ndarray, window: np.ndarray) -> np.ndarray:
     the result is laid out the same way.  A long window that is a quadratic
     off its hole, as every :func:`kernel_window` and
     :func:`leave_out_window` is, takes the chunk-moment smoother; any other
-    finite input the blocked GEMM.  An input with any non-finite value
-    takes one np.convolve per column instead, so a non-finite value reaches
-    only the centers its window covers.  The window has odd length 2 half +
-    1, its center at index half; an even length raises InputError.
+    input the blocked GEMM.  A non-finite input value, as from squares or
+    weights that overflowed, raises NumericalError.  The window has odd
+    length 2 half + 1, its center at index half; an even length raises
+    InputError.
     """
     if window.shape[0] % 2 == 0:
         raise InputError(f"smoothing window must have odd length, got {window.shape[0]}")
@@ -351,10 +346,7 @@ def local_sums(values: np.ndarray, window: np.ndarray) -> np.ndarray:
     window = _trim_window(window, n)
     flat = v.reshape(n, -1)
     if not np.isfinite(flat).all():
-        out = np.empty_like(flat)
-        for j in range(flat.shape[1]):
-            out[:, j] = _conv_centered(flat[:, j], window)
-        return out.reshape(v.shape)
+        raise NumericalError("smoothing input is not finite: the squares or weights overflowed; rescale the series")
     columns = np.ascontiguousarray(flat.T)
     half = (window.shape[0] - 1) // 2
     # A hole only adds slab rows: a window too short for the chunk path

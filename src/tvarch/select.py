@@ -17,6 +17,7 @@ from .estimate import (
     _STACK_CENTERS,
     _certify,
     _cholesky_solve,
+    _level_weights,
     _solve_design,
     _solve_gated,
     level_weights,
@@ -109,7 +110,6 @@ def cv_bandwidth_semiparametric(
     """
     if p < 1:
         raise InputError("semiparametric cross-validation needs p >= 1")
-    series.require_length(p)
     return _cv_semiparametric([series], p, grid)[0]
 
 
@@ -127,6 +127,7 @@ def _cv_semiparametric(chunk, p: int, grid: BandwidthGrid | None = None) -> list
     naming its last failure in grid order.
     """
     grid = grid or BandwidthGrid()
+    chunk[0].require_length(p)
     T = chunk[0].T
     R = len(chunk)
     n_t = T - p
@@ -134,7 +135,7 @@ def _cv_semiparametric(chunk, p: int, grid: BandwidthGrid | None = None) -> list
     x2t = x_sq[:, p:]
     # N[r, j - 1] = x^2_{t-j} over t = p+1..T, a view of x_sq.
     N = np.lib.stride_tricks.sliding_window_view(x_sq, n_t, axis=1)[:, p - 1 :: -1]
-    W = np.stack([level_weights(s, p) for s in chunk])
+    W = _level_weights(x_sq, p)
     g = np.empty((R, 2 + p, n_t))
     g[:, 0] = W
     np.multiply(W, x2t, out=g[:, 1])

@@ -28,10 +28,10 @@ from .estimate import (
     _RCOND_GATE,
     _STACK_CENTERS,
     LEVEL,
-    SmoothedMoments,
     _certify,
     _cholesky,
     _cholesky_solve,
+    _level_weights,
     _local_sandwich,
     _residual_design,
     _solve_design,
@@ -108,26 +108,18 @@ def constancy_statistic(
 ) -> ConstancyStatistic:
     """L2 distance statistic between the full kernel fit and the constant fit.
 
-    S_T, the bias/variance functionals and the pivotal E_T come in two steps.
-    The partition-free local fit (:func:`nonparametric_fit`) smooths the full
-    design once and yields a_tilde and G^-1.  The per-partition beta step
-    (:func:`estimate_beta`) reads its local moments off that fit, s3 = G[v, v],
-    s2 = G[v, c] and s1 = cross[v], and gates G[v, v] itself.  Whenever G
-    passed the trace-bound certificate, so does G[v, v]: tr G_vv <= tr G, and
-    tr G_vv^-1 <= tr (G^-1)_vv <= tr G^-1 (a Schur complement).
-    One more smoothing gives the fit covariance block O_cc = Z' S Z, Z =
-    G^-1[:, c].
+    S_T, the bias/variance functionals and the pivotal E_T come from the
+    full local fit (:func:`nonparametric_fit`: a_tilde and G^-1) and the
+    constant fit (:func:`estimate_beta`: beta).  One more smoothing gives the
+    fit covariance block O_cc = Z' S Z, Z = G^-1[:, c].
     """
     _require_constant_block(partition)
     p = partition.p
     T = series.T
-    v = np.asarray(partition.varying, dtype=int)
     c = np.asarray(partition.constant, dtype=int)
 
     npfit = nonparametric_fit(series, p, weights, b)
-    cross = np.concatenate([npfit.cross[:, v], npfit.gram[:, v[:, None], c]], axis=2)  # [s1 | s2]
-    moments = SmoothedMoments(s3=npfit.gram[:, v[:, None], v], cross=cross, first_t=p + 1)
-    bfit = estimate_beta(series, partition, weights, b, moments=moments)
+    bfit = estimate_beta(series, partition, weights, b)
     X = canonical_matrix(series, p)
     W = bfit.weights
     x2t = bfit.x_sq
@@ -166,23 +158,24 @@ def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float
 
     One local_sums call smooths the R full-fit designs; one certified solve
     over all R n_t centers against [cross | e_c] gives a_tilde and Z =
-    G^-1[:, c] (no other column of G^-1), one of G[v, v] gives q1 and q2
-    (G's certificate covers G[v, v], as :func:`constancy_statistic` shows,
-    so it is only factored), one gate the residual designs, and one more
-    local_sums call the sandwich.  None where a row could take another path
-    alone (a zero row, a failed certificate, pivot or gate); a varpi2 <= 0
-    raises.
+    G^-1[:, c] (no other column of G^-1), one of G[v, v] gives q1 and q2,
+    one gate the residual designs, and one more local_sums call the
+    sandwich.  G[v, v], read off the full fit, is only factored: whenever G
+    passed the trace-bound certificate, so does G[v, v], since tr G_vv <= tr
+    G and tr G_vv^-1 <= tr (G^-1)_vv <= tr G^-1 (a Schur complement).  None
+    where a row could take another path alone (a zero row, a failed
+    certificate, pivot or gate); a varpi2 <= 0 raises.
     """
     R, T = values.shape
     p = partition.p
     k, n_t, n = p + 1, T - p, partition.n
     ReturnSeries(values[0]).require_length(p)
     x_sq = values**2
-    v_hat = x_sq.mean(axis=1, keepdims=True)
-    if not np.all(v_hat > 0.0):
+    try:
+        W = _level_weights(x_sq, p)
+    except DegenerateSeriesError:
         return None
     lags = [x_sq[:, p - j : T - j] for j in range(1, k)]
-    W = functools.reduce(np.add, lags, np.repeat(v_hat, n_t, axis=1)) ** -2.0  # level_weights' sum, in its order
     X = np.moveaxis(np.stack([np.ones((R, n_t)), *lags]), 0, -1)  # (R, n_t, k) over a (k, R, n_t) block
     x2t = x_sq[:, p:]
     win = kernels.kernel_window(T, b)

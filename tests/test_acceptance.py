@@ -147,7 +147,7 @@ def test_criterion_02_oracle_equivalence():
         ref = reference.dense_semiparametric(x, varying, constant, W, b)
         fit = estimate_beta(s, part, "level", b)
         worst = max(worst, float(np.abs(fit.beta - ref["beta"]).max()))
-        af = estimate_alpha(s, part, fit.beta, "level", b)
+        af = estimate_alpha(s, part, fit.beta, b)
         worst = max(worst, float(np.abs(af.alpha - ref["alpha"]).max()))
 
         npfit = nonparametric_fit(s, p, "level", b)

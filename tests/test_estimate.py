@@ -182,7 +182,7 @@ def test_estimate_beta_residual_orthogonality(series_mid):
 
 def test_estimate_alpha_pure_nonparametric(series_small):
     part = CoefficientPartition.fully_varying(1)
-    af = estimate_alpha(series_small, part, np.empty(0), "level", 0.3)
+    af = estimate_alpha(series_small, part, np.empty(0), 0.3)
     q1, _ = projection_ratios(smoothed_moments(series_small, part, "level", 0.3))
     np.testing.assert_allclose(af.alpha, q1, atol=1e-12)
 
@@ -197,7 +197,7 @@ def test_estimate_alpha_constant_truth_recovery():
     for r in range(200):
         s = simulate_path(m, SimulationConfig(T=300, seed=derive_seed(71, r)))
         fit = estimate_beta(s, part, "level", 0.2)
-        af = estimate_alpha(s, part, fit.beta, "level", 0.2)
+        af = estimate_alpha(s, part, fit.beta, 0.2)
         means.append(af.alpha[:, 0].mean())
     means = np.asarray(means)
     se = means.std(ddof=1) / np.sqrt(means.shape[0])
@@ -217,7 +217,7 @@ def test_alpha_tracks_sinusoidal_intercept(sptv2_model):
         s = simulate_path(sptv2_model, SimulationConfig(T=1500, seed=derive_seed(81, r)))
         b = cv_bandwidth_semiparametric(s, 2).bandwidth
         fit = estimate_beta(s, part, "level", b)
-        af = estimate_alpha(s, part, fit.beta, "level", b)
+        af = estimate_alpha(s, part, fit.beta, b)
         interior = (af.u >= 0.1) & (af.u <= 0.9)
         truth = sptv2_model.coeffs[0](af.u[interior])
         est = af.alpha[interior, 0]
@@ -303,7 +303,7 @@ def test_plugin_alpha_constant_volatility_limit():
     s = simulate_path(m, SimulationConfig(T=600, seed=13))
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
     fit = estimate_beta(s, part, "level", 0.2)
-    af = estimate_alpha(s, part, fit.beta, "level", 0.2)
+    af = estimate_alpha(s, part, fit.beta, 0.2)
     alpha_star, se, _ = estimate_alpha_plugin(
         s, part, fit.beta, 0.2, alpha_init=af.alpha, var_xi_sq=2.0
     )
@@ -317,7 +317,7 @@ def test_plugin_alpha_scalar_variance_formula():
     s = simulate_path(m, SimulationConfig(T=400, seed=29))
     part = CoefficientPartition(p=1, varying=(0,), constant=(1,))
     fit = estimate_beta(s, part, "level", 0.25)
-    af = estimate_alpha(s, part, fit.beta, "level", 0.25)
+    af = estimate_alpha(s, part, fit.beta, 0.25)
     var_xi = 1.7
     alpha_star, se, _ = estimate_alpha_plugin(
         s, part, fit.beta, 0.25, alpha_init=af.alpha, var_xi_sq=var_xi
@@ -347,7 +347,7 @@ def test_plugin_alpha_general_block_oracle(series_mid):
     part = CoefficientPartition(p=2, varying=(0, 1), constant=(2,))
     b = 0.2
     fit = estimate_beta(series_mid, part, "level", b)
-    af = estimate_alpha(series_mid, part, fit.beta, "level", b)
+    af = estimate_alpha(series_mid, part, fit.beta, b)
     alpha_star, se, _ = estimate_alpha_plugin(
         series_mid, part, fit.beta, b, alpha_init=af.alpha, var_xi_sq=2.0
     )
@@ -385,7 +385,7 @@ def test_plugin_alpha_dense_oracle_every_center(varying, constant, mu):
     part = CoefficientPartition(p=p, varying=varying, constant=constant)
     b = 0.3
     fit = estimate_beta(s, part, "level", b)
-    af = estimate_alpha(s, part, fit.beta, "level", b)
+    af = estimate_alpha(s, part, fit.beta, b)
     alpha, se, floored = estimate_alpha_plugin(
         s, part, fit.beta, b, alpha_init=af.alpha, var_xi_sq=1.7, mu=mu
     )
@@ -471,13 +471,13 @@ def alpha_stage(sptv2_model):
     s = simulate_path(sptv2_model, SimulationConfig(T=300, seed=2))
     part = CoefficientPartition.semiparametric(2)
     beta = estimate_beta(s, part, "level", 0.2).beta
-    return s, part, beta, estimate_alpha(s, part, beta, "level", 0.2).alpha
+    return s, part, beta, estimate_alpha(s, part, beta, 0.2).alpha
 
 
 def test_alpha_stage_rejects_a_beta_of_the_wrong_length(alpha_stage):
     s, part, beta, alpha = alpha_stage
     with pytest.raises(InputError, match="beta must hold n=2"):
-        estimate_alpha(s, part, beta[:1], "level", 0.2)
+        estimate_alpha(s, part, beta[:1], 0.2)
     with pytest.raises(InputError, match="beta must hold n=2"):
         estimate_alpha_plugin(s, part, beta[:1], 0.2, alpha_init=alpha, var_xi_sq=1.7)
 
@@ -627,5 +627,5 @@ def test_oracle_equivalence_random_instances():
         ref = reference.dense_semiparametric(x, varying, constant, W, b)
         fit = estimate_beta(s, part, "level", b)
         np.testing.assert_allclose(fit.beta, ref["beta"], atol=1e-10)
-        af = estimate_alpha(s, part, fit.beta, "level", b)
+        af = estimate_alpha(s, part, fit.beta, b)
         np.testing.assert_allclose(af.alpha, ref["alpha"], atol=1e-10)

@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 
-import tvarch.errors
 import tvarch.experiments
 import tvarch.testing
 from tvarch import (
@@ -16,7 +15,7 @@ from tvarch import (
     TvArchModel,
     simulate_path,
 )
-from tvarch.errors import InputError, TvArchError
+from tvarch.errors import InputError
 from tvarch.experiments import ExperimentSpec, run_experiment, run_pipeline
 
 
@@ -45,6 +44,23 @@ def test_experiment_spec_rejects_levels_outside_the_unit_interval(levels):
 def test_experiment_spec_rejects_workers_below_one(workers):
     with pytest.raises(InputError, match="workers"):
         ExperimentSpec(design="rmse", workers=workers)
+
+
+@pytest.mark.parametrize("design", ["constancy-power", "dynamic-coverage"])
+def test_experiment_spec_rejects_fewer_than_100_replicates_before_any_work(monkeypatch, design):
+    def cv(*args, **kwargs):
+        raise AssertionError("cross-validation ran")
+
+    for name in ("cv_bandwidth_tvarch", "_cv_semiparametric"):
+        monkeypatch.setattr(tvarch.experiments, name, cv)
+    with pytest.raises(InputError, match="B >= 100"):
+        run_experiment(ExperimentSpec(design=design, T_list=(200,), replications=30, B=50))
+
+
+@pytest.mark.parametrize("design, calibration", [("rmse", "monte-carlo"), ("order-selection", "monte-carlo"),
+                                                 ("dynamic-coverage", "asymptotic")])
+def test_experiment_spec_takes_any_B_without_a_monte_carlo_calibration(design, calibration):
+    assert ExperimentSpec(design=design, calibration=calibration, B=50).B == 50
 
 
 def test_pipeline_rejects_workers_below_one_before_any_stage(monkeypatch):
@@ -210,8 +226,9 @@ def test_pipeline_singular_grid_names_the_failing_center():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-160, 1e160])
 def test_pipeline_extreme_scale_fails_as_tvarch_error(sptv2_model, scale):
-    # x^2 under- or overflows here, so the local Grams are non-finite or zero.
+    # x^2 or the level weights overflow here; the bundle names the overflow.
     s = simulate_path(sptv2_model, SimulationConfig(T=500, seed=5))
     bundle = run_pipeline(ReturnSeries(scale * s.values), q_max=3, B=100, seed=1)
-    if "error" in bundle:
-        assert issubclass(getattr(tvarch.errors, bundle["error"]["type"]), TvArchError)
+    assert bundle["error"]["stage"] == "order-selection"
+    assert bundle["error"]["type"] == "NumericalError"
+    assert "overflowed; rescale the series" in bundle["error"]["message"]

@@ -169,7 +169,7 @@ def test_semiparametric_fit_matches_dense(seed, T, p, b, data):
     part = CoefficientPartition(p=p, varying=varying, constant=constant)
     try:
         fit = estimate_beta(s, part, "level", b)
-        af = estimate_alpha(s, part, fit.beta, "level", b)
+        af = estimate_alpha(s, part, fit.beta, b)
     except NumericalError:
         assume(False)
     assume(fit.rcond_min > _RCOND_MIN)

@@ -184,10 +184,8 @@ def test_constancy_singular_gram_reports_the_eigenvalue_gate(constant):
 @pytest.mark.parametrize("scale", [1.0, 1e-3])
 @pytest.mark.parametrize("constant", [(2,), (1, 2)])
 def test_constancy_beta_step_reads_the_moments_estimate_beta_smooths(scale, constant):
-    # With every varying index before every constant one, G[v, v], G[v, c] and
-    # cross[v] are bit for bit the moments estimate_beta smooths, so beta_hat
-    # agrees exactly.  At scale 1e-3 G is near the gate (rcond ~1e-12): the
-    # certificate fails and G[v, v] passes the eigenvalue gate on its own.
+    # beta_hat is estimate_beta's, bit for bit, also at scale 1e-3, where the
+    # full fit's G is near the gate (rcond ~1e-12) and its certificate fails.
     s, part = _quiet_stretch(scale, constant)
     assert (_certify(nonparametric_fit(s, 2, "level", 0.1).gram) is not None) == (scale == 1.0)
     stat = constancy_statistic(s, part, "level", 0.1)
