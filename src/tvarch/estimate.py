@@ -292,6 +292,7 @@ class SmoothedMoments:
     s3: np.ndarray  # (n_t, m, m)
     cross: np.ndarray  # (n_t, m, 1 + n)
     first_t: int
+    weights: np.ndarray  # (n_t,): the W smoothed with
 
     @property
     def s1(self) -> np.ndarray:  # (n_t, m)
@@ -315,7 +316,7 @@ def smoothed_moments(
     Y = np.concatenate([series.values[p:, None] ** 2, N], axis=1)
     win = kernels.kernel_window(series.T, b)
     s3, cross = local_wls(M, Y, W, win)
-    return SmoothedMoments(s3=s3, cross=cross, first_t=p + 1)
+    return SmoothedMoments(s3=s3, cross=cross, first_t=p + 1, weights=W)
 
 
 def projection_ratios(moments: SmoothedMoments) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +368,7 @@ def estimate_beta(
     M, N = regressor_matrices(series, partition)
     moments = smoothed_moments(series, partition, weights, b)
     q1, q2 = projection_ratios(moments)
-    W = resolve_weights(series, partition.p, weights)
+    W = moments.weights
     x2t = series.values[partition.p :] ** 2
 
     v_resid, o_resid, gram, rhs = _residual_design(M, N, x2t, W, q1, q2)
@@ -450,7 +451,8 @@ class AlphaFit:
     u: np.ndarray  # (n_t,): grid t/T
     alpha: np.ndarray  # (n_t, m)
     bandwidth: float
-    gram: np.ndarray  # (n_t, m, m): smoothed W M M' at the bandwidth
+    gram_inv: np.ndarray  # (n_t, m, m): the smoothed W M M' at the bandwidth, inverted
+    weights: np.ndarray  # (n_t,): the level weights W
 
 
 def estimate_alpha(
@@ -459,13 +461,17 @@ def estimate_alpha(
     beta: np.ndarray,
     b_prime: float,
 ) -> AlphaFit:
-    """Time-varying block on the grid u_t = t/T: alpha_t = q1 - q2 beta, level-weighted."""
+    """Time-varying block on the grid u_t = t/T: alpha_t = q1 - q2 beta, level-weighted.
+
+    One gated solve against [s1 | s2 | I] also gives the s3^-1 of its standard errors."""
     beta = _require_beta(beta, partition)
     moments = smoothed_moments(series, partition, LEVEL, b_prime)
-    q1, q2 = projection_ratios(moments)
+    eye = np.broadcast_to(np.eye(partition.m), moments.s3.shape)
+    sol = _solve_gated(moments.s3, np.concatenate([moments.cross, eye], axis=2), moments.first_t)
+    q1, q2, gram_inv = sol[..., 0], sol[..., 1 : 1 + partition.n], sol[..., 1 + partition.n :]
     alpha = _plug_back(q1, q2, beta) if partition.n else q1
     u = np.arange(partition.p + 1, series.T + 1) / series.T
-    return AlphaFit(u=u, alpha=alpha, bandwidth=b_prime, gram=moments.s3)
+    return AlphaFit(u=u, alpha=alpha, bandwidth=b_prime, gram_inv=gram_inv, weights=moments.weights)
 
 
 def _var_xi_sq(x_sq: np.ndarray, sigma_sq: np.ndarray) -> float:
@@ -485,13 +491,11 @@ def alpha_standard_errors(
 
     V(u) = Var(xi^2) ||K||_2^2 E^-1(WMM') E(W^2 sigma^4 MM') E^-1(WMM'),
     with kernel-smoothed empirical counterparts and the level weights W;
-    SE = sqrt(diag(V)/(T b')).  E(WMM') is the gram ``fit`` was solved with.
+    SE = sqrt(diag(V)/(T b')).  E^-1(WMM') and W are the ones ``fit`` was solved with.
     """
     M, _ = regressor_matrices(series, partition)
-    W = level_weights(series, partition.p)
     win = kernels.kernel_window(series.T, fit.bandwidth)
-    eye = np.broadcast_to(np.eye(partition.m), fit.gram.shape)
-    sandwich = _local_sandwich(_solve_gated(fit.gram, eye, partition.p + 1), M, W**2 * sigma_sq**2, win)
+    sandwich = _local_sandwich(fit.gram_inv, M, fit.weights**2 * sigma_sq**2, win)
     v_u = var_xi_sq * kernels.k_l2_norm_sq() * sandwich
     diag = np.clip(np.diagonal(v_u, axis1=1, axis2=2), 0.0, None)
     return np.sqrt(diag / (series.T * fit.bandwidth))

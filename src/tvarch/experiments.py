@@ -30,7 +30,7 @@ from .estimate import (
     estimate_beta_plugin,
     fit_semiparametric,
 )
-from .model import CoefficientFunction, CoefficientPartition, NoiseSpec, ReturnSeries, TvArchModel
+from .model import CoefficientFunction, CoefficientPartition, NoiseSpec, ReturnSeries, TvArchModel, _require_length
 from .select import (
     BandwidthGrid,
     _cv_semiparametric,
@@ -202,7 +202,12 @@ class ExperimentSpec:
             _require_replicates(self.B)
         _require_levels(self.levels)
         _require_workers(self.workers)
-        T_list = tuple(int(t) for t in self.T_list) or DESIGNS[self.design][1]
+        if self.q_max < 0:
+            raise InputError("q_max must be >= 0")
+        _, default_T, p = DESIGNS[self.design]
+        T_list = tuple(int(t) for t in self.T_list) or default_T
+        for T in T_list:
+            _require_length(T, self.q_max if p is None else p)
         object.__setattr__(self, "T_list", T_list)
 
 
@@ -441,12 +446,12 @@ def _noise_name(noise: NoiseSpec) -> str:
     return noise.law if noise.law == "gaussian" else f"t({noise.df})"
 
 
-# Each design's runner and its default sample sizes.
+# Each design's runner, default sample sizes and lag order (None: q_max).
 DESIGNS = {
-    "rmse": (_rmse_design, (500, 1500)),
-    "constancy-power": (_constancy_design, (1000, 2000)),
-    "dynamic-coverage": (_coverage_design, (500, 1000)),
-    "order-selection": (_order_design, (500, 1000, 2000)),
+    "rmse": (_rmse_design, (500, 1500), 2),
+    "constancy-power": (_constancy_design, (1000, 2000), 1),
+    "dynamic-coverage": (_coverage_design, (500, 1000), 2),
+    "order-selection": (_order_design, (500, 1000, 2000), None),
 }
 
 

@@ -279,10 +279,15 @@ class ReturnSeries:
         return self.values.shape[0]
 
     def require_length(self, p: int) -> None:
-        if p < 0:
-            raise InputError("lag order p must be >= 0")
-        if self.T < p + 2:
-            raise InputError(f"need T >= p+2 = {p + 2} observations, got {self.T}")
+        _require_length(self.T, p)
+
+
+def _require_length(T: int, p: int) -> None:
+    """Raise InputError unless p >= 0 and a series of length T has the p+2 observations a lag-p fit needs."""
+    if p < 0:
+        raise InputError("lag order p must be >= 0")
+    if T < p + 2:
+        raise InputError(f"need T >= p+2 = {p + 2} observations, got {T}")
 
 
 def _lag_column(x_sq: np.ndarray, p: int, j: int) -> np.ndarray:

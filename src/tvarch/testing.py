@@ -28,9 +28,6 @@ from .estimate import (
     _RCOND_GATE,
     _STACK_CENTERS,
     LEVEL,
-    _certify,
-    _cholesky,
-    _cholesky_solve,
     _level_weights,
     _local_sandwich,
     _residual_design,
@@ -153,28 +150,24 @@ def _pivotal_e_t(diff: np.ndarray, o_cc: np.ndarray, T: int, b: float):
     return s_t, varpi1, varpi2, e_t
 
 
-def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float) -> np.ndarray | None:
+def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float) -> np.ndarray:
     """E_T of :func:`constancy_statistic`, level-weighted, for every row of a (R, T) array, stacked.
 
-    One local_sums call smooths the R full-fit designs; one certified solve
-    over all R n_t centers against [cross | e_c] gives a_tilde and Z =
-    G^-1[:, c] (no other column of G^-1), one of G[v, v] gives q1 and q2,
-    one gate the residual designs, and one more local_sums call the
-    sandwich.  G[v, v], read off the full fit, is only factored: whenever G
-    passed the trace-bound certificate, so does G[v, v], since tr G_vv <= tr
-    G and tr G_vv^-1 <= tr (G^-1)_vv <= tr G^-1 (a Schur complement).  None
-    where a row could take another path alone (a zero row, a failed
-    certificate, pivot or gate); a varpi2 <= 0 raises.
+    One local_sums call smooths the R full-fit designs; one gated solve over
+    all R n_t centers against [cross | e_c] gives a_tilde and Z = G^-1[:, c]
+    (no other column of G^-1), one of G[v, v] gives q1 and q2, one gate the
+    residual designs, and one more local_sums call the sandwich.  Raises the
+    first error of the stack: a zero row's DegenerateSeriesError, the
+    SingularMomentError of the first failing center (its t counts the R n_t
+    centers of the flattened stack), the first residual design's
+    SingularDesignError, or a varpi2 <= 0.
     """
     R, T = values.shape
     p = partition.p
     k, n_t, n = p + 1, T - p, partition.n
     ReturnSeries(values[0]).require_length(p)
     x_sq = values**2
-    try:
-        W = _level_weights(x_sq, p)
-    except DegenerateSeriesError:
-        return None
+    W = _level_weights(x_sq, p)
     lags = [x_sq[:, p - j : T - j] for j in range(1, k)]
     X = np.moveaxis(np.stack([np.ones((R, n_t)), *lags]), 0, -1)  # (R, n_t, k) over a (k, R, n_t) block
     x2t = x_sq[:, p:]
@@ -183,28 +176,23 @@ def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float
     gram, cross = local_wls(X, x2t[..., None], W, win)
     # The (k, k, R, n_t) block local_wls wrote: every entry a column over all R n_t centers.
     G = np.moveaxis(gram, (-2, -1), (0, 1)).reshape(k, k, R * n_t)
-    factor = _certify(G.transpose(2, 0, 1))
-    if factor is None:
-        return None
     c = np.asarray(partition.constant, dtype=int)
     v = np.asarray(partition.varying, dtype=int)
     rhs = np.zeros((k, 1 + n, R * n_t))
     rhs[:, 0] = np.moveaxis(cross, (-2, -1), (0, 1)).reshape(k, R * n_t)
     rhs[c, np.arange(1, 1 + n)] = 1.0
     del gram, cross  # cross keeps the whole smoothed block alive (page faults: see _STACK_CENTERS)
-    sol = _cholesky_solve(factor, rhs.transpose(2, 0, 1)).reshape(R, n_t, k, 1 + n)
+    sol = _solve_gated(G.transpose(2, 0, 1), rhs.transpose(2, 0, 1), p + 1).reshape(R, n_t, k, 1 + n)
     a_tilde, Z = sol[..., 0], sol[..., 1:]
 
-    factor = _cholesky(G[v[:, None], v])
-    if factor is None:
-        return None
-    q = _cholesky_solve(factor, np.concatenate([rhs[v, :1], G[v[:, None], c]], axis=1).transpose(2, 0, 1))
+    q_rhs = np.concatenate([rhs[v, :1], G[v[:, None], c]], axis=1)
+    q = _solve_gated(G[v[:, None], v].transpose(2, 0, 1), q_rhs.transpose(2, 0, 1), p + 1)
     q = q.reshape(R, n_t, v.shape[0], 1 + n)
     _, _, design, beta_rhs = _residual_design(X[..., v], X[..., c], x2t, W, q[..., 0], q[..., 1:])
     beta, errors = _solve_design(design, beta_rhs[..., None], "residual design")
     if any(errors):
-        return None
-    del G, rhs, q  # the full fit's buffers go before the sandwich's are made
+        raise next(err for err in errors if err)
+    del G, rhs, q_rhs, q  # the full fit's buffers go before the sandwich's are made
 
     sig_tilde = np.einsum("rtk,rtk->rt", X, a_tilde)
     o_cc = _local_sandwich(Z, X, W**2 * (x2t - sig_tilde) ** 2, win)
@@ -318,8 +306,9 @@ def _pivotal_values(name, draws, p, partition, b) -> list:
 
     Second-order draws run stacked through :func:`_second_order_psi`;
     constancy draws through :func:`_constancy_e_t` in stacks of
-    _STACK_CENTERS centers, or one at a time where it returns None or
-    raises; Wald draws one at a time.
+    _STACK_CENTERS centers.  A stack that raises never passes its error on:
+    each of its draws reruns alone through the same core, and so gets its
+    own value or raises its own error.  Wald draws run one at a time.
     """
     if name == "second-order":
         _, psi, _, errors = _second_order_psi(np.stack(draws), p, b)
@@ -327,18 +316,14 @@ def _pivotal_values(name, draws, p, partition, b) -> list:
     if name == "wald-zero":
         return _each(lambda s: _wald_statistic(s, partition, b)[0], draws)
 
-    def single(series):
-        return constancy_statistic(series, partition, LEVEL, b).e_t
-
     per = max(1, _STACK_CENTERS // (draws[0].shape[0] - p))
     out = []
     for lo in range(0, len(draws), per):
         stack = draws[lo : lo + per]
         try:
-            e_t = _constancy_e_t(np.stack(stack), partition, b)
-        except NumericalError:  # a varpi2 <= 0, or an empty window
-            e_t = None
-        out += _each(single, stack) if e_t is None else [float(v) for v in e_t]
+            out += [float(v) for v in _constancy_e_t(np.stack(stack), partition, b)]
+        except NumericalError:
+            out += _each(lambda s: float(_constancy_e_t(s.values[None], partition, b)[0]), stack)
     return out
 
 

@@ -271,7 +271,7 @@ def test_stacked_constancy_matches_single_and_dense(seed, T, p, b, R):
         except NumericalError:
             continue
         with mock.patch.object(testing, "_STACK_CENTERS", 3 * (T - p)):
-            with mock.patch.object(testing, "constancy_statistic", side_effect=AssertionError("fell back")):
+            with mock.patch.object(testing, "_each", side_effect=AssertionError("fell back")):
                 got = testing._pivotal_values("constancy", list(xs), p, part, b)
         for r, (x, e_t, stat) in enumerate(zip(xs, got, alone)):
             assert abs(e_t - stat.e_t) <= 1e-12 * _e_t_scale(stat, T, b), (part, r)
@@ -288,21 +288,57 @@ def _quiet(x: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("bad", ["zero", "singular"])
-def test_stacked_constancy_falls_back_to_the_single_statistic(bad):
+def test_stacked_constancy_falls_back_to_each_draw_alone(bad):
     T, p, b = 200, 2, 0.1
     xs = np.random.default_rng(44).normal(size=(4, T))
     xs[2] = 0.0 if bad == "zero" else _quiet(xs[2])
     part = CoefficientPartition(p=2, varying=(0,), constant=(1, 2))
-    assert testing._constancy_e_t(xs, part, b) is None
+    with pytest.raises(DegenerateSeriesError if bad == "zero" else SingularMomentError):
+        testing._constancy_e_t(xs, part, b)
     got = testing._pivotal_values("constancy", list(xs), p, part, b)
     assert isinstance(got[2], DegenerateSeriesError if bad == "zero" else SingularMomentError)
     for x, value in zip(xs, got):
         try:
-            want = constancy_statistic(ReturnSeries(x), part, "level", b).e_t
+            stat = constancy_statistic(ReturnSeries(x), part, "level", b)
         except NumericalError as err:
             assert type(value) is type(err) and str(value) == str(err)
         else:
-            assert value == want
+            assert value == testing._constancy_e_t(x[None], part, b)[0]
+            assert abs(value - stat.e_t) <= 1e-12 * _e_t_scale(stat, T, b)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds, T=st.integers(40, 80), p=st.integers(1, 3), b=st.floats(0.25, 0.5), R=st.integers(2, 3))
+def test_uncertified_stack_of_passing_draws_is_solved_as_one_stack(seed, T, p, b, R):
+    # The certificate refuses any stack of more than one draw's centers, so
+    # every stacked solve falls to the eigenvalue gate, which each draw passes.
+    xs = np.random.default_rng(seed).normal(size=(R, T))
+    n_t = T - p
+    certify, psd_rcond = estimate._certify, estimate._psd_rcond
+    gated = []
+
+    def gate(stack):
+        gated.append(stack.shape[0])
+        return psd_rcond(stack)
+
+    for part in _constancy_partitions(p):
+        try:
+            alone = [constancy_statistic(ReturnSeries(x), part, "level", b) for x in xs]
+        except NumericalError:
+            continue
+        single = [testing._constancy_e_t(x[None], part, b)[0] for x in xs]
+        gated.clear()
+        with (
+            mock.patch.object(estimate, "_certify", lambda g: None if g.shape[0] > n_t else certify(g)),
+            mock.patch.object(estimate, "_psd_rcond", gate),
+            mock.patch.object(testing, "_each", side_effect=AssertionError("fell back")),
+        ):
+            got = testing._pivotal_values("constancy", list(xs), p, part, b)
+        assert gated.count(R * n_t) == 2, (part, gated)  # the full fit's Gram and its G[v, v] block
+        for r, (e_t, e_alone, stat) in enumerate(zip(got, single, alone)):
+            scale = _e_t_scale(stat, T, b)
+            assert abs(e_t - e_alone) <= 1e-12 * scale, (part, r)
+            assert abs(e_t - stat.e_t) <= 1e-12 * scale, (part, r)
 
 
 def test_constancy_calibration_identical_across_workers_on_the_chunk_smoother(monkeypatch):

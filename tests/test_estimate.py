@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -14,6 +15,7 @@ from tvarch import (
     estimate_beta,
     estimate_beta_plugin,
     covariance_beta,
+    estimate,
     fit_semiparametric,
     level_weights,
     projection_ratios,
@@ -437,6 +439,26 @@ def test_alpha_standard_errors_dense_sandwich():
     assert _max_rel(_local_sandwich(inv, X, w_mid, win), want) <= 1e-10
     # Some columns Z = G^-1[:, c] give the (c, c) block.
     assert _max_rel(_local_sandwich(inv[:, :, 1:], X, w_mid, win), want[:, 1:, 1:]) <= 1e-10
+
+
+@pytest.mark.parametrize("plugin", [False, True])
+def test_fit_semiparametric_builds_the_level_weights_and_certifies_each_gram_once(monkeypatch, plugin):
+    # The level weights at b and at b': estimate_beta smooths with the W its
+    # moments keep, and the alpha step's one solve of its Gram gives both alpha
+    # and the inverse behind its standard errors.
+    x = np.random.default_rng(43).normal(size=400)
+    calls = collections.Counter()
+
+    def counting(name):
+        real = getattr(estimate, name)
+        return lambda *args: calls.update([name]) or real(*args)
+
+    for name in ("_level_weights", "_certify"):
+        monkeypatch.setattr(estimate, name, counting(name))
+    fit_semiparametric(ReturnSeries(x), CoefficientPartition.semiparametric(2), 0.2, b_prime=0.3, plugin=plugin)
+    # With plugin=True the second beta step weighs by 1/sigma^4 and the plug-in
+    # alpha sweep makes its own Gram.
+    assert calls == {"_level_weights": 2, "_certify": 4 if plugin else 2}
 
 
 @pytest.mark.parametrize("k", [1, 3, 11])

@@ -57,6 +57,27 @@ def test_experiment_spec_rejects_fewer_than_100_replicates_before_any_work(monke
         run_experiment(ExperimentSpec(design=design, T_list=(200,), replications=30, B=50))
 
 
+@pytest.mark.parametrize(
+    "spec, match",
+    [
+        ({"design": "rmse", "T_list": (300, 0)}, r"need T >= p\+2 = 4 observations, got 0"),
+        ({"design": "rmse", "T_list": (300, 2)}, r"need T >= p\+2 = 4 observations, got 2"),
+        ({"design": "constancy-power", "T_list": (300, 2)}, r"need T >= p\+2 = 3 observations, got 2"),
+        ({"design": "dynamic-coverage", "T_list": (3,)}, r"need T >= p\+2 = 4 observations, got 3"),
+        ({"design": "order-selection", "T_list": (300, 6), "q_max": 5}, r"need T >= p\+2 = 7 observations, got 6"),
+        ({"design": "order-selection", "T_list": (300,), "q_max": -1}, "q_max must be >= 0"),
+    ],
+)
+def test_experiment_spec_rejects_a_short_series_or_negative_q_max_before_any_work(monkeypatch, spec, match):
+    def simulate(*args, **kwargs):
+        raise AssertionError("a design cell was simulated")
+
+    for name in ("simulate_path", "simulate_paths"):
+        monkeypatch.setattr(tvarch.experiments, name, simulate)
+    with pytest.raises(InputError, match=match):
+        run_experiment(ExperimentSpec(**spec, replications=30, B=100))
+
+
 @pytest.mark.parametrize("design, calibration", [("rmse", "monte-carlo"), ("order-selection", "monte-carlo"),
                                                  ("dynamic-coverage", "asymptotic")])
 def test_experiment_spec_takes_any_B_without_a_monte_carlo_calibration(design, calibration):
