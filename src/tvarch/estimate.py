@@ -223,13 +223,14 @@ def _certify(gram: np.ndarray) -> np.ndarray | None:
 
 
 def _cholesky_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(n_t, k, c) solutions of L L' x = rhs: two substitutions over all columns at once."""
+    """(n_t, k, c) solutions of L L' x = rhs: two substitutions over all columns at once, returned
+    as the transposed view of the (k, c, n_t) buffer they overwrite (no copy back to (n_t, k, c))."""
     y = np.array(rhs.transpose(1, 2, 0), order="C")  # a copy, overwritten in place
     for i in range(L.shape[0]):
         y[i] = (y[i] - np.einsum("pn,pcn->cn", L[i, :i], y[:i])) / L[i, i]
     for i in reversed(range(L.shape[0])):
         y[i] = (y[i] - np.einsum("pn,pcn->cn", L[i + 1 :, i], y[i + 1 :])) / L[i, i]
-    return np.ascontiguousarray(y.transpose(2, 0, 1))
+    return y.transpose(2, 0, 1)
 
 
 def _solve_gated(gram: np.ndarray, rhs: np.ndarray, first_t: int) -> np.ndarray:
@@ -240,6 +241,8 @@ def _solve_gated(gram: np.ndarray, rhs: np.ndarray, first_t: int) -> np.ndarray:
     then the solve is LAPACK's, so every decision, center and rcond reported
     is the eigenvalue gate's.  A certified stack is solved with the
     certificate's own Cholesky factor; rhs columns of the identity give G^-1.
+    The layout depends on the branch (a certified solve's view of a (k, c,
+    n_t) buffer, LAPACK's (n_t, k, c) array), so no caller may assume either.
     """
     factor = _certify(gram)
     if factor is not None:
@@ -276,8 +279,11 @@ def _solve_design(gram: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndar
 def _local_sandwich(Z: np.ndarray, X: np.ndarray, w_mid: np.ndarray, window: np.ndarray) -> np.ndarray:
     """Per-center Z' S Z, S the local mean of w_mid X X': with Z = G^-1[:, c], block cc of G^-1 S G^-1.
 
-    Leading axes stack series."""
-    return np.swapaxes(Z, -1, -2) @ local_wls(X, X[..., :0], w_mid, window)[0] @ Z
+    One einsum over views with the centers last: S's (k, k, ..., n) block and Z as (k, c, ..., n), a
+    certified solve's own buffer.  Leading axes stack series; the result is a view of (c, c, ..., n)."""
+    S = np.moveaxis(local_wls(X, X[..., :0], w_mid, window)[0], (-2, -1), (0, 1))
+    ZT = np.moveaxis(Z, (-2, -1), (0, 1))
+    return np.moveaxis(np.einsum("ac...,ab...,bd...->cd...", ZT, S, ZT), (0, 1), (-2, -1))
 
 
 @dataclass(frozen=True)
@@ -714,22 +720,23 @@ def fit_semiparametric(
         fit = base
 
     alpha0 = estimate_alpha(series, partition, fit.beta, b_prime)
-    sigma_final, floored_alpha = _floored_sigma_sq(series, M, N, alpha0.alpha, fit.beta)
+    u, alpha = alpha0.u, alpha0.alpha
+    sigma_final, floored_alpha = _floored_sigma_sq(series, M, N, alpha, fit.beta)
     var_xi = _var_xi_sq(fit.x_sq, sigma_final)
 
     if plugin:
+        del alpha0  # its gram_inv would keep the alpha step's whole solve buffer through the sweep
         alpha, alpha_se, floored_mu = estimate_alpha_plugin(
             series,
             partition,
             fit.beta,
             b_prime,
-            alpha_init=alpha0.alpha,
+            alpha_init=alpha,
             mu=mu,
             var_xi_sq=var_xi,
         )
         sigma_final, _ = _floored_sigma_sq(series, M, N, alpha, fit.beta)
     else:
-        alpha = alpha0.alpha
         alpha_se = alpha_standard_errors(series, partition, alpha0, sigma_final, var_xi)
         floored_mu = 0
 
@@ -741,7 +748,7 @@ def fit_semiparametric(
         beta=fit.beta,
         beta_se=cov.se,
         beta_cov=cov.v_hat,
-        u=alpha0.u,
+        u=u,
         alpha=alpha,
         alpha_se=alpha_se,
         sigma_sq=sigma_final,

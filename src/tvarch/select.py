@@ -41,10 +41,10 @@ class BandwidthGrid:
     multipliers: tuple = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 
     def __post_init__(self):
-        mult = tuple(sorted(float(c) for c in self.multipliers))
-        if not mult or mult[0] <= 0.0:
-            raise InputError("grid multipliers must be positive")
-        object.__setattr__(self, "multipliers", mult)
+        mult = tuple(float(c) for c in self.multipliers)
+        if not mult or not all(c > 0.0 for c in mult):  # NaN too: it has no sort order
+            raise InputError(f"grid multipliers must be positive, got {self.multipliers!r}")
+        object.__setattr__(self, "multipliers", tuple(sorted(mult)))
 
     def bandwidths(self, T: int) -> np.ndarray:
         base = T ** (-1.0 / 3.0)

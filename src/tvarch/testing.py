@@ -183,7 +183,7 @@ def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float
     rhs[c, np.arange(1, 1 + n)] = 1.0
     del gram, cross  # cross keeps the whole smoothed block alive (page faults: see _STACK_CENTERS)
     sol = _solve_gated(G.transpose(2, 0, 1), rhs.transpose(2, 0, 1), p + 1).reshape(R, n_t, k, 1 + n)
-    a_tilde, Z = sol[..., 0], sol[..., 1:]
+    a_tilde = sol.transpose(2, 3, 0, 1)[:, 0]  # (k, R, n_t): the certified solve's own buffer
 
     q_rhs = np.concatenate([rhs[v, :1], G[v[:, None], c]], axis=1)
     q = _solve_gated(G[v[:, None], v].transpose(2, 0, 1), q_rhs.transpose(2, 0, 1), p + 1)
@@ -194,9 +194,9 @@ def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float
         raise next(err for err in errors if err)
     del G, rhs, q_rhs, q  # the full fit's buffers go before the sandwich's are made
 
-    sig_tilde = np.einsum("rtk,rtk->rt", X, a_tilde)
-    o_cc = _local_sandwich(Z, X, W**2 * (x2t - sig_tilde) ** 2, win)
-    return _pivotal_e_t(a_tilde[..., c] - np.swapaxes(beta, -1, -2), o_cc, T, b)[3]
+    sig_tilde = np.einsum("krt,krt->rt", X.transpose(2, 0, 1), a_tilde)
+    o_cc = _local_sandwich(sol[..., 1:], X, W**2 * (x2t - sig_tilde) ** 2, win)
+    return _pivotal_e_t(np.moveaxis(a_tilde[c] - beta.transpose(1, 0, 2), 0, -1), o_cc, T, b)[3]
 
 
 def _wald_statistic(series, partition, b):

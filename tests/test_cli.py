@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -281,6 +282,15 @@ def test_malformed_input_exits_2(sim_csv, tmp_path, capsys, argv, model):
     argv = [a.format(csv=sim_csv, model=model_path, out=tmp_path / "x.csv") for a in argv]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_pipeline_rejects_a_nan_grid_multiplier_before_any_smoothing(sim_csv, capsys):
+    # A NaN multiplier is an input error, not an order-selection failure.
+    argv = ["pipeline", "--input", str(sim_csv), "--q", "2", "--B", "100", "--grid", "0.5,nan"]
+    with mock.patch.object(tvarch.kernels, "local_sums", wraps=tvarch.kernels.local_sums) as sums:
+        assert main(argv) == 2
+    assert sums.call_count == 0
+    assert capsys.readouterr().err == "input error: grid multipliers must be positive, got (0.5, nan)\n"
 
 
 def test_prices_mode_cli(tmp_path, capsys):

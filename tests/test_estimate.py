@@ -1,5 +1,7 @@
 import collections
 import dataclasses
+import json
+import weakref
 
 import numpy as np
 import pytest
@@ -461,6 +463,31 @@ def test_fit_semiparametric_builds_the_level_weights_and_certifies_each_gram_onc
     assert calls == {"_level_weights": 2, "_certify": 4 if plugin else 2}
 
 
+def test_plugin_fit_drops_the_alpha_fit_before_the_sweep(monkeypatch):
+    # The sweep needs only the first alpha step's alpha; its AlphaFit, whose
+    # gram_inv views the step's whole solve buffer, is gone before the sweep.
+    x = np.random.default_rng(43).normal(size=400)
+    part = CoefficientPartition.semiparametric(2)
+    want = json.dumps(fit_semiparametric(ReturnSeries(x), part, 0.2, b_prime=0.3, plugin=True).to_dict())
+    refs, dead = [], []
+    real_alpha, real_sweep = estimate.estimate_alpha, estimate.estimate_alpha_plugin
+
+    def alpha_step(*args):
+        fit = real_alpha(*args)
+        refs.append(weakref.ref(fit))
+        return fit
+
+    def sweep(*args, **kwargs):
+        dead.append(refs[-1]() is None)
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(estimate, "estimate_alpha", alpha_step)
+    monkeypatch.setattr(estimate, "estimate_alpha_plugin", sweep)
+    got = json.dumps(fit_semiparametric(ReturnSeries(x), part, 0.2, b_prime=0.3, plugin=True).to_dict())
+    assert len(refs) == 1 and dead == [True]
+    assert got == want
+
+
 @pytest.mark.parametrize("k", [1, 3, 11])
 @pytest.mark.parametrize("leave_out", [None, "p"])
 def test_local_wls_symmetric_and_matches_dense(k, leave_out):
@@ -604,6 +631,23 @@ def test_certified_solve_and_inverse_match_dense(k):
     for r in range(n_t):
         assert _max_rel(sol[r, :, :2], want_x[r]) <= 1e-10
         assert _max_rel(sol[r, :, 2:], want_inv[r]) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 3, 11])
+def test_certified_solve_is_a_view_with_the_centers_innermost(k):
+    # The certified route hands back its (k, c, n_t) substitution buffer
+    # transposed, not a copy; the values are LAPACK's to rounding.
+    rng = np.random.default_rng(29 + k)
+    n_t = 50
+    A = rng.normal(size=(n_t, k, 3 * k))
+    gram = (A @ A.transpose(0, 2, 1)) / (3 * k)
+    rhs = rng.normal(size=(n_t, k, 2))
+    assert _certify(gram) is not None
+    sol = _solve_gated(gram, rhs, 1)
+    assert sol.shape == (n_t, k, 2) and sol.base is not None
+    assert sol.transpose(1, 2, 0).flags.c_contiguous
+    want = np.linalg.solve(gram, rhs)
+    assert np.all(np.abs(sol - want).max(axis=(1, 2)) <= 1e-12 * np.abs(want).max(axis=(1, 2)))
 
 
 def test_plugin_no_flooring_on_healthy_run(sptv2_model):

@@ -1,8 +1,9 @@
 """Property tests: the smoother matches an explicit double loop on each of its
 paths, the chunk-moment one on long kernel windows, and every chunk layout
 it accepts covers each input once; the fits routed through the local
-weighted-least-squares core, the constancy statistic and the semiparametric
-cross-validation match the dense oracles on small random series; the
+weighted-least-squares core, the local sandwich on stacks of series (from
+either layout of the gated solve), the constancy statistic and the
+semiparametric cross-validation match the dense oracles on small random series; the
 plug-in alpha sweep matches its oracle across chunk edges, counts a
 floored cell inside an interior chunk, and gates the whole grid once; and the certified rcond gate decides exactly as the
 eigenvalue gate and certifies only what that gate passes."""
@@ -29,7 +30,7 @@ from tvarch import (
     kernels,
 )
 from tvarch.errors import NumericalError, SingularMomentError
-from tvarch.estimate import _certify, _psd_rcond, _solve_gated
+from tvarch.estimate import _certify, _local_sandwich, _psd_rcond, _solve_gated, local_wls
 from tvarch.model import regressor_matrices
 from tvarch.testing import constancy_statistic, nonparametric_fit
 
@@ -271,6 +272,37 @@ def test_plugin_alpha_gates_the_whole_grid_once():
         assert gate.call_count == 1
         estimate_alpha_plugin(ReturnSeries(healthy), part, beta, b, alpha_init, 1.7)
         assert gate.call_count == 2
+
+
+@pytest.mark.parametrize("certified", [True, False], ids=["certified-view", "lapack"])
+@given(seed=seeds, T=lengths, R=st.integers(1, 3), k=st.integers(2, 4), b=bandwidths, data=st.data())
+def test_local_sandwich_on_stacks_matches_dense(certified, seed, T, R, k, b, data):
+    # Z = G^-1[:, c] of an (R, n_t) stack from each branch of the gated solve:
+    # the certified route's view of its (k, c, n_t) buffer, or LAPACK's layout.
+    c = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=2)))
+    p = k - 1
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(R, T))
+    w_mid = rng.uniform(0.5, 2.0, size=(R, T - p))
+    X = np.stack([reference.blocks(row, tuple(range(k)), (), p)[0] for row in x])
+    W = np.stack([reference.level_weights(row, p) for row in x])
+    win = kernels.kernel_window(T, b)
+    gram = local_wls(X, X[..., :0], W, win)[0].reshape(R * (T - p), k, k)
+    assume(_psd_rcond(gram).min() > _RCOND_MIN)
+    rhs = np.broadcast_to(np.eye(k)[:, c], (R * (T - p), k, len(c)))
+    if certified:
+        assume(_certify(gram) is not None)
+        Z = _solve_gated(gram, rhs, p + 1)
+        assert Z.base is not None and not Z.flags.c_contiguous
+    else:
+        with mock.patch.object(estimate, "_certify", return_value=None):
+            Z = _solve_gated(gram, rhs, p + 1)
+        assert Z.flags.c_contiguous
+    got = _local_sandwich(Z.reshape(R, T - p, k, len(c)), X, w_mid, win)
+    assert got.shape == (R, T - p, len(c), len(c))
+    for r in range(R):
+        want = reference.dense_sandwich(X[r], W[r], w_mid[r], b, T, p)[:, c][:, :, c]
+        assert _max_rel(got[r], want) <= 1e-10
 
 
 def _constancy_partitions(p: int) -> list:

@@ -30,6 +30,10 @@ def test_grid_validation():
         BandwidthGrid(multipliers=())
     with pytest.raises(InputError):
         BandwidthGrid(multipliers=(-0.5, 1.0))
+    # NaN is not positive, and it would leave the sort order undefined.
+    for bad in ((0.5, np.nan), (np.nan,), (np.nan, 0.5, 2.0)):
+        with pytest.raises(InputError, match=r"grid multipliers must be positive, got \(.*nan"):
+            BandwidthGrid(multipliers=bad)
     g = BandwidthGrid(multipliers=(2.0, 0.5))
     assert g.multipliers == (0.5, 2.0)
     np.testing.assert_allclose(g.bandwidths(1000), [0.5 * 0.1, 2.0 * 0.1])
