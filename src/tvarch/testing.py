@@ -183,7 +183,7 @@ def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float
     rhs[c, np.arange(1, 1 + n)] = 1.0
     del gram, cross  # cross keeps the whole smoothed block alive (page faults: see _STACK_CENTERS)
     sol = _solve_gated(G.transpose(2, 0, 1), rhs.transpose(2, 0, 1), p + 1).reshape(R, n_t, k, 1 + n)
-    a_tilde = sol.transpose(2, 3, 0, 1)[:, 0]  # (k, R, n_t): the certified solve's own buffer
+    a_tilde = sol.transpose(2, 3, 0, 1)[:, 0]  # (k, R, n_t), of the solve buffer itself when certified
 
     q_rhs = np.concatenate([rhs[v, :1], G[v[:, None], c]], axis=1)
     q = _solve_gated(G[v[:, None], v].transpose(2, 0, 1), q_rhs.transpose(2, 0, 1), p + 1)

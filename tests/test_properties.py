@@ -3,8 +3,8 @@ paths, the chunk-moment one on long kernel windows, and every chunk layout
 it accepts covers each input once; the fits routed through the local
 weighted-least-squares core, the local sandwich on stacks of series (from
 either layout of the gated solve), the constancy statistic and the
-semiparametric cross-validation match the dense oracles on small random series; the
-plug-in alpha sweep matches its oracle across chunk edges, counts a
+semiparametric cross-validation match the dense oracles on small random
+series; the plug-in alpha sweep matches its oracle across chunk edges, counts a
 floored cell inside an interior chunk, and gates the whole grid once; and the certified rcond gate decides exactly as the
 eigenvalue gate and certifies only what that gate passes."""
 
