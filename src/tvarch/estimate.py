@@ -263,17 +263,14 @@ def _solve_gated(gram: np.ndarray, rhs: np.ndarray, first_t: int) -> np.ndarray:
 _STACK_CENTERS = 8192
 
 
-def _solve_design(gram: np.ndarray, rhs: np.ndarray, what: str) -> tuple[np.ndarray, list]:
-    """gram^-1 rhs for an (R, k, k) stack of symmetric designs, and per member None or the
-    SingularDesignError of an rcond below the gate; only passing members are solved, the rest get 0."""
+def _solve_design(gram: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """gram^-1 rhs for an (R, k, k) stack of symmetric designs; raises the SingularDesignError of the
+    first member whose rcond falls below the gate, the error that member raises alone."""
     rc = _psd_rcond(gram)
-    ok = rc >= _RCOND_GATE
-    if ok.all():
-        return np.linalg.solve(gram, rhs), [None] * rc.shape[0]
-    errors = [None if c >= _RCOND_GATE else SingularDesignError(f"{what} is singular (rcond={c:.3e})") for c in rc]
-    sol = np.zeros(rhs.shape)
-    sol[ok] = np.linalg.solve(gram[ok], rhs[ok])
-    return sol, errors
+    bad = rc < _RCOND_GATE
+    if bad.any():
+        raise SingularDesignError(f"{what} is singular (rcond={rc[np.argmax(bad)]:.3e})")
+    return np.linalg.solve(gram, rhs)
 
 
 def _local_sandwich(Z: np.ndarray, X: np.ndarray, w_mid: np.ndarray, window: np.ndarray) -> np.ndarray:
@@ -378,9 +375,7 @@ def estimate_beta(
     x2t = series.values[partition.p :] ** 2
 
     v_resid, o_resid, gram, rhs = _residual_design(M, N, x2t, W, q1, q2)
-    beta, errors = _solve_design(gram[None], rhs[None, :, None], "residual design")
-    if errors[0] is not None:
-        raise errors[0]
+    beta = _solve_design(gram[None], rhs[None, :, None], "residual design")
 
     return BetaFit(
         beta=beta[0, :, 0],

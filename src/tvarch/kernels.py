@@ -349,14 +349,11 @@ def local_sums(values: np.ndarray, window: np.ndarray) -> np.ndarray:
         raise NumericalError("smoothing input is not finite: the squares or weights overflowed; rescale the series")
     columns = np.ascontiguousarray(flat.T)
     half = (window.shape[0] - 1) // 2
-    # A hole only adds slab rows: a window too short for the chunk path
-    # without one skips the hole's scan and the O(L) check.
-    if _chunk_layout(n, half, 0) is not None:
-        hole = _hole(window)
-        layout = _chunk_layout(n, half, hole)
-        fit = None if layout is None else _quadratic(window, hole)
-        if fit is not None:
-            return _chunk_sums(columns, window, layout, *fit).T.reshape(v.shape)
+    hole = _hole(window)
+    layout = _chunk_layout(n, half, hole)
+    fit = None if layout is None else _quadratic(window, hole)
+    if fit is not None:
+        return _chunk_sums(columns, window, layout, *fit).T.reshape(v.shape)
     return _gemm_sums(columns, window).T.reshape(v.shape)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import AllSingularError, InputError, SingularMomentError
+from .errors import AllSingularError, InputError, SingularDesignError, SingularMomentError
 from .estimate import (
     _STACK_CENTERS,
     _certify,
@@ -119,12 +119,13 @@ def _cv_semiparametric(chunk, p: int, grid: BandwidthGrid | None = None) -> list
     Per bandwidth, one local_sums call smooths every member's columns [W | W
     x^2 | W N] as rows of one (R (2 + p), n_t) block.  The bandwidths go in
     groups of at most _STACK_CENTERS centers (all of one T = 500 series, one
-    at a time for a chunk of 16): the (bandwidth, member) pairs of a group
-    are post-processed as one stack and one rcond gate covers their (p, p)
-    residual designs.  Failures stay per pair: an empty leave-out window or a
-    singular design skips only that (member, bandwidth) pair, and the
-    lowest-index member whose bandwidths all fail raises AllSingularError
-    naming its last failure in grid order.
+    at a time for a chunk of 16), and the (bandwidth, member) pairs of a
+    group are scored as one stack under one rcond gate of their (p, p)
+    residual designs.  A group whose stack raises (an empty leave-out window,
+    a singular design) re-smooths and scores each of its pairs alone, so a
+    failure skips only its own pair.  The lowest-index member whose
+    bandwidths all fail raises AllSingularError naming its last failure in
+    grid order.
     """
     grid = grid or BandwidthGrid()
     chunk[0].require_length(p)
@@ -140,57 +141,55 @@ def _cv_semiparametric(chunk, p: int, grid: BandwidthGrid | None = None) -> list
     g[:, 0] = W
     np.multiply(W, x2t, out=g[:, 1])
     np.multiply(W[:, None], N, out=g[:, 2:])
-    g = g.reshape(R * (2 + p), n_t)
     bs = grid.bandwidths(T)
     nb = bs.shape[0]
 
-    scores = np.full((R, nb), np.inf)
-    betas = np.zeros((R, nb, p))
-    failed = [[None] * nb for _ in range(R)]  # the error of each failing (member, bandwidth) pair
-    per = max(1, _STACK_CENTERS // (R * n_t))
-    for g0 in range(0, nb, per):
-        parts, members, at = [], [], []
-        for i in range(g0, min(g0 + per, nb)):
-            s = kernels.local_sums(g.T, kernels.leave_out_window(kernels.kernel_window(T, bs[i]), p))
-            s = s.T.reshape(R, 2 + p, n_t)
-            empty = s[:, 0] <= 0.0
-            for r in np.flatnonzero(empty.any(axis=1)):
-                failed[r][i] = SingularMomentError(t=p + 1 + int(np.argmax(empty[r])), rcond=0.0)
-            live = np.flatnonzero(~empty.any(axis=1))
-            if live.size:
-                parts.append(s if live.size == R else s[live])
-                members.append(live)
-                at.append(np.full(live.size, i))
-        if not parts:
-            continue
-        live, at = np.concatenate(members), np.concatenate(at)
-        rows = slice(None) if len(parts) == 1 and live.size == R else live  # a slice copies nothing
-        s = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        del parts
+    def score(s, rows):
+        """Scores and betas of the smoothed sums s (pairs, 2 + p, n_t) of members ``rows``; raises the first failure."""
+        empty = np.argwhere(s[:, 0] <= 0.0)
+        if empty.size:
+            raise SingularMomentError(t=p + 1 + int(empty[0, 1]), rcond=0.0)
         # In place: s[:, 1] becomes y = x^2 - s1 / s3 and s[:, 2:] becomes Z = N - s2 / s3.
         s[:, 1:] /= s[:, :1]
         y = np.subtract(x2t[rows], s[:, 1], out=s[:, 1])
         Z = np.subtract(N[rows], s[:, 2:], out=s[:, 2:])  # (pairs, p, n_t)
         Wl = W[rows]
         WZ = Wl[:, None] * Z
-        beta, errors = _solve_design(WZ @ Z.transpose(0, 2, 1), WZ @ y[..., None], "residual design")
+        beta = _solve_design(WZ @ Z.transpose(0, 2, 1), WZ @ y[..., None], "residual design")[..., 0]
         del WZ
-        if any(errors):
-            ok = np.array([err is None for err in errors])
-            for k in np.flatnonzero(~ok):
-                failed[live[k]][at[k]] = errors[k]
-            live, at, beta, y, Z, Wl = live[ok], at[ok], beta[ok], y[ok], Z[ok], Wl[ok]
-            if not live.size:
-                continue
-        beta = beta[..., 0]
         resid = np.subtract(y, np.einsum("rm,rmt->rt", beta, Z), out=y)
-        scores[live, at] = np.sum(Wl * resid**2, axis=1)
-        betas[live, at] = beta
+        return np.sum(Wl * resid**2, axis=1), beta
+
+    scores = np.full((R, nb), np.inf)
+    betas = np.zeros((R, nb, p))
+    last = [None] * R  # each member's last failure in grid order
+    per = max(1, _STACK_CENTERS // (R * n_t))
+    for g0 in range(0, nb, per):
+        g1 = min(g0 + per, nb)
+        group = range(g0, g1)
+        wins = [kernels.leave_out_window(kernels.kernel_window(T, bs[i]), p) for i in group]
+        parts = [kernels.local_sums(g.reshape(-1, n_t).T, win).T.reshape(R, 2 + p, n_t) for win in wins]
+        s = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        del parts
+        rows = slice(None) if len(group) == 1 else np.tile(np.arange(R), len(group))  # a slice copies nothing
+        try:
+            sc, beta = score(s, rows)
+        except (SingularMomentError, SingularDesignError):
+            del s
+            for i, win in zip(group, wins):
+                for r in range(R):
+                    s = kernels.local_sums(g[r].T, win).T[None]
+                    try:
+                        scores[r, i : i + 1], betas[r, i : i + 1] = score(s, slice(r, r + 1))
+                    except (SingularMomentError, SingularDesignError) as err:
+                        last[r] = err
+            continue
+        scores[:, g0:g1] = sc.reshape(len(group), R).T
+        betas[:, g0:g1] = beta.reshape(len(group), R, p).transpose(1, 0, 2)
     out = []
     for r in range(R):
         if not np.any(np.isfinite(scores[r])):
-            last = next((err for err in reversed(failed[r]) if err is not None), None)
-            raise _all_singular("every grid bandwidth failed cross-validation", last) from last
+            raise _all_singular("every grid bandwidth failed cross-validation", last[r]) from last[r]
         best = int(np.nanargmin(scores[r]))
         out.append(CvResult(bandwidth=float(bs[best]), bandwidths=bs, scores=scores[r], beta=betas[r, best]))
     return out

@@ -155,9 +155,10 @@ def _recurse_lanes(x: np.ndarray, table: np.ndarray, n_pre: int, mean_sq0: float
 
     The operations are those of :func:`simulate_path`'s step loop in the same
     order, so every lane is that loop's path bit for bit; the square is
-    ``np.float_power(x, 2.0)``, libm's pow as in Python's ``x**2``.  A lane whose
-    sigma^2 falls to or below 0 is masked (sigma^2 := 1) from then on; at the
-    end the lowest failing lane raises the error of its first such step.
+    ``np.float_power(x, 2.0)``, libm's pow as in Python's ``x**2``.  Raises at
+    the first step where some lane's sigma^2 falls to or below 0, with the
+    lowest such lane's error; for one lane that is the error simulate_path
+    raises.
     """
     R = x.shape[1]
     p = table.shape[1] - 1
@@ -168,8 +169,6 @@ def _recurse_lanes(x: np.ndarray, table: np.ndarray, n_pre: int, mean_sq0: float
     # With a_0 > 0 and every a_j >= 0, sigma^2 >= a_0 > 0 in floating point
     # too, so only the other steps are checked.
     risky = (~((table[:, 0] > 0.0) & (table[:, 1:] >= 0.0).all(axis=1))).tolist()
-    failed_at = np.full(R, -1)
-    failed_sig = np.empty(R)
     for s, (x_s, row, check) in enumerate(zip(x, table.tolist(), risky)):
         np.multiply(slots[(s - 1) % p], row[1], out=term)
         np.add(term, row[0], out=sig)
@@ -179,26 +178,20 @@ def _recurse_lanes(x: np.ndarray, table: np.ndarray, n_pre: int, mean_sq0: float
         if check:
             bad = sig <= 0.0
             if bad.any():
-                first = bad & (failed_at < 0)
-                failed_at[first] = s
-                failed_sig[first] = sig[first]
-                sig[bad] = 1.0
+                raise _nonpositive(float(sig[np.argmax(bad)]), s, n_pre)
         np.sqrt(sig, out=sig)
         np.multiply(x_s, sig, out=x_s)
         np.float_power(x_s, 2.0, out=slots[s % p])
-    lanes = np.flatnonzero(failed_at >= 0)
-    if lanes.size:
-        i = lanes[0]
-        raise _nonpositive(float(failed_sig[i]), int(failed_at[i]), n_pre)
 
 
 def simulate_paths(model: TvArchModel, T: int, seeds, burn_in: int = 500) -> list:
     """One path per seed, each bit-identical to ``simulate_path(model, SimulationConfig(T, seed, burn_in))``.
 
     Each seed's xi comes from its own generator; the recursion then runs once
-    per step as vector ops across blocks of up to ``_LANES`` replicates.  If any
-    path fails, the NonPositiveVolatilityError is the one that the
-    lowest-index failing seed raises alone.
+    per step as vector ops across blocks of up to ``_LANES`` replicates.  A
+    block whose recursion raises reruns its seeds one at a time, with the
+    model validated once per call, so the NonPositiveVolatilityError is the
+    one that the lowest-index failing seed raises alone.
     """
     _require_lengths(T, burn_in)
     table, n_pre, mean_sq0 = _coefficient_table(model, T, burn_in)
@@ -212,7 +205,12 @@ def simulate_paths(model: TvArchModel, T: int, seeds, burn_in: int = 500) -> lis
         if model.p == 0:
             x[n_pre:] *= np.sqrt(table[n_pre:, :1])
         else:
-            _recurse_lanes(x, table, n_pre, mean_sq0)
+            try:
+                _recurse_lanes(x, table, n_pre, mean_sq0)
+            except NonPositiveVolatilityError:
+                for seed in block:
+                    _recurse_lanes(_draws(model.noise, generator(seed), x.shape[0])[:, None], table, n_pre, mean_sq0)
+                raise
         # Lane by lane: one transposed (R, T) copy read 0.5 MB more peak RSS over a study op.
         paths.extend(ReturnSeries(x[n_pre:, i].copy()) for i in range(len(block)))
     return paths

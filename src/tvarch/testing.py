@@ -5,6 +5,10 @@ simulated: draw B samples of T i.i.d. standard Gaussians, run the identical
 statistic pipeline on each (bandwidth fixed in advance, never re-selected),
 and read quantiles off the replicate sample.  Observed p-values use the
 standard Monte-Carlo convention (1 + #{replicates >= observed}) / (B + 1).
+Second-order and constancy replicates are evaluated in stacks.  A stacked
+core raises the first failure of its stack, and each draw of a stack that
+raised reruns alone, so every replicate gets the value or the error it gets
+on its own.
 """
 
 from __future__ import annotations
@@ -189,9 +193,7 @@ def _constancy_e_t(values: np.ndarray, partition: CoefficientPartition, b: float
     q = _solve_gated(G[v[:, None], v].transpose(2, 0, 1), q_rhs.transpose(2, 0, 1), p + 1)
     q = q.reshape(R, n_t, v.shape[0], 1 + n)
     _, _, design, beta_rhs = _residual_design(X[..., v], X[..., c], x2t, W, q[..., 0], q[..., 1:])
-    beta, errors = _solve_design(design, beta_rhs[..., None], "residual design")
-    if any(errors):
-        raise next(err for err in errors if err)
+    beta = _solve_design(design, beta_rhs[..., None], "residual design")
     del G, rhs, q_rhs, q  # the full fit's buffers go before the sandwich's are made
 
     sig_tilde = np.einsum("krt,krt->rt", X.transpose(2, 0, 1), a_tilde)
@@ -225,9 +227,7 @@ def second_order_statistic(series: ReturnSeries, p: int, b: float) -> SecondOrde
     the centered squares on their own lags, and standardizes the truncated
     sum of squares by the variance-drift correction factor.
     """
-    a_hat, psi, sigma_sq_hat, errors = _second_order_psi(series.values[None], p, b)
-    if errors[0] is not None:
-        raise errors[0]
+    a_hat, psi, sigma_sq_hat = _second_order_psi(series.values[None], p, b)
     return SecondOrderStatistic(a_hat=a_hat[0], psi=float(psi[0]), sigma_sq_hat=float(sigma_sq_hat[0]))
 
 
@@ -236,18 +236,16 @@ def _second_order_psi(values: np.ndarray, p: int, b: float):
 
     One local_sums call smooths the mask row (zero on the first p indices)
     with the R rows of x^2 mask, and one rcond gate covers the (R, p, p)
-    stack of lag designs.  Returns (a_hat, psi, sigma_sq_hat, errors):
-    errors[r] is the NumericalError row r raises, or None, and the other
-    outputs are 0 for such a row.
+    stack of lag designs.  Returns (a_hat, psi, sigma_sq_hat).  Raises the
+    first error of the stack, which a stack of one row raises as that row's
+    own: a window that misses the estimation range, the first singular lag
+    design, smoothed squares that vanish, or a statistic that is not finite.
     """
     if p < 1:
         raise InputError("second-order test needs p >= 1")
     ReturnSeries(values[0]).require_length(p)
     R, T = values.shape
     x_sq = values**2
-    a_hat = np.zeros((R, p))
-    psi = np.zeros(R)
-    sigma_sq_hat = np.zeros(R)
 
     # d_hat over all centers 1..T, averaging the in-range indices i >= p+1.
     g = np.empty((R + 1, T))  # the smoothed columns [mask | x^2 mask], as rows
@@ -257,30 +255,24 @@ def _second_order_psi(values: np.ndarray, p: int, b: float):
     s = kernels.local_sums(g.T, kernels.kernel_window(T, b)).T
     den = s[0]
     if np.any(den <= 0.0):
-        err = SingularDesignError("kernel window misses the estimation range; enlarge b")
-        return a_hat, psi, sigma_sq_hat, [err] * R
+        raise SingularDesignError("kernel window misses the estimation range; enlarge b")
     d_hat = s[1:] / den
 
     h_resid = x_sq - d_hat
     X = np.stack([h_resid[:, p - j : T - j] for j in range(1, p + 1)], axis=1)  # (R, p, T - p)
-    sol, errors = _solve_design(X @ X.transpose(0, 2, 1), X @ h_resid[:, p:, None], "lag design")
+    a_hat = _solve_design(X @ X.transpose(0, 2, 1), X @ h_resid[:, p:, None], "lag design")[..., 0]
     d_max = d_hat.max(axis=1)
-    for r in np.flatnonzero(d_max <= 0.0):
-        errors[r] = errors[r] or DegenerateSeriesError("smoothed squares are identically zero")
-    live = np.flatnonzero([err is None for err in errors])
-    if not live.size:
-        return a_hat, psi, sigma_sq_hat, errors
-    rows = live if live.size < R else slice(None)  # a slice copies nothing
-    a_hat[rows] = sol[rows, :, 0]
+    if np.any(d_max <= 0.0):
+        raise DegenerateSeriesError("smoothed squares are identically zero")
     # sigma^2 is scale-free in d_hat: d_hat / max(d_hat) keeps its powers finite.
-    d_rel = d_hat[rows] / d_max[rows, None]
-    sigma_sq_hat[rows] = T * (d_rel**4).sum(axis=1) / (d_rel**2).sum(axis=1) ** 2
-    psi[rows] = T * np.sum(np.maximum(a_hat[rows], 0.0) ** 2, axis=1) / sigma_sq_hat[rows]
-    for r in live[~(np.isfinite(psi[live]) & np.isfinite(sigma_sq_hat[live]))]:
-        errors[r] = NumericalError(
-            f"second-order statistic is not finite (psi={psi[r]}, sigma^2={sigma_sq_hat[r]})"
-        )
-    return a_hat, psi, sigma_sq_hat, errors
+    d_rel = d_hat / d_max[:, None]
+    sigma_sq_hat = T * (d_rel**4).sum(axis=1) / (d_rel**2).sum(axis=1) ** 2
+    psi = T * np.sum(np.maximum(a_hat, 0.0) ** 2, axis=1) / sigma_sq_hat
+    finite = np.isfinite(psi) & np.isfinite(sigma_sq_hat)
+    if not finite.all():
+        r = int(np.argmin(finite))
+        raise NumericalError(f"second-order statistic is not finite (psi={psi[r]}, sigma^2={sigma_sq_hat[r]})")
+    return a_hat, psi, sigma_sq_hat
 
 
 # ---------------------------------------------------------------------------
@@ -304,26 +296,26 @@ def _each(fn, draws) -> list:
 def _pivotal_values(name, draws, p, partition, b) -> list:
     """The statistic of every draw, or the NumericalError it raised.
 
-    Second-order draws run stacked through :func:`_second_order_psi`;
-    constancy draws through :func:`_constancy_e_t` in stacks of
-    _STACK_CENTERS centers.  A stack that raises never passes its error on:
-    each of its draws reruns alone through the same core, and so gets its
-    own value or raises its own error.  Wald draws run one at a time.
+    Second-order draws run through :func:`_second_order_psi` as one stack
+    (its arrays are small, and smaller stacks only add calls); constancy
+    draws through :func:`_constancy_e_t` in stacks of _STACK_CENTERS
+    centers.  A stack that raises never passes its error on: each of its
+    draws reruns alone through the same core, and so gets its own value or
+    raises its own error.  Wald draws run one at a time.
     """
-    if name == "second-order":
-        _, psi, _, errors = _second_order_psi(np.stack(draws), p, b)
-        return [float(v) if err is None else err for v, err in zip(psi, errors)]
     if name == "wald-zero":
         return _each(lambda s: _wald_statistic(s, partition, b)[0], draws)
-
-    per = max(1, _STACK_CENTERS // (draws[0].shape[0] - p))
+    if name == "second-order":
+        core, per = (lambda x: _second_order_psi(x, p, b)[1]), len(draws)
+    else:
+        core, per = (lambda x: _constancy_e_t(x, partition, b)), max(1, _STACK_CENTERS // (draws[0].shape[0] - p))
     out = []
     for lo in range(0, len(draws), per):
         stack = draws[lo : lo + per]
         try:
-            out += [float(v) for v in _constancy_e_t(np.stack(stack), partition, b)]
+            out += [float(v) for v in core(np.stack(stack))]
         except NumericalError:
-            out += _each(lambda s: float(_constancy_e_t(s.values[None], partition, b)[0]), stack)
+            out += _each(lambda s: float(core(s.values[None])[0]), stack)
     return out
 
 

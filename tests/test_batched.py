@@ -92,6 +92,33 @@ def _cv_in_chunks(series, p, grid):
     return testing._map_chunks(lambda rs: select._cv_semiparametric([series[r] for r in rs], p, grid), len(series), 1)
 
 
+def _design_of(series, p, multiplier):
+    """The (p, p) residual design of one series at one grid multiplier, as its per-bandwidth run gates it."""
+    psd_rcond = estimate._psd_rcond
+    gated = []
+    with mock.patch.object(estimate, "_psd_rcond", lambda stack: gated.append(stack.copy()) or psd_rcond(stack)):
+        cv_bandwidth_semiparametric(series, p, grid=BandwidthGrid((multiplier,)))
+    return gated[0][0]
+
+
+def _singular_at(designs, rconds, calls):
+    """A design gate that gives every matrix within 1e-9 of designs[j] the rcond rconds[j] and records each call's size.
+
+    The failure goes by content, so it follows its matrix into a stack or a rerun alone."""
+    psd_rcond = estimate._psd_rcond
+
+    def gate(stack):
+        rc = psd_rcond(stack)
+        calls.append(rc.shape[0])
+        for m, matrix in enumerate(stack):
+            for design, rcond in zip(designs, rconds):
+                if np.allclose(matrix, design, rtol=1e-9, atol=0.0):
+                    rc[m] = rcond
+        return rc
+
+    return gate
+
+
 @settings(max_examples=8)
 @given(
     seed=seeds, T=st.integers(30, 40), p=st.integers(1, 3), R=st.sampled_from([1, _CHUNK, _CHUNK + 3]), data=st.data()
@@ -100,29 +127,17 @@ def test_batched_cv_matches_single_replicate_and_dense(seed, T, p, R, data):
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(R, T))
     series = [ReturnSeries(x) for x in xs]
-    # One (member, bandwidth) pair fails the design gate: its rcond is zeroed
-    # in the gate call of its chunk.  The whole grid of a chunk is one group
-    # (at most 4 x 16 x 39 centers), gated by one call over its (bandwidth,
-    # member) pairs, bandwidth-major.  Bandwidth 0 is empty and left out of
-    # the stack, so bandwidth i of chunk member m sits at (i - 1) n + m, n
-    # the chunk's size.
+    # The whole grid of a chunk is one group (at most 4 x 16 x 39 centers).
+    # Bandwidth 0 is empty for every member, so every group raises and each
+    # (member, bandwidth) pair reruns alone: one gate call per pair that
+    # reaches the gate.  One pair also fails the design gate, by its content.
     forced_r = data.draw(st.integers(0, R - 1))
     forced_i = data.draw(st.integers(1, 3))
-    sizes = [min(_CHUNK, R - lo) for lo in range(0, R, _CHUNK)]
-    chunk_of_forced, member = divmod(forced_r, _CHUNK)
-    psd_rcond = estimate._psd_rcond
+    design = _design_of(series[forced_r], p, _CV_GRID.multipliers[forced_i])
     calls = []
-
-    def gate(stack):
-        rc = psd_rcond(stack)
-        calls.append(rc.shape[0])
-        if len(calls) == chunk_of_forced + 1:
-            rc[(forced_i - 1) * sizes[chunk_of_forced] + member] = 0.0
-        return rc
-
-    with mock.patch.object(estimate, "_psd_rcond", gate):
+    with mock.patch.object(estimate, "_psd_rcond", _singular_at([design], [0.0], calls)):
         got = _cv_in_chunks(series, p, _CV_GRID)
-    assert calls == [3 * n for n in sizes]  # one gate per chunk: every live member at every live bandwidth
+    assert calls == [1] * (3 * R)
 
     for r, (s, x, cv) in enumerate(zip(series, xs, got)):
         alone = cv_bandwidth_semiparametric(s, p, grid=_CV_GRID)
@@ -141,6 +156,16 @@ def test_batched_cv_matches_single_replicate_and_dense(seed, T, p, R, data):
             assert abs(cv.scores[i] - score) <= 1e-12 * score
         beta, _ = reference.dense_cv_semiparametric(x, p, cv.bandwidth)
         assert float(np.max(np.abs(cv.beta - beta)) / np.max(np.abs(beta))) <= 1e-10
+
+    # Without the empty bandwidth nothing fails: one gate per chunk covers
+    # every member at every bandwidth, and each pair scores as it does alone.
+    calls.clear()
+    with mock.patch.object(estimate, "_psd_rcond", _singular_at([], [], calls)):
+        stacked = _cv_in_chunks(series, p, BandwidthGrid(_CV_GRID.multipliers[1:]))
+    assert calls == [3 * min(_CHUNK, R - lo) for lo in range(0, R, _CHUNK)]
+    for r, (s, cv) in enumerate(zip(series, stacked)):
+        alone = cv_bandwidth_semiparametric(s, p, grid=_CV_GRID)
+        assert _rel(cv.scores, alone.scores[1:]) <= 1e-12
 
 
 def test_batched_cv_raises_for_the_lowest_member_whose_bandwidths_all_fail():
@@ -168,24 +193,16 @@ def test_batched_cv_raises_for_the_lowest_member_whose_bandwidths_all_fail():
 @example(seed=2, R=2, fails=frozenset(range(8)))
 def test_cv_pairs_failing_in_two_groups_match_the_per_bandwidth_loop(seed, R, fails):
     # At T = 2000 a group holds 8192 // (R 1998) of the 8 grid bandwidths (4
-    # for one series, 2 for two), gated by one call, bandwidth-major.  Member 0
-    # fails the gate at the bandwidths in ``fails``, which span two groups,
-    # each with its own rcond so the error named can be told apart.
+    # for one series, 2 for two), gated by one call.  Member 0's residual
+    # design fails the gate at the bandwidths in ``fails``, which span two
+    # groups, each with its own rcond so the error named can be told apart.
     T, p = 2000, 2
     per = 4 // R
     grid = BandwidthGrid()
     chunk = [ReturnSeries(x) for x in np.random.default_rng(seed).standard_normal((R, T))]
-    psd_rcond = estimate._psd_rcond
+    designs = [_design_of(chunk[0], p, grid.multipliers[i]) for i in sorted(fails)]
     calls = []
-
-    def gate(stack):
-        rc = psd_rcond(stack)
-        g0 = per * len(calls)
-        calls.append(rc.shape[0])
-        for i in fails:
-            if g0 <= i < g0 + per:
-                rc[(i - g0) * R] = 1e-20 * (i + 1)
-        return rc
+    gate = _singular_at(designs, [1e-20 * (i + 1) for i in sorted(fails)], calls)
 
     with mock.patch.object(estimate, "_psd_rcond", gate):
         if len(fails) == 8:
@@ -194,7 +211,11 @@ def test_cv_pairs_failing_in_two_groups_match_the_per_bandwidth_loop(seed, R, fa
             assert isinstance(err.value.__cause__, SingularDesignError)
         else:
             got = select._cv_semiparametric(chunk, p, grid)
-    assert calls == [per * R] * (8 // per)
+    # One gate call per group; a group holding a failing pair then reruns each of its pairs alone.
+    want_calls = []
+    for g0 in range(0, 8, per):
+        want_calls += [per * R] + [1] * (per * R) * bool(fails & set(range(g0, g0 + per)))
+    assert calls == want_calls
 
     if len(fails) == 8:
         return
@@ -223,21 +244,66 @@ def test_stacked_second_order_matches_single_and_dense(seed, T, p, b, R, data):
     bad = data.draw(st.integers(-1, R - 1))  # an all-zero row, whose lag design is 0, or none
     if bad >= 0:
         xs[bad] = 0.0
-    a_hat, psi, sigma_sq, errors = _second_order_psi(xs, p, b)
+        with pytest.raises(SingularDesignError, match="lag design"):
+            _second_order_psi(xs, p, b)
+    live = [r for r in range(R) if r != bad]
+    a_hat, psi, sigma_sq = _second_order_psi(xs[live], p, b) if live else (None, None, None)
+    got = testing._pivotal_values("second-order", list(xs), p, None, b)
     for r, x in enumerate(xs):
         if r == bad:
-            assert isinstance(errors[r], SingularDesignError) and "lag design" in str(errors[r])
-            with pytest.raises(SingularDesignError, match=re.escape(str(errors[r]))):
+            assert isinstance(got[r], SingularDesignError) and "lag design" in str(got[r])
+            with pytest.raises(SingularDesignError, match=re.escape(str(got[r]))):
                 second_order_statistic(ReturnSeries(x), p, b)
             continue
-        assert errors[r] is None
+        k = live.index(r)
         alone = second_order_statistic(ReturnSeries(x), p, b)
-        assert abs(psi[r] - alone.psi) <= 1e-12 * abs(alone.psi)
-        assert abs(sigma_sq[r] - alone.sigma_sq_hat) <= 1e-12 * alone.sigma_sq_hat
+        assert got[r] == (alone.psi if bad >= 0 else psi[k])  # a stack that raised reruns each draw alone
+        assert abs(psi[k] - alone.psi) <= 1e-12 * abs(alone.psi)
+        assert abs(sigma_sq[k] - alone.sigma_sq_hat) <= 1e-12 * alone.sigma_sq_hat
         a_ref, psi_ref, sig_ref = reference.dense_second_order(x, p, b)
-        np.testing.assert_allclose(a_hat[r], a_ref, atol=1e-10)
-        assert psi[r] == pytest.approx(psi_ref, rel=1e-10, abs=1e-12)
-        assert sigma_sq[r] == pytest.approx(sig_ref, rel=1e-10)
+        np.testing.assert_allclose(a_hat[k], a_ref, atol=1e-10)
+        assert psi[k] == pytest.approx(psi_ref, rel=1e-10, abs=1e-12)
+        assert sigma_sq[k] == pytest.approx(sig_ref, rel=1e-10)
+
+
+def test_stacked_second_order_falls_back_to_each_draw_alone():
+    T, p, b = 200, 2, 0.3
+    xs = np.random.default_rng(44).normal(size=(4, T))
+    xs[2] = 0.0
+    with pytest.raises(SingularDesignError, match="lag design"):
+        testing._second_order_psi(xs, p, b)
+    got = testing._pivotal_values("second-order", list(xs), p, None, b)
+    assert isinstance(got[2], SingularDesignError)
+    for x, value in zip(xs, got):
+        try:
+            stat = second_order_statistic(ReturnSeries(x), p, b)
+        except NumericalError as err:
+            assert type(value) is type(err) and str(value) == str(err)
+        else:
+            assert value == testing._second_order_psi(x[None], p, b)[1][0] == stat.psi
+
+
+# ---------------------------------------------------------------------------
+# The shared design gate.
+
+
+def test_solve_design_raises_the_first_failing_members_error():
+    rng = np.random.default_rng(8)
+    A = rng.normal(size=(4, 3, 3))
+    gram = A @ A.transpose(0, 2, 1)
+    gram[1] = np.diag([1.0, 1.0, 1e-14])  # rcond 1e-14, below the gate
+    gram[3] = np.diag([1.0, 1.0, 1e-13])
+    rhs = rng.normal(size=(4, 3, 1))
+    with pytest.raises(SingularDesignError, match=re.escape("lag design is singular (rcond=1.000e-14)")) as err:
+        estimate._solve_design(gram, rhs, "lag design")
+    with pytest.raises(SingularDesignError) as alone:
+        estimate._solve_design(gram[1:2], rhs[1:2], "lag design")
+    assert str(err.value) == str(alone.value)
+    with pytest.raises(SingularDesignError, match=re.escape("(rcond=1.000e-13)")):
+        estimate._solve_design(gram[2:], rhs[2:], "lag design")
+    ok = [0, 2]
+    sol = estimate._solve_design(gram[ok], rhs[ok], "lag design")
+    np.testing.assert_array_equal(sol, np.linalg.solve(gram[ok], rhs[ok]))
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,8 @@ def test_cv_semiparametric_skips_singular_residual_design(monkeypatch):
     # x^2 = 1 everywhere: each lag equals its leave-out local mean, so at every
     # bandwidth the residual design is exactly 0 and fails the design gate.
     # Both bandwidths fit in one group (2 x 78 centers): one gate call covers
-    # the (bandwidth, member) pairs in grid order.
+    # the (bandwidth, member) pairs in grid order, and when it fails each
+    # pair reruns alone through its own gate call.
     gated = []
 
     def spy(stack):
@@ -113,7 +114,8 @@ def test_cv_semiparametric_skips_singular_residual_design(monkeypatch):
     s = ReturnSeries(np.where(np.arange(80) % 2, 1.0, -1.0))
     with pytest.raises(AllSingularError) as err:
         cv_bandwidth_semiparametric(s, 2, grid=BandwidthGrid(multipliers=(1.0, 1.5)))
-    assert len(gated) == 1 and gated[0].shape == (2,) and (gated[0] < estimate._RCOND_GATE).all()
+    assert [rc.shape for rc in gated] == [(2,), (1,), (1,)] and (gated[0] < estimate._RCOND_GATE).all()
+    np.testing.assert_array_equal(gated[0], np.concatenate(gated[1:]))
     # The error names the last singular design (the last bandwidth's) and chains it.
     cause = err.value.__cause__
     assert isinstance(cause, SingularDesignError) and f"rcond={gated[0][-1]:.3e}" in str(cause)

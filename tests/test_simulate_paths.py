@@ -1,7 +1,7 @@
 """The replicate recursion: simulate_paths gives, seed by seed, the path that
 simulate_path gives alone, bit for bit and across block edges, raises the
 error that the lowest-index failing seed raises alone, and validates and
-warns once per call."""
+warns once per call, also when a block fails and its seeds rerun alone."""
 
 import warnings
 
@@ -50,22 +50,22 @@ def test_simulate_paths_match_single_paths_and_recursion(p, df, base, T, R, burn
         np.testing.assert_array_equal(path.values, reference.simulate_recursion(coeffs, T, seed, burn_in=burn_in, df=df))
 
 
-def _dipping_model() -> TvArchModel:
+def _dipping_model(lag: float = 0.5) -> TvArchModel:
     # The intercept is -0.5 at t = 5 and t = 15 of T = 21, between validation's
-    # check points, so a path fails there exactly when x^2_{t-1} <= 1.
+    # check points, so a path fails there exactly when lag x^2_{t-1} <= 0.5.
     dips = (5 / 21, 15 / 21)
 
     def a0(u):
         u = np.asarray(u, dtype=float)
         return np.where(np.any([np.abs(u - d) < 1e-12 for d in dips], axis=0), -0.5, 1.0)
 
-    return TvArchModel(p=1, coeffs=(CoefficientFunction(a0), CoefficientFunction.constant(0.5)))
+    return TvArchModel(p=1, coeffs=(CoefficientFunction(a0), CoefficientFunction.constant(lag)))
 
 
-def _failure(model, seed):
+def _failure(model, seed, burn_in=500):
     """The error message simulate_path gives for this seed alone, or None."""
     try:
-        simulate_path(model, SimulationConfig(T=21, seed=seed))
+        simulate_path(model, SimulationConfig(T=21, seed=seed, burn_in=burn_in))
     except NonPositiveVolatilityError as exc:
         return str(exc)
     return None
@@ -99,7 +99,10 @@ def test_lowest_failing_seed_raises_its_own_error(lane):
 
 
 def test_one_burn_in_warning_and_one_validation_per_call(monkeypatch):
-    model = TvArchModel(p=1, coeffs=(CoefficientFunction.constant(1.0), CoefficientFunction.constant(0.95)))
+    # Contraction 0.95 with a burn-in of 10 warns.  The dipping model fails in
+    # its first block, whose seeds then rerun one at a time.
+    steady = TvArchModel(p=1, coeffs=(CoefficientFunction.constant(1.0), CoefficientFunction.constant(0.95)))
+    dipping = _dipping_model(0.95)
     shapes = []
     evaluate = TvArchModel.coefficient_values
 
@@ -108,12 +111,21 @@ def test_one_burn_in_warning_and_one_validation_per_call(monkeypatch):
         return evaluate(self, u)
 
     monkeypatch.setattr(TvArchModel, "coefficient_values", counted)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        paths = simulate_paths(model, 50, range(_LANES + 3), burn_in=10)
-    assert len(paths) == _LANES + 3
-    assert [w.category for w in caught] == [UserWarning]
-    assert shapes == [(1024,), (50,)]
+    for model, T in ((steady, 50), (dipping, 21)):
+        shapes.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if model is dipping:
+                with pytest.raises(NonPositiveVolatilityError) as err:
+                    simulate_paths(model, T, range(_LANES + 3), burn_in=10)
+            else:
+                assert len(simulate_paths(model, T, range(_LANES + 3), burn_in=10)) == _LANES + 3
+        assert [w.category for w in caught] == [UserWarning]
+        assert shapes == [(1024,), (T,)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        messages = [_failure(dipping, seed, burn_in=10) for seed in range(_LANES + 3)]
+    assert str(err.value) == next(msg for msg in messages if msg)
 
 
 def test_no_seeds_give_no_paths():
